@@ -238,42 +238,38 @@ def _fmt_complex(z) -> str:
     return f"{fmt(z.real)}{'+' if z.imag >= 0 else '-'}{fmt(abs(z.imag))}j"
 
 
-def _build_family(config: JobConfig):
+def _family_job(config: JobConfig, per_residual: bool):
+    """construct and verify-family: build the family, sample points, verify.
+
+    ``per_residual`` reports one check per tau and kappa entry (verify-family)
+    instead of the single worst residual (construct).  A sample that
+    overflows ends as the failing check ``sample_points_finite``.
+    """
     algebra, realization, name = _load_algebra(config, need_realization=True)
     spec = catalog.BY_NAME.get(name)
     if spec is None or spec.construction_kind is None:
         raise ConfigError(f"builtin {name}: no first construction is defined for it")
     frame = Frame.build(algebra, realization)
-    construction = first_construction(algebra, realization, spec.construction_kind)
-    points = sample_points(realization, config.count, config.seed, config.scale)
-    return construction, frame, points
-
-
-def _job_construct(config: JobConfig):
     try:
-        construction, frame, points = _build_family(config)
+        construction = first_construction(algebra, realization, spec.construction_kind)
     except ConstructionError as exc:
         return [Check("family_nonempty", 1.0, 0.0)], {"error": str(exc)}
-    report = verify_family(construction.family, points, frame, config.tol("family"))
-    checks = [Check("family_nonempty", 0.0, 0.0),
-              Check("family_verification", report.worst, config.tol("family"))]
-    return checks, _family_summary(construction)
-
-
-def _job_verify_family(config: JobConfig):
+    checks = [Check("family_nonempty", 0.0, 0.0)]
+    summary = _family_summary(construction)
     try:
-        construction, frame, points = _build_family(config)
-    except ConstructionError as exc:
-        return [Check("family_nonempty", 1.0, 0.0)], {"error": str(exc)}
+        points = sample_points(realization, config.count, config.seed, config.scale)
+    except StructureError as exc:
+        summary["error"] = str(exc)
+        return checks + [Check("sample_points_finite", 1.0, 0.0)], summary
     tol = config.tol("family")
     report = verify_family(construction.family, points, frame, tol)
-    checks = [Check("family_nonempty", 0.0, 0.0)]
+    if not per_residual:
+        return checks + [Check("family_verification", report.worst, tol)], summary
     for k in range(report.n_fields):
         checks.append(Check(f"tau[{k}]", float(report.tau_max[k]), tol))
     for k in range(report.n_fields):
         for l in range(k, report.n_fields):
             checks.append(Check(f"kappa[{k},{l}]", float(report.kappa_max[k, l]), tol))
-    summary = _family_summary(construction)
     summary["points"] = report.n_points
     return checks, summary
 
@@ -423,8 +419,8 @@ def _job_curvature(config: JobConfig):
 
 _JOBS = {
     "check-algebra": _job_check_algebra,
-    "construct": _job_construct,
-    "verify-family": _job_verify_family,
+    "construct": lambda config: _family_job(config, per_residual=False),
+    "verify-family": lambda config: _family_job(config, per_residual=True),
     "second-construction": _job_second_construction,
     "foliation-scan": _job_foliation_scan,
     "curvature": _job_curvature,

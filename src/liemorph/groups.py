@@ -13,49 +13,55 @@ from .errors import StructureError
 HOMOMORPHISM_TOL = 1e-10
 
 
-def exp_matrix(x, t: float = 1.0) -> np.ndarray:
-    """e^{tX}.
+def exp_matrix(x, t=1.0) -> np.ndarray:
+    """e^{tX}, or the stack of e^{t_k X} when ``t`` is a 1-d array.
 
-    Nilpotent matrices (a power is exactly zero) get the terminating power
-    series, which is exact up to rounding.  Everything else goes through
-    scaling-and-squaring with a degree-12 truncated series scaled so that
-    ||tX|| / 2^k <= 0.5.
+    A scalar ``t`` is a batch of one.  Each t_k X with a power that is exactly
+    zero gets the terminating power series, which is exact up to rounding.
+    The others go through scaling-and-squaring with a degree-12 truncated
+    series scaled so that ||t_k X|| / 2^k <= 0.5.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)) or not math.isfinite(t):
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"t must be a scalar or a 1-d array, got shape {ts.shape}")
+    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(ts)):
         raise ValueError("exp_matrix requires finite entries")
     n = x.shape[0]
-    a = t * x
-    powers = [np.eye(n)]
-    p = np.eye(n)
-    nilpotent = False
+    a = ts.reshape(-1, 1, 1) * x
+    eye = np.broadcast_to(np.eye(n), a.shape)
+    powers = [eye]
+    p = eye
     for _ in range(n):
         p = p @ a
         if not p.any():
-            nilpotent = True
             break
         powers.append(p)
-    if nilpotent:
-        out = np.zeros_like(a)
+    nilpotent = ~p.any(axis=(1, 2))     # a zero power stays zero
+    out = np.zeros_like(a)
+    if nilpotent.any():
         fact = 1.0
         for m, pm in enumerate(powers):
             if m > 0:
                 fact *= m
             out += pm / fact
-        return out
-    norm = float(np.linalg.norm(a, 2))
-    k = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
-    b = a / (2.0 ** k)
-    out = np.eye(n)
-    term = np.eye(n)
-    for m in range(1, 13):
-        term = term @ b / m
-        out = out + term
-    for _ in range(k):
-        out = out @ out
-    return out
+    if not nilpotent.all():
+        rest = a[~nilpotent]
+        norm = np.linalg.svd(rest, compute_uv=False).max(axis=1)     # spectral norms
+        k = np.array([math.ceil(math.log2(v / 0.5)) if v > 0.5 else 0 for v in norm],
+                     dtype=int)
+        b = np.ldexp(rest, -k[:, None, None])      # rest / 2^k, exactly
+        series = eye[:len(rest)]
+        term = series
+        for m in range(1, 13):
+            term = term @ b / m
+            series = series + term
+        for step in range(k.max()):
+            series = np.where((k > step)[:, None, None], series @ series, series)
+        out[~nilpotent] = series
+    return out if ts.ndim else out[0]
 
 
 @dataclass(frozen=True)
@@ -107,20 +113,25 @@ class MatrixRealization:
 
 def sample_points(realization: MatrixRealization, count: int, seed: int,
                   scale: float = 1.0) -> list[np.ndarray]:
-    """Deterministic group points exp(v_1 X_1) ... exp(v_d X_d), v_i ~ U[-scale, scale]."""
+    """Deterministic group points exp(v_1 X_1) ... exp(v_d X_d), v_i ~ U[-scale, scale].
+
+    The coefficients of all points are one (count, d) draw, so point k uses
+    the same stream positions as the k-th of ``count`` single-point draws.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not math.isfinite(2.0 * scale):
+        raise StructureError(f"sampling range [-{scale}, {scale}] overflows; reduce scale")
     rng = np.random.default_rng(seed)
-    points = []
-    for _ in range(count):
-        coeffs = rng.uniform(-scale, scale, realization.algebra.dim)
-        p = np.eye(realization.ambient)
-        for coeff, mat in zip(coeffs, realization.rep):
-            p = p @ exp_matrix(mat, float(coeff))
-        if not np.all(np.isfinite(p)):
-            raise StructureError("sampled point has non-finite entries; reduce scale")
-        points.append(p)
-    return points
+    coeffs = rng.uniform(-scale, scale, (count, realization.algebra.dim))
+    points = np.broadcast_to(np.eye(realization.ambient),
+                             (count, realization.ambient, realization.ambient))
+    with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+        for column, mat in zip(coeffs.T, realization.rep):
+            points = points @ exp_matrix(mat, column)
+    if not np.all(np.isfinite(points)):
+        raise StructureError("sampled point has non-finite entries; reduce scale")
+    return list(points)
 
 
 # ---------------------------------------------------------------------------

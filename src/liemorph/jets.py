@@ -1,5 +1,13 @@
 """Second-order jets along curves s -> p exp(sX) and the operators they induce.
 
+One evaluator serves every operator: a ``CurveJet`` stacks P points and D
+direction matrices, and each field is evaluated once over all P x D curves,
+with ``Jet2`` arithmetic running elementwise on (P, D) arrays (second-order
+Taylor mode).  ``verify_family`` puts all sample points and every frame
+direction plus the tension drift into one curve; ``kappa``, ``laplacian``,
+``kappa_matrix``, ``laplacian_values`` and ``derivs`` are views of the same
+evaluation at one point.
+
 The curve jet uses the exact order-2 expansion p (I + sX + s^2 X^2 / 2); the
 truncation introduces no error in the first or second derivative at s = 0, so
 the only noise in kappa / laplacian values is rounding.
@@ -7,7 +15,6 @@ the only noise in kappa / laplacian values is rounding.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +28,11 @@ from .groups import MatrixRealization, exp_matrix
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value and first two derivatives of a scalar along a curve at s = 0."""
+    """Value and first two derivatives of a scalar along a curve at s = 0.
+
+    The parts are scalars or numpy arrays that broadcast together; every
+    operation acts elementwise, so one jet can carry many curves.
+    """
 
     v: complex
     d1: complex
@@ -57,7 +68,7 @@ class Jet2:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o.v == 0:
+        if np.any(o.v == 0):
             raise ZeroDivisionError("division by a jet with zero value")
         w = self.v / o.v
         w1 = (self.d1 - w * o.d1) / o.v
@@ -78,33 +89,49 @@ class Jet2:
         return out
 
     def log(self):
-        if isinstance(self.v, complex) or self.v > 0:
-            lv = cmath.log(self.v) if isinstance(self.v, complex) else math.log(self.v)
-        else:
-            raise DomainError(f"log of non-positive value {self.v}")
+        v = np.asarray(self.v)
+        if not np.iscomplexobj(v):
+            bad = ~(v > 0)
+            if bad.any():
+                raise DomainError(f"log of non-positive value {v[bad].flat[0]}")
         u1 = self.d1 / self.v
-        return Jet2(lv, u1, self.d2 / self.v - u1 * u1)
+        return Jet2(np.log(self.v), u1, self.d2 / self.v - u1 * u1)
 
     def exp(self):
-        ev = cmath.exp(self.v) if isinstance(self.v, complex) else math.exp(self.v)
+        ev = np.exp(self.v)
         return Jet2(ev, ev * self.d1, ev * (self.d2 + self.d1 * self.d1))
 
 
 @dataclass(frozen=True)
 class CurveJet:
-    """Entrywise 2-jet of s -> p exp(sM): value p, velocity pM, acceleration pM^2."""
+    """Entrywise 2-jets of s -> p exp(sM) for P stacked points and D directions.
 
-    value: np.ndarray
-    vel: np.ndarray
-    acc: np.ndarray
+    ``points`` is (P, n, n), ``mats`` the direction matrices M and ``squares``
+    their squares M^2, both (D, n, n).  ``entry(i, j)`` is the jet of x[i, j]
+    on all P x D curves: value p[i, j], velocity (pM)[i, j] and acceleration
+    (pM^2)[i, j], each a (P, D) array (the value is (P, 1) and broadcasts).
+    Only the requested entries are formed, and each one once.
+    """
+
+    points: np.ndarray
+    mats: np.ndarray
+    squares: np.ndarray
+    _entries: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
-    def from_direction(cls, point: np.ndarray, direction_matrix: np.ndarray) -> "CurveJet":
-        pm = point @ direction_matrix
-        return cls(point, pm, pm @ direction_matrix)
+    def along(cls, points, mats) -> "CurveJet":
+        points = np.asarray(points, dtype=float)
+        mats = np.asarray(mats, dtype=float)
+        return cls(points, mats, mats @ mats)
 
     def entry(self, i: int, j: int) -> Jet2:
-        return Jet2(float(self.value[i, j]), float(self.vel[i, j]), float(self.acc[i, j]))
+        jet = self._entries.get((i, j))
+        if jet is None:
+            row = self.points[:, i, :]
+            jet = Jet2(self.points[:, i, j:j + 1], row @ self.mats[:, :, j].T,
+                       row @ self.squares[:, :, j].T)
+            self._entries[(i, j)] = jet
+        return jet
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +245,16 @@ class Polynomial:
         return max((len(e) for e, _ in self.terms), default=0)
 
     def __call__(self, args):
+        args = list(args)
+        powers = [[arg] for arg in args]   # powers[k][e - 1] = args[k] ** e, by repeated products
         total = None
         for exponents, coeff in self.terms:
             term = coeff
-            for arg, e in zip(args, exponents):
+            for arg, row, e in zip(args, powers, exponents):
                 if e:
-                    term = term * arg ** e
+                    while len(row) < e:
+                        row.append(row[-1] * arg)
+                    term = term * row[e - 1]
             total = term if total is None else total + term
         return total if total is not None else 0.0
 
@@ -335,12 +366,48 @@ class Frame:
                    realization.matrix_of(tension))
 
 
+def _jets(fields, points, mats) -> tuple:
+    """(d1, d2): derivatives of each field along every point and direction.
+
+    Both are complex arrays of shape (fields, P, D) for P points and D
+    direction matrices; every field is evaluated once on one ``CurveJet``.
+    """
+    curve = CurveJet.along(points, mats)
+    shape = (len(fields), len(curve.points), len(curve.mats))
+    d1 = np.empty(shape, dtype=complex)
+    d2 = np.empty(shape, dtype=complex)
+    for k, f in enumerate(fields):
+        jet = f.eval_jet(curve)
+        d1[k] = jet.d1
+        d2[k] = jet.d2
+    return d1, d2
+
+
+def _frame_operators(fields, points, frame: Frame) -> tuple:
+    """(kappa, tau) at every point: (P, F, F) and (P, F) complex arrays.
+
+    The directions are the frame and, last, the tension vector, whose first
+    derivative is the drift term of the laplacian.
+    """
+    d1, d2 = _jets(fields, points, frame.mats + (frame.tension_mat,))
+    grad = d1[:, :, :-1].transpose(1, 0, 2)               # (P, F, D)
+    kap = grad @ grad.transpose(0, 2, 1)
+    # direction by direction, so tau keeps the rounding of a one-point sum
+    tau = sum(d2[:, :, a] for a in range(d2.shape[2] - 1)) - d1[:, :, -1]
+    return kap, tau.T
+
+
+def _one_point(point) -> np.ndarray:
+    return np.asarray(point, dtype=float)[None]
+
+
 def derivs(field: ScalarField, point: np.ndarray, direction,
            realization: MatrixRealization) -> tuple:
     """(X(phi)(p), X^2(phi)(p)) along the algebra vector ``direction``."""
     mat = realization.matrix_of(direction)
-    jet = field.eval_jet(CurveJet.from_direction(np.asarray(point, float), mat))
-    return jet.d1, jet.d2
+    d1, d2 = _jets((field,), _one_point(point), mat[None])
+    first, second = complex(d1[0, 0, 0]), complex(d2[0, 0, 0])
+    return (first, second) if field.is_complex else (first.real, second.real)
 
 
 def fd_check(field: ScalarField, point: np.ndarray, direction,
@@ -356,47 +423,24 @@ def fd_check(field: ScalarField, point: np.ndarray, direction,
     return (f_plus - f_minus) / (2.0 * h), (f_plus - 2.0 * f_zero + f_minus) / (h * h)
 
 
-def _direction_jets(fields, point, frame: Frame):
-    """first/second derivatives of each field along each frame direction."""
-    n_dir = len(frame.mats)
-    d1 = np.zeros((n_dir, len(fields)), dtype=complex)
-    d2 = np.zeros((n_dir, len(fields)), dtype=complex)
-    point = np.asarray(point, float)
-    for a, mat in enumerate(frame.mats):
-        curve = CurveJet.from_direction(point, mat)
-        for k, f in enumerate(fields):
-            jet = f.eval_jet(curve)
-            d1[a, k] = jet.d1
-            d2[a, k] = jet.d2
-    return d1, d2
-
-
 def kappa(phi: ScalarField, psi: ScalarField, point, frame: Frame):
     """kappa(phi, psi) = sum over the frame of X(phi) X(psi), complex bilinear."""
-    d1, _ = _direction_jets((phi, psi), point, frame)
-    out = complex(np.sum(d1[:, 0] * d1[:, 1]))
+    out = complex(kappa_matrix((phi, psi), point, frame)[0, 1])
     return out if (phi.is_complex or psi.is_complex) else out.real
 
 
 def laplacian(phi: ScalarField, point, frame: Frame):
     """tau(phi) = sum_a X_a^2(phi) - (sum_a nabla_{X_a} X_a)(phi)."""
-    _, d2 = _direction_jets((phi,), point, frame)
-    total = complex(np.sum(d2[:, 0]))
-    drift = phi.eval_jet(CurveJet.from_direction(np.asarray(point, float), frame.tension_mat)).d1
-    out = total - drift
+    out = complex(laplacian_values((phi,), point, frame)[0])
     return out if phi.is_complex else out.real
 
 
 def kappa_matrix(fields, point, frame: Frame) -> np.ndarray:
-    d1, _ = _direction_jets(tuple(fields), point, frame)
-    return d1.T @ d1
+    return _frame_operators(tuple(fields), _one_point(point), frame)[0][0]
 
 
 def laplacian_values(fields, point, frame: Frame) -> np.ndarray:
-    _, d2 = _direction_jets(tuple(fields), point, frame)
-    drift_curve = CurveJet.from_direction(np.asarray(point, float), frame.tension_mat)
-    drift = np.array([f.eval_jet(drift_curve).d1 for f in fields], dtype=complex)
-    return d2.sum(axis=0) - drift
+    return _frame_operators(tuple(fields), _one_point(point), frame)[1][0]
 
 
 @dataclass
@@ -412,16 +456,18 @@ class FamilyReport:
 
     @property
     def worst(self) -> float:
-        worst = 0.0
+        """Largest residual; a NaN or inf residual is returned as it is."""
+        parts = [0.0]
         if self.tau_max.size:
-            worst = max(worst, float(self.tau_max.max()))
+            parts.append(self.tau_max.max())
         if self.kappa_max.size:
-            worst = max(worst, float(np.triu(self.kappa_max).max()))
-        return worst
+            parts.append(np.triu(self.kappa_max).max())
+        return float(np.max(parts))
 
     @property
     def passed(self) -> bool:
-        return self.worst < self.tol
+        worst = self.worst
+        return math.isfinite(worst) and worst < self.tol
 
 
 def verify_family(fields, points, frame: Frame, tol: float = 1e-8) -> FamilyReport:
@@ -429,20 +475,16 @@ def verify_family(fields, points, frame: Frame, tol: float = 1e-8) -> FamilyRepo
 
     kappa(phi, phi) = 0 for a complex field is exactly horizontal weak
     conformality, so a passing family is a family of harmonic morphisms.
+    All points are evaluated together (see ``CurveJet``).
     """
     fields = tuple(fields)
     if not fields:
         raise ValueError("verify_family needs at least one field")
     n = len(fields)
-    tau_max = np.zeros(n)
-    kap_max = np.zeros((n, n))
     points = list(points)
-    warnings = []
     if not points:
-        warnings.append("no sample points supplied; the check is vacuous")
-    for p in points:
-        kap = np.abs(kappa_matrix(fields, p, frame))
-        kap_max = np.maximum(kap_max, kap)
-        tau = np.abs(laplacian_values(fields, p, frame))
-        tau_max = np.maximum(tau_max, tau)
-    return FamilyReport(n, len(points), tol, tau_max, kap_max, warnings)
+        return FamilyReport(n, 0, tol, np.zeros(n), np.zeros((n, n)),
+                            ["no sample points supplied; the check is vacuous"])
+    kap, tau = _frame_operators(fields, np.stack(points), frame)
+    return FamilyReport(n, len(points), tol, np.abs(tau).max(axis=0),
+                        np.abs(kap).max(axis=0))

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from liemorph.cli import load_config, main
 
@@ -66,6 +67,18 @@ def test_construct_s2_reports_empty_family(tmp_path):
     report = read_report(out)
     assert not report["overall_pass"]
     assert "error" in report["summary"]
+
+
+@pytest.mark.parametrize("kind", ["verify-family", "construct"])
+def test_sampling_overflow_is_a_failing_check(tmp_path, kind):
+    cfg, out = base_config(tmp_path, kind, builtin={"name": "N", "params": {"n": 6}},
+                           sampling={"count": 5, "seed": 1, "scale": 1e80})
+    assert main([kind, "--config", cfg]) == 1
+    report = read_report(out)
+    assert not report["overall_pass"]
+    failing = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failing == ["sample_points_finite"]
+    assert "non-finite" in report["summary"]["error"]
 
 
 def test_curvature_g3_expected_value(tmp_path):

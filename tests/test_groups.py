@@ -167,3 +167,35 @@ def test_damek_ricci_quaternionic_j_maps():
     assert alg.dim == 8
     for check, (resid, tol) in alg.validation_report().items():
         assert resid <= tol, check
+
+
+@pytest.mark.parametrize("name", ["N4", "H2", "K4", "S3", "G3"])
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_batched_sampling_matches_sequential_products(built, name, scale):
+    _, real = built[name]
+    points = sample_points(real, 12, seed=11, scale=scale)
+    rng = np.random.default_rng(11)
+    for p in points:
+        want = np.eye(real.ambient)
+        for coeff, mat in zip(rng.uniform(-scale, scale, real.algebra.dim), real.rep):
+            want = want @ exp_matrix(mat, float(coeff))
+        np.testing.assert_array_equal(p, want)
+
+
+def test_exp_batch_matches_scalar_calls(rng):
+    x = rng.standard_normal((3, 3))
+    ts = np.array([0.0, 0.3, -2.5, 7.0])
+    batch = exp_matrix(x, ts)
+    assert batch.shape == (4, 3, 3)
+    for t, got in zip(ts, batch):
+        np.testing.assert_array_equal(got, exp_matrix(x, float(t)))
+    with pytest.raises(ValueError):
+        exp_matrix(x, np.ones((2, 2)))
+
+
+def test_sampling_overflow_is_a_structure_error(built):
+    _, real = built["N4"]
+    with pytest.raises(StructureError, match="non-finite"):
+        sample_points(real, 3, seed=1, scale=1e120)
+    with pytest.raises(StructureError, match="overflows"):
+        sample_points(real, 3, seed=1, scale=1e308)

@@ -4,7 +4,7 @@ import pytest
 import liemorph as lm
 from liemorph.errors import DomainError
 from liemorph.groups import sample_points
-from liemorph.jets import (Constant, Frame, Jet2, Polynomial, derivs,
+from liemorph.jets import (Constant, FamilyReport, Frame, Jet2, Polynomial, derivs,
                            fd_check, holomorphic_post, identity_polynomial,
                            kappa, kappa_matrix, laplacian, laplacian_values,
                            linear_combination, log_diag, matrix_entry,
@@ -314,3 +314,47 @@ def test_random_post_compositions_keep_family_property(built, frames, rng):
             fam = [holomorphic_post(q, fc.family) for q in polys]
             rep = verify_family(fam, pts, frames[name], tol=1e-7)
             assert rep.passed, name
+
+
+def test_verify_family_equals_max_of_single_point_calls(built, frames, rng):
+    alg, real = built["H2"]
+    fc = lm.first_construction(alg, real, "H")
+    fam = [holomorphic_post(random_polynomial(len(fc.family), rng), fc.family)
+           for _ in range(2)]
+    pts = sample_points(real, 30, seed=17, scale=1.0)
+    rep = verify_family(fam, pts, frames["H2"], tol=1e-7)
+    singles = [verify_family(fam, [p], frames["H2"], tol=1e-7) for p in pts]
+    # equal up to the BLAS kernel choice for one row versus many
+    np.testing.assert_allclose(rep.tau_max, np.max([s.tau_max for s in singles], axis=0),
+                               rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(rep.kappa_max, np.max([s.kappa_max for s in singles], axis=0),
+                               rtol=1e-12, atol=1e-15)
+    assert rep.n_points == 30
+
+
+def test_log_diag_batch_with_one_bad_point_raises(built, frames):
+    alg, real = built["S3"]
+    pts = sample_points(real, 8, seed=3, scale=0.5)
+    pts[5] = pts[5] @ np.diag([1.0, -1.0, 1.0])
+    with pytest.raises(DomainError):
+        verify_family([log_diag(1)], pts, frames["S3"])
+    verify_family([log_diag(0), log_diag(2)], pts, frames["S3"])  # column 1 only
+
+
+def test_jet_division_by_array_with_a_zero_raises():
+    num = Jet2(np.ones(3), np.ones(3), np.ones(3))
+    with pytest.raises(ZeroDivisionError):
+        num / Jet2(np.array([1.0, 0.0, 2.0]), np.zeros(3), np.zeros(3))
+    got = num / Jet2(np.array([1.0, 4.0, 2.0]), np.zeros(3), np.zeros(3))
+    np.testing.assert_array_equal(got.v, [1.0, 0.25, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_family_report_nonfinite_residuals_fail(bad):
+    rep = FamilyReport(1, 1, 1e-8, np.array([bad]), np.zeros((1, 1)))
+    assert not rep.passed
+    assert not np.isfinite(rep.worst)
+    rep = FamilyReport(2, 1, 1e-8, np.zeros(2), np.array([[0.0, bad], [0.0, 0.0]]))
+    assert not rep.passed
+    assert not np.isfinite(rep.worst)
+    assert FamilyReport(1, 1, 1e-8, np.zeros(1), np.zeros((1, 1))).passed
