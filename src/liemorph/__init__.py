@@ -6,10 +6,10 @@ the contract, so every sampling entry point takes an explicit seed.
 
 __version__ = "0.1.0"
 
-from .algebra import (LieAlgebra, Subspace, bracket, center, derived_series,
-                      is_abelian, is_nilpotent, is_solvable,
-                      lower_central_series, orthonormal_basis, orthonormalize,
-                      span)
+from .algebra import (LieAlgebra, Subspace, center, derived_series, is_abelian,
+                      is_nilpotent, is_solvable, lower_central_series,
+                      orthonormal_basis, orthonormalize, span)
+from .checks import DEFAULT_TOLERANCES, Check
 from .constructions import (FirstConstruction, IsotropicBasis,
                             RootGradedAlgebra, RootSpace,
                             damek_ricci_root_graded, first_construction,

@@ -11,6 +11,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
+from .checks import Check
 from .errors import StructureError
 
 # Spans and subspace comparisons are rank decisions on floating-point data;
@@ -43,7 +44,7 @@ class LieAlgebra:
         object.__setattr__(self, "structure_constants", _readonly(c))
         object.__setattr__(self, "gram", _readonly(g))
         if validate:
-            failed = [name for name, (resid, tol) in self.validation_report().items() if not resid <= tol]
+            failed = [c.name for c in self.validation_report() if not c.passed]
             if failed:
                 raise StructureError("invalid Lie algebra data: " + ", ".join(failed))
 
@@ -51,8 +52,12 @@ class LieAlgebra:
     def dim(self) -> int:
         return self.structure_constants.shape[0]
 
-    def validation_report(self) -> dict[str, tuple[float, float]]:
-        """Residual and tolerance for each structural invariant."""
+    def validation_report(self) -> list[Check]:
+        """One check per structural invariant.
+
+        Tolerances scale with the data; they are structural, not named
+        tolerances of ``checks.DEFAULT_TOLERANCES``.
+        """
         c, g = self.structure_constants, self.gram
         scale = max(1.0, float(np.abs(c).max()) if c.size else 0.0)
         anti = float(np.abs(c + c.transpose(1, 0, 2)).max()) if c.size else 0.0
@@ -64,12 +69,12 @@ class LieAlgebra:
         eig = np.linalg.eigvalsh(0.5 * (g + g.T))
         floor = 1e-12 * max(1.0, float(eig.max()))
         posdef = max(0.0, floor - float(eig.min()))
-        return {
-            "antisymmetry": (anti, 1e-12 * scale),
-            "jacobi": (jacobi, 1e-12 * scale),
-            "gram_symmetric": (gsym, 1e-12 * max(1.0, float(np.abs(g).max()))),
-            "gram_positive_definite": (posdef, 0.0),
-        }
+        return [
+            Check("antisymmetry", anti, 1e-12 * scale),
+            Check("jacobi", jacobi, 1e-12 * scale),
+            Check("gram_symmetric", gsym, 1e-12 * max(1.0, float(np.abs(g).max()))),
+            Check("gram_positive_definite", posdef, 0.0),
+        ]
 
     def bracket(self, x, y) -> np.ndarray:
         """[x, y] for coordinate vectors x, y."""
@@ -97,14 +102,6 @@ class LieAlgebra:
 
     def norm(self, x) -> float:
         return float(np.sqrt(max(0.0, self.inner(x, x))))
-
-
-def bracket(algebra: LieAlgebra, x, y) -> np.ndarray:
-    return algebra.bracket(x, y)
-
-
-def ad_trace(algebra: LieAlgebra, z) -> float:
-    return algebra.ad_trace(z)
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__, catalog
 from .algebra import (LieAlgebra, Subspace, center, derived_series, is_abelian,
                       is_nilpotent, is_solvable, lower_central_series)
+from .checks import DEFAULT_TOLERANCES, Check
 from .constructions import (RootGradedAlgebra, RootSpace,
                             damek_ricci_root_graded, first_construction,
                             second_construction_check)
@@ -26,25 +28,11 @@ from .errors import ConstructionError, StructureError
 from .foliations import constant_curvature_certificate, scan_3d
 from .geometry import (curvature, curvature_symmetry_residuals,
                        gl_connection_term, koszul, sectional_profile)
-from .groups import sample_points
+from .groups import HOMOMORPHISM_TOL, sample_points
 from .jets import Frame, verify_family
 
 JOB_KINDS = ("check-algebra", "construct", "verify-family",
              "second-construction", "foliation-scan", "curvature")
-
-DEFAULT_TOLERANCES = {
-    "family": 1e-8,
-    "classify": 1e-9,
-    "connection": 1e-10,
-    "curvature_symmetry": 1e-9,
-    "curvature_constant": 1e-7,
-    "expected_value": 1e-8,
-    "dilation": 1e-9,
-    "minimality": 1e-10,
-    "nonexistence_floor": 1e-3,
-    "adjoint_structure": 1e-8,
-}
-
 
 class ConfigError(Exception):
     """Raised for malformed configs; maps to exit status 2."""
@@ -53,6 +41,11 @@ class ConfigError(Exception):
 def fmt(x) -> str:
     """Decimal string with 17 significant digits; keeps reports diff-able."""
     return f"{float(x):.17g}"
+
+
+def as_dict(check: Check) -> dict:
+    return {"name": check.name, "max_residual": fmt(check.residual),
+            "tolerance": fmt(check.tol), "pass": check.passed}
 
 
 @dataclass
@@ -121,8 +114,8 @@ def load_config(kind: str, path: str, seed_override=None, out_override=None,
     if not isinstance(count, int) or count < 1:
         raise ConfigError("sampling.count: must be a positive integer")
     scale = sampling.get("scale", 1.0)
-    if not isinstance(scale, (int, float)) or scale < 0:
-        raise ConfigError("sampling.scale: must be a non-negative number")
+    if not isinstance(scale, (int, float)) or not math.isfinite(scale) or scale < 0:
+        raise ConfigError("sampling.scale: must be a finite non-negative number")
     seed = seed_override if seed_override is not None else sampling.get("seed")
     if seed is None:
         raise ConfigError("sampling.seed: required (determinism is part of the contract); "
@@ -137,8 +130,8 @@ def load_config(kind: str, path: str, seed_override=None, out_override=None,
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"tolerances.{name}: unknown tolerance "
                               f"(known: {sorted(DEFAULT_TOLERANCES)})")
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"tolerances.{name}: must be a positive number")
+        if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
+            raise ConfigError(f"tolerances.{name}: must be a finite positive number")
 
     options = raw.get("options", {})
     if not isinstance(options, dict):
@@ -181,31 +174,16 @@ def _load_algebra(config: JobConfig, need_realization: bool = False,
     raise ConfigError(f"job kind {config.kind} does not accept this algebra source")
 
 
-@dataclass
-class Check:
-    name: str
-    residual: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.residual <= self.tol)
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "max_residual": fmt(self.residual),
-                "tolerance": fmt(self.tol), "pass": self.passed}
-
-
 # ---------------------------------------------------------------------------
 # job implementations
 # ---------------------------------------------------------------------------
 
 def _job_check_algebra(config: JobConfig):
     algebra, realization, name = _load_algebra(config, validate=False)
-    checks = [Check(n, r, t) for n, (r, t) in algebra.validation_report().items()]
+    checks = algebra.validation_report()
     if realization is not None:
         checks.append(Check("realization_homomorphism",
-                            realization.homomorphism_residual(), 1e-10))
+                            realization.homomorphism_residual(), HOMOMORPHISM_TOL))
     summary = {"builtin": name, "dim": algebra.dim}
     structurally_ok = all(c.passed for c in checks)
     if structurally_ok:
@@ -265,13 +243,8 @@ def _family_job(config: JobConfig, per_residual: bool):
     report = verify_family(construction.family, points, frame, tol)
     if not per_residual:
         return checks + [Check("family_verification", report.worst, tol)], summary
-    for k in range(report.n_fields):
-        checks.append(Check(f"tau[{k}]", float(report.tau_max[k]), tol))
-    for k in range(report.n_fields):
-        for l in range(k, report.n_fields):
-            checks.append(Check(f"kappa[{k},{l}]", float(report.kappa_max[k, l]), tol))
     summary["points"] = report.n_points
-    return checks, summary
+    return checks + report.checks(), summary
 
 
 def _root_graded_from_config(config: JobConfig) -> RootGradedAlgebra:
@@ -305,31 +278,44 @@ def _root_graded_from_config(config: JobConfig) -> RootGradedAlgebra:
         raise ConfigError(f"inline_root_graded: {exc}") from exc
 
 
+def _a_samples(graded: RootGradedAlgebra, config: JobConfig) -> list:
+    """config.count points of a in algebra coordinates, coefficients ~ U[-scale, scale].
+
+    A range too wide for a float gives non-finite samples, which fail the
+    dilation check.
+    """
+    if not math.isfinite(2.0 * config.scale):
+        return [np.full(graded.algebra.dim, math.inf)] * config.count
+    rng = np.random.default_rng(config.seed)
+    return [rng.uniform(-config.scale, config.scale, graded.a_space.dim)
+            @ graded.a_space.basis for _ in range(config.count)]
+
+
 def _job_second_construction(config: JobConfig):
+    """Structure checks, then the dilation and minimality checks.
+
+    When a structure check fails the library returns the structure checks
+    alone.  A dilation residual that is not finite (a sample or its
+    exponential overflowed) fails, with the reason in ``summary.error``.
+    """
     graded = _root_graded_from_config(config)
-    structure = graded.validation_report()
-    checks = [Check(f"structure:{name}", resid, tol)
-              for name, (resid, tol) in structure.items()]
     summary = {
         "roots": [{"values": [fmt(v) for v in r.values], "dim": r.space.dim}
                   for r in graded.roots],
         "beta_index": graded.beta_index,
         "a_dim": graded.a_space.dim,
     }
-    if not all(c.passed for c in checks):
+    checks = second_construction_check(graded, _a_samples(graded, config),
+                                       dilation_tol=config.tol("dilation"),
+                                       minimality_tol=config.tol("minimality"))
+    dilation = next((c for c in checks if c.name == "dilation_matches_exp_2beta"), None)
+    if dilation is None:
         return checks, summary
-    rng = np.random.default_rng(config.seed)
-    samples = [rng.uniform(-config.scale, config.scale, graded.a_space.dim)
-               @ graded.a_space.basis for _ in range(config.count)]
-    report = second_construction_check(graded, samples)
-    by_name = {r.name: r for r in report.records}
-    checks.append(Check("dilation_matches_exp_2beta",
-                        by_name["dilation_matches_exp_2beta"].residual,
-                        config.tol("dilation")))
-    checks.append(Check("identity_fibre_mean_curvature",
-                        by_name["identity_fibre_mean_curvature"].residual,
-                        config.tol("minimality")))
     summary["samples"] = config.count
+    if not math.isfinite(dilation.residual):
+        summary["error"] = (f"dilation residual is not finite: a sample of a or its "
+                            f"exponential overflows at sampling.scale {fmt(config.scale)}; "
+                            "reduce scale")
     return checks, summary
 
 
@@ -358,10 +344,11 @@ def _job_foliation_scan(config: JobConfig):
             "curvature_value": fmt(hit.curvature_value),
         }
         if centerless_solvable:
-            cert = constant_curvature_certificate(algebra, hit.vector,
-                                                  curvature_seed=config.seed)
-            for cname, (resid, tol) in cert.checks.items():
-                checks.append(Check(f"hit[{i}]:certificate:{cname}", resid, tol))
+            cert = constant_curvature_certificate(
+                algebra, hit.vector, curvature_seed=config.seed,
+                classify_tol=config.tol("classify"),
+                curvature_tol=config.tol("curvature_constant"))
+            checks += [replace(c, name=f"hit[{i}]:certificate:{c.name}") for c in cert.checks]
             entry["certificate_passed"] = cert.passed
         hits_summary.append(entry)
     expect = config.options.get("expect_hits")
@@ -436,7 +423,7 @@ def run(config: JobConfig) -> dict:
         "job": config.echo(),
         "environment": {"package": "liemorph", "version": __version__,
                         "seed": config.seed},
-        "checks": [c.as_dict() for c in checks],
+        "checks": [as_dict(c) for c in checks],
         "summary": summary,
         "overall_pass": overall,
         "wall_time_s": time.perf_counter() - start,

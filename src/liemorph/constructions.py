@@ -9,16 +9,18 @@ algebra, checked through their dilation and minimal-fibre identities.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
 from . import jets
 from .algebra import LieAlgebra, Subspace, derived_series, orthonormalize, span
+from .checks import DEFAULT_TOLERANCES, Check, max_residual
 from .errors import ConstructionError, StructureError
 from .groups import MatrixRealization, exp_matrix
 
 ISOTROPY_TOL = 1e-12
+ROOT_GRADED_TOL = 1e-10     # structural, for the root-graded conditions
 
 
 def bilinear(u, v) -> complex:
@@ -239,8 +241,7 @@ class RootGradedAlgebra:
         if not 0 <= self.beta_index < len(self.roots):
             raise StructureError("beta_index out of range")
         if validate:
-            failed = [name for name, (resid, tol) in self.validation_report().items()
-                      if not resid <= tol]
+            failed = [c.name for c in self.validation_report() if not c.passed]
             if failed:
                 raise StructureError("invalid root-graded algebra: " + ", ".join(failed))
 
@@ -260,70 +261,70 @@ class RootGradedAlgebra:
             raise ValueError("vector does not lie in the abelian part a")
         return float(coeff @ self.beta.values)
 
-    def validation_report(self) -> dict[str, tuple[float, float]]:
+    def validation_report(self) -> list[Check]:
+        """One check per root-graded condition; tolerances are structural."""
         alg = self.algebra
         g = alg.gram
         a_basis = self.a_space.basis
         n_basis = self.nilradical_basis()
-        report = {}
+        bracket = alg.bracket
+        report = []
 
-        r = 0.0
-        for i, x in enumerate(a_basis):
-            for y in a_basis[i + 1:]:
-                r = max(r, float(np.abs(alg.bracket(x, y)).max()))
-        report["a_abelian"] = (r, 1e-10)
+        r = max_residual(float(np.abs(bracket(x, y)).max())
+                         for i, x in enumerate(a_basis) for y in a_basis[i + 1:])
+        report.append(Check("a_abelian", r, ROOT_GRADED_TOL))
 
         dims_ok = n_basis.shape[0] + a_basis.shape[0] == alg.dim
-        report["dimensions_fill_algebra"] = (0.0 if dims_ok else 1.0, 0.0)
+        report.append(Check("dimensions_fill_algebra", 0.0 if dims_ok else 1.0, 0.0))
 
-        r = max((abs(float(x @ g @ y)) for x in a_basis for y in n_basis), default=0.0)
-        report["a_orthogonal_to_n"] = (r, 1e-10)
+        r = max_residual(abs(float(x @ g @ y)) for x in a_basis for y in n_basis)
+        report.append(Check("a_orthogonal_to_n", r, ROOT_GRADED_TOL))
 
-        r = 0.0
-        for i, ri in enumerate(self.roots):
-            for rj in self.roots[i + 1:]:
-                for x in ri.space.basis:
-                    for y in rj.space.basis:
-                        r = max(r, abs(float(x @ g @ y)))
-        report["root_spaces_orthogonal"] = (r, 1e-10)
+        r = max_residual(abs(float(x @ g @ y))
+                         for i, ri in enumerate(self.roots) for rj in self.roots[i + 1:]
+                         for x in ri.space.basis for y in rj.space.basis)
+        report.append(Check("root_spaces_orthogonal", r, ROOT_GRADED_TOL))
 
-        r = 0.0
-        for root in self.roots:
-            for i, f in enumerate(a_basis):
-                for x in root.space.basis:
-                    r = max(r, float(np.abs(alg.bracket(f, x) - root.values[i] * x).max()))
-        report["root_relations"] = (r, 1e-10)
+        r = max_residual(float(np.abs(bracket(f, x) - root.values[i] * x).max())
+                         for root in self.roots for i, f in enumerate(a_basis)
+                         for x in root.space.basis)
+        report.append(Check("root_relations", r, ROOT_GRADED_TOL))
 
-        nn = span([alg.bracket(x, y) for x in n_basis for y in n_basis], alg.dim)
-        r = max((abs(float(x @ g @ y)) for x in self.beta.space.basis for y in nn.basis),
-                default=0.0)
-        report["beta_orthogonal_to_derived_n"] = (r, 1e-10)
+        if np.all(np.isfinite(alg.structure_constants)):
+            report += self._nilradical_checks(n_basis)
+        else:   # their rank decisions (SVDs) fail on non-finite brackets
+            report += [Check(name, math.nan, tol) for name, tol in
+                       (("beta_orthogonal_to_derived_n", ROOT_GRADED_TOL),
+                        ("n_closed", 0.0), ("n_nilpotent", 0.0))]
+
+        r = max_residual(abs(float(bracket(f, x) @ g @ y - x @ g @ bracket(f, y)))
+                         for f in a_basis for x in n_basis for y in n_basis)
+        report.append(Check("ad_a_self_adjoint", r, ROOT_GRADED_TOL))
+        return report
+
+    def _nilradical_checks(self, n_basis) -> list[Check]:
+        """beta orthogonal to [n, n], n closed, n nilpotent: rank decisions on brackets."""
+        alg = self.algebra
+        bracket = alg.bracket
+        nn = span([bracket(x, y) for x in n_basis for y in n_basis], alg.dim)
+        r = max_residual(abs(float(x @ alg.gram @ y))
+                         for x in self.beta.space.basis for y in nn.basis)
+        out = [Check("beta_orthogonal_to_derived_n", r, ROOT_GRADED_TOL)]
 
         sub_n = span(n_basis, alg.dim)
-        closed = 0.0
-        for x in n_basis:
-            for y in n_basis:
-                if not sub_n.contains(alg.bracket(x, y)):
-                    closed = 1.0
-        report["n_closed"] = (closed, 0.0)
+        closed = all(sub_n.contains(bracket(x, y)) for x in n_basis for y in n_basis)
+        out.append(Check("n_closed", 0.0 if closed else 1.0, 0.0))
 
         current = sub_n
         for _ in range(alg.dim + 1):
             if current.dim == 0:
                 break
-            nxt = span([alg.bracket(x, y) for x in n_basis for y in current.basis], alg.dim)
+            nxt = span([bracket(x, y) for x in n_basis for y in current.basis], alg.dim)
             if nxt.dim == current.dim:
                 break
             current = nxt
-        report["n_nilpotent"] = (float(current.dim), 0.0)
-
-        r = 0.0
-        for f in a_basis:
-            for x in n_basis:
-                for y in n_basis:
-                    r = max(r, abs(float(alg.bracket(f, x) @ g @ y - x @ g @ alg.bracket(f, y))))
-        report["ad_a_self_adjoint"] = (r, 1e-10)
-        return report
+        out.append(Check("n_nilpotent", float(current.dim), 0.0))
+        return out
 
 
 def damek_ricci_root_graded(dim_v: int, dim_z: int, j_maps=None,
@@ -350,68 +351,62 @@ def damek_ricci_root_graded(dim_v: int, dim_z: int, j_maps=None,
                              0 if beta_root == "v" else 1, validate=validate)
 
 
-@dataclass
-class CheckRecord:
-    name: str
-    residual: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tol
-
-
-@dataclass
-class SecondConstructionReport:
-    records: list
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.records)
-
-    def worst(self, prefix: str = "") -> float:
-        vals = [r.residual for r in self.records if r.name.startswith(prefix)]
-        return max(vals) if vals else 0.0
-
-
-def second_construction_check(graded: RootGradedAlgebra, a_samples) -> SecondConstructionReport:
+def second_construction_check(graded: RootGradedAlgebra, a_samples,
+                              dilation_tol: float = DEFAULT_TOLERANCES["dilation"],
+                              minimality_tol: float = DEFAULT_TOLERANCES["minimality"],
+                              ) -> list[Check]:
     """Verify the quotient map's dilation and minimal-fibre identities.
 
     For each sampled V in a and each X in an orthonormal basis of the beta
     root space, ||e^{ad V} X||^2 / ||X||^2 must equal e^{2 beta(V)}; and at the
     identity the mean-curvature pairing of the fibre against X must vanish:
     sum_i <[X, f_i], f_i> + sum_{alpha != beta, k} <[X, e_k^alpha], e_k^alpha> = 0.
+
+    The checks of ``graded.validation_report()`` come first, named
+    ``structure:<name>``; when one fails they are returned alone and the
+    samples are not read.  A sample that is not finite, or whose e^{2 beta(V)}
+    or e^{ad V} overflows, makes the dilation residual inf or NaN.
     """
+    checks = [replace(c, name=f"structure:{c.name}") for c in graded.validation_report()]
+    if not all(c.passed for c in checks):
+        return checks
     alg = graded.algebra
     g = alg.gram
-    records = [CheckRecord(f"structure:{name}", resid, tol)
-               for name, (resid, tol) in graded.validation_report().items()]
 
     beta_onb = orthonormalize(alg, graded.beta.space).basis
     a_onb = orthonormalize(alg, graded.a_space).basis
     other_onbs = [orthonormalize(alg, r.space).basis
                   for i, r in enumerate(graded.roots) if i != graded.beta_index]
 
-    worst_dilation = 0.0
-    for v in a_samples:
+    def dilation_defects(v):
         v = np.asarray(v, dtype=float)
-        target = math.exp(2.0 * graded.beta_value(v))
-        ad_v = alg.ad(v)
-        big = exp_matrix(ad_v)
+        if not np.all(np.isfinite(v)):
+            return [math.nan]
+        try:
+            target = math.exp(2.0 * graded.beta_value(v))
+        except OverflowError:
+            return [math.inf]
+        big = exp_matrix(alg.ad(v))
+        out = []
         for x in beta_onb:
             image = big @ x
             ratio = float(image @ g @ image) / float(x @ g @ x)
-            worst_dilation = max(worst_dilation, abs(ratio - target) / max(1.0, target))
-    records.append(CheckRecord("dilation_matches_exp_2beta", worst_dilation, 1e-9))
+            out.append(abs(ratio - target) / max(1.0, target))
+        return out
 
-    worst_min = 0.0
-    for x in beta_onb:
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow ends as inf or NaN
+        worst_dilation = max_residual(d for v in a_samples for d in dilation_defects(v))
+    checks.append(Check("dilation_matches_exp_2beta", worst_dilation, dilation_tol))
+
+    def fibre_mean_curvature(x):
         total = 0.0
         for f in a_onb:
             total += float(alg.bracket(x, f) @ g @ f)
         for onb in other_onbs:
             for e in onb:
                 total += float(alg.bracket(x, e) @ g @ e)
-        worst_min = max(worst_min, abs(total))
-    records.append(CheckRecord("identity_fibre_mean_curvature", worst_min, 1e-10))
-    return SecondConstructionReport(records)
+        return abs(total)
+
+    worst_min = max_residual(fibre_mean_curvature(x) for x in beta_onb)
+    checks.append(Check("identity_fibre_mean_curvature", worst_min, minimality_tol))
+    return checks

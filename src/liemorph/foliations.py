@@ -9,10 +9,11 @@ import numpy as np
 
 from .algebra import (LieAlgebra, Subspace, center, derived_series, is_solvable,
                       orthocomplement, orthonormalize, span)
+from .checks import DEFAULT_TOLERANCES, Check
 from .errors import StructureError
 from .geometry import ConnectionTable, is_constant_curvature, koszul
 
-CLASSIFY_TOL = 1e-9
+CLASSIFY_TOL = DEFAULT_TOLERANCES["classify"]
 
 
 @dataclass(frozen=True)
@@ -291,22 +292,27 @@ class CurvatureCertificate:
     alpha: float
     beta: float
     curvature_value: float
-    checks: dict            # name -> (residual, tol)
+    checks: tuple           # of Check
 
     @property
     def passed(self) -> bool:
-        return all(resid <= tol for resid, tol in self.checks.values())
+        return all(c.passed for c in self.checks)
 
 
 def constant_curvature_certificate(algebra: LieAlgebra, v,
                                    curvature_planes: int = 500,
-                                   curvature_seed: int = 0) -> CurvatureCertificate:
+                                   curvature_seed: int = 0,
+                                   classify_tol: float = CLASSIFY_TOL,
+                                   curvature_tol: float = DEFAULT_TOLERANCES["curvature_constant"],
+                                   ) -> CurvatureCertificate:
     """Certify: a centerless solvable 3-d algebra carrying a conformal-geodesic
     line field has constant sectional curvature -alpha^2.
 
     Hypothesis failures (dimension, center, solvability, the classify flags)
     raise with the offending hypothesis named; the returned certificate holds
-    the numeric checks for the conclusion.
+    the numeric checks for the conclusion.  ``classify_tol`` is the tolerance
+    of the classify flags and of ``horizontal_vectors_commute``;
+    ``curvature_tol`` that of the two curvature checks.
     """
     failures = []
     if algebra.dim != 3:
@@ -321,7 +327,7 @@ def constant_curvature_certificate(algebra: LieAlgebra, v,
     v = np.asarray(v, dtype=float)
     table = koszul(algebra)
     dist = DistributionSpec(algebra, span([v], algebra.dim))
-    result = classify(dist, table)
+    result = classify(dist, table, classify_tol)
     if not (result.conformal and result.totally_geodesic):
         raise StructureError(
             "hypotheses failed: direction is not a conformal foliation by geodesics "
@@ -340,15 +346,16 @@ def constant_curvature_certificate(algebra: LieAlgebra, v,
     if beta < 0:
         beta = -beta
 
-    checks = {}
     comm = algebra.bracket(x_alg, y_alg)
-    checks["horizontal_vectors_commute"] = (float(np.abs(comm).max()), 1e-9)
     derived = derived_series(algebra)[1]
     horiz = span([x_alg, y_alg], algebra.dim)
     contained = horiz.contains_all(derived, 1e-8) and derived.contains_all(horiz, 1e-8)
-    checks["horizontal_plane_is_derived_algebra"] = (0.0 if contained else 1.0, 0.0)
     constant, value, spread = is_constant_curvature(algebra, curvature_planes,
                                                     curvature_seed, table=table)
-    checks["constant_sectional_curvature"] = (spread, 1e-7)
-    checks["curvature_equals_minus_alpha_sq"] = (abs(value + alpha * alpha), 1e-7)
+    checks = (
+        Check("horizontal_vectors_commute", float(np.abs(comm).max()), classify_tol),
+        Check("horizontal_plane_is_derived_algebra", 0.0 if contained else 1.0, 0.0),
+        Check("constant_sectional_curvature", spread, curvature_tol),
+        Check("curvature_equals_minus_alpha_sq", abs(value + alpha * alpha), curvature_tol),
+    )
     return CurvatureCertificate(float(alpha), float(beta), value, checks)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import LieAlgebra, orthonormal_basis
+from .checks import DEFAULT_TOLERANCES, Check
 from .errors import DomainError
 from .geometry import ConnectionTable, koszul
 from .groups import MatrixRealization, exp_matrix
@@ -466,11 +467,20 @@ class FamilyReport:
 
     @property
     def passed(self) -> bool:
-        worst = self.worst
-        return math.isfinite(worst) and worst < self.tol
+        """Every residual is finite and at most ``tol`` (the rule of ``Check``)."""
+        return Check("family", self.worst, self.tol).passed
+
+    def checks(self) -> list[Check]:
+        """One check per tau[k] and per kappa[k,l] with k <= l."""
+        n = self.n_fields
+        out = [Check(f"tau[{k}]", self.tau_max[k], self.tol) for k in range(n)]
+        out += [Check(f"kappa[{k},{l}]", self.kappa_max[k, l], self.tol)
+                for k in range(n) for l in range(k, n)]
+        return out
 
 
-def verify_family(fields, points, frame: Frame, tol: float = 1e-8) -> FamilyReport:
+def verify_family(fields, points, frame: Frame,
+                  tol: float = DEFAULT_TOLERANCES["family"]) -> FamilyReport:
     """Check tau(phi) = 0 and kappa(phi, psi) = 0 for all pairs, including phi = psi.
 
     kappa(phi, phi) = 0 for a complex field is exactly horizontal weak

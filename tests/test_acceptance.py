@@ -138,7 +138,7 @@ def test_criterion_6_second_construction():
     rng = np.random.default_rng(6000)
     samples = [rng.uniform(-2.0, 2.0, 1) @ graded.a_space.basis for _ in range(20)]
     rep = second_construction_check(graded, samples)
-    by_name = {r.name: r for r in rep.records}
+    by_name = {c.name: c for c in rep}
     dil = by_name["dilation_matches_exp_2beta"].residual
     minim = by_name["identity_fibre_mean_curvature"].residual
     try:

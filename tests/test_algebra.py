@@ -57,7 +57,7 @@ def test_validation_rejects_broken_jacobi():
     with pytest.raises(StructureError, match="jacobi"):
         LieAlgebra(c, np.eye(3))
     report = LieAlgebra(c, np.eye(3), validate=False).validation_report()
-    assert report["jacobi"][0] > 1.0
+    assert {c.name: c for c in report}["jacobi"].residual > 1.0
 
 
 def test_validation_rejects_asymmetric_constants():
@@ -75,8 +75,8 @@ def test_validation_rejects_bad_gram(built):
 
 def test_builtin_jacobi_residuals(built):
     for name, (alg, _) in built.items():
-        for check, (resid, tol) in alg.validation_report().items():
-            assert resid <= tol, f"{name}: {check} residual {resid}"
+        for check in alg.validation_report():
+            assert check.residual <= check.tol, f"{name}: {check.name} residual {check.residual}"
 
 
 def test_lower_central_series_n3(built):

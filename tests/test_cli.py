@@ -81,6 +81,21 @@ def test_sampling_overflow_is_a_failing_check(tmp_path, kind):
     assert "non-finite" in report["summary"]["error"]
 
 
+@pytest.mark.parametrize("scale", [1500, 1e308])
+def test_second_construction_overflow_is_a_failing_check(tmp_path, scale):
+    cfg, out = base_config(tmp_path, "second-construction",
+                           builtin={"name": "damek_ricci", "params": {"dim_v": 2, "dim_z": 1}},
+                           sampling={"count": 20, "seed": 5, "scale": scale})
+    assert main(["second-construction", "--config", cfg]) == 1
+    report = read_report(out)
+    assert not report["overall_pass"]
+    failing = [c for c in report["checks"] if not c["pass"]]
+    assert [c["name"] for c in failing] == ["dilation_matches_exp_2beta"]
+    assert failing[0]["max_residual"] in ("inf", "nan")
+    assert "overflows" in report["summary"]["error"]
+    assert report["summary"]["samples"] == 20
+
+
 def test_curvature_g3_expected_value(tmp_path):
     cfg, out = base_config(tmp_path, "curvature",
                            builtin={"name": "G3", "params": {"alpha": 1.0, "beta": 0.5}},
@@ -217,6 +232,27 @@ def test_config_validation_errors(tmp_path):
                         "sampling": {"seed": 1},
                         "tolerances": {"nope": 1e-9}})
     assert main(["verify-family", "--config", cfg]) == 2
+
+    cfg = write_config(tmp_path / "ok.json",
+                       {"kind": "verify-family",
+                        "builtin": {"name": "N", "params": {"n": 3}},
+                        "sampling": {"seed": 1}})
+    for value in ("inf", "nan", "-inf"):
+        assert main(["verify-family", "--config", cfg, "--tol", f"family={value}"]) == 2
+
+    for value in (float("nan"), float("inf")):
+        cfg = write_config(tmp_path / "badscale.json",
+                           {"kind": "verify-family",
+                            "builtin": {"name": "N", "params": {"n": 3}},
+                            "sampling": {"seed": 1, "scale": value}})
+        assert main(["verify-family", "--config", cfg]) == 2
+        cfg = write_config(tmp_path / "badtolvalue.json",
+                           {"kind": "second-construction",
+                            "builtin": {"name": "damek_ricci",
+                                        "params": {"dim_v": 2, "dim_z": 1}},
+                            "sampling": {"seed": 1},
+                            "tolerances": {"dilation": value}})
+        assert main(["second-construction", "--config", cfg]) == 2
 
 
 def test_load_config_seed_override(tmp_path):

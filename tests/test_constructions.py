@@ -196,8 +196,8 @@ def test_first_construction_unknown_kind(built):
 
 def test_damek_ricci_graded_validates(built):
     graded = damek_ricci_root_graded(2, 1)
-    for name, (resid, tol) in graded.validation_report().items():
-        assert resid <= tol, name
+    for check in graded.validation_report():
+        assert check.residual <= check.tol, check.name
     assert graded.beta_value(np.array([0.0, 0.0, 0.0, 2.0])) == 1.0
 
 
@@ -205,16 +205,16 @@ def test_damek_ricci_z_root_rejected():
     with pytest.raises(StructureError, match="beta_orthogonal_to_derived_n"):
         damek_ricci_root_graded(2, 1, beta_root="z")
     graded = damek_ricci_root_graded(2, 1, beta_root="z", validate=False)
-    report = graded.validation_report()
-    assert report["beta_orthogonal_to_derived_n"][0] > 0.5
+    report = {c.name: c for c in graded.validation_report()}
+    assert report["beta_orthogonal_to_derived_n"].residual > 0.5
 
 
 def test_second_construction_dilation_and_minimality(rng):
     graded = damek_ricci_root_graded(2, 1)
     samples = [rng.uniform(-2.0, 2.0, 1) @ graded.a_space.basis for _ in range(20)]
     report = second_construction_check(graded, samples)
-    assert report.passed
-    by_name = {r.name: r for r in report.records}
+    assert all(c.passed for c in report)
+    by_name = {c.name: c for c in report}
     assert by_name["dilation_matches_exp_2beta"].residual < 1e-9
     assert by_name["identity_fibre_mean_curvature"].residual < 1e-10
 
@@ -222,8 +222,8 @@ def test_second_construction_dilation_and_minimality(rng):
 def test_second_construction_zero_sample_gives_unit_dilation():
     graded = damek_ricci_root_graded(2, 1)
     report = second_construction_check(graded, [np.zeros(4)])
-    assert report.passed
-    by_name = {r.name: r for r in report.records}
+    assert all(c.passed for c in report)
+    by_name = {c.name: c for c in report}
     assert by_name["dilation_matches_exp_2beta"].residual < 1e-14
 
 
@@ -250,4 +250,4 @@ def test_second_construction_rank_one_iwasawa():
         alg, lm.Subspace(2, np.eye(2)[1:]),
         (lm.RootSpace(np.array([1.0]), lm.Subspace(2, np.eye(2)[:1])),), 0)
     report = second_construction_check(graded, [np.array([0.0, s]) for s in (-1.0, 0.5)])
-    assert report.passed
+    assert all(c.passed for c in report)

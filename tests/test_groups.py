@@ -165,8 +165,8 @@ def test_damek_ricci_quaternionic_j_maps():
     k = i @ j
     alg, _ = build_damek_ricci(4, 3, j_maps=[i, j, k])
     assert alg.dim == 8
-    for check, (resid, tol) in alg.validation_report().items():
-        assert resid <= tol, check
+    for check in alg.validation_report():
+        assert check.residual <= check.tol, check.name
 
 
 @pytest.mark.parametrize("name", ["N4", "H2", "K4", "S3", "G3"])
