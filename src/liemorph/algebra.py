@@ -11,7 +11,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .checks import Check
+from .checks import Check, max_residual
 from .errors import StructureError
 
 # Spans and subspace comparisons are rank decisions on floating-point data;
@@ -24,6 +24,28 @@ def _readonly(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _scale(c: np.ndarray) -> float:
+    """max(1, max |c|): the size structural tolerances and rank floors scale with."""
+    return max(1.0, float(np.abs(c).max()) if c.size else 0.0)
+
+
+def _jacobi_residual(c: np.ndarray) -> float:
+    """Max |coefficient| of [X_i,[X_j,X_k]] + [X_j,[X_k,X_i]] + [X_k,[X_i,X_j]].
+
+    One first index i at a time, so the check needs d^3 memory, not d^4;
+    each of the three terms of a slab J[j, k, l] is one BLAS product.
+    """
+    d = c.shape[0]
+    rows = c.reshape(d * d, d)                          # [(j,k), m] = c[j,k,m]
+    cols = c.transpose(1, 0, 2).reshape(d, d * d)       # [m, (k,l)] = c[k,m,l]
+    return max_residual(
+        float(np.abs((rows @ c[i]).reshape(d, d, d)     # sum_m c[j,k,m] c[i,m,l]
+                     + c[:, i] @ c                      # sum_m c[k,i,m] c[j,m,l]
+                     + (c[i] @ cols).reshape(d, d, d)   # sum_m c[i,j,m] c[k,m,l]
+                     ).max())
+        for i in range(d))
 
 
 @dataclass(frozen=True)
@@ -59,12 +81,9 @@ class LieAlgebra:
         tolerances of ``checks.DEFAULT_TOLERANCES``.
         """
         c, g = self.structure_constants, self.gram
-        scale = max(1.0, float(np.abs(c).max()) if c.size else 0.0)
+        scale = _scale(c)
         anti = float(np.abs(c + c.transpose(1, 0, 2)).max()) if c.size else 0.0
-        jac = (np.einsum("jkm,iml->ijkl", c, c)
-               + np.einsum("kim,jml->ijkl", c, c)
-               + np.einsum("ijm,kml->ijkl", c, c))
-        jacobi = float(np.abs(jac).max()) if jac.size else 0.0
+        jacobi = _jacobi_residual(c)
         gsym = float(np.abs(g - g.T).max())
         eig = np.linalg.eigvalsh(0.5 * (g + g.T))
         floor = 1e-12 * max(1.0, float(eig.max()))
@@ -146,11 +165,16 @@ def full_space(algebra: LieAlgebra) -> Subspace:
 
 def span(vectors, ambient_dim: int) -> Subspace:
     """Subspace spanned by the given vectors (SVD rank truncation)."""
+    return _span_above(vectors, ambient_dim, 0.0)
+
+
+def _span_above(vectors, ambient_dim: int, floor: float) -> Subspace:
+    """``span`` keeping only singular values above ``RANK_TOL * s[0]`` and ``floor``."""
     vs = np.asarray(vectors, dtype=float).reshape(-1, ambient_dim)
     if vs.shape[0] == 0 or not vs.any():
         return Subspace(ambient_dim, np.zeros((0, ambient_dim)))
     _, s, vh = np.linalg.svd(vs, full_matrices=False)
-    rank = int(np.sum(s > RANK_TOL * s[0]))
+    rank = int(np.sum(s > max(RANK_TOL * s[0], floor)))
     return Subspace(ambient_dim, _fix_signs(vh[:rank]))
 
 
@@ -203,18 +227,23 @@ def orthocomplement(algebra: LieAlgebra, subspace: Subspace) -> Subspace:
     return Subspace(algebra.dim, _fix_signs(vh[rank:]))
 
 
-def _bracket_span(algebra: LieAlgebra, left: Subspace, right: Subspace) -> Subspace:
-    vecs = [algebra.bracket(x, y) for x in left.basis for y in right.basis]
-    if not vecs:
-        return Subspace(algebra.dim, np.zeros((0, algebra.dim)))
-    return span(vecs, algebra.dim)
+def _bracket_span(algebra: LieAlgebra, left: np.ndarray, right: np.ndarray) -> Subspace:
+    """span{[x, y] : x a row of ``left``, y a row of ``right``}.
+
+    All brackets are one contraction and the span one rank decision.  Its
+    floor is the algebra's scale, the one ``validation_report`` uses, so
+    brackets that are all rounding noise (such as [g, z(g)]) span nothing.
+    """
+    c = algebra.structure_constants
+    vecs = np.einsum("ai,bj,ijk->abk", left, right, c, optimize=True)
+    return _span_above(vecs, algebra.dim, RANK_TOL * _scale(c))
 
 
 def derived_series(algebra: LieAlgebra) -> list[Subspace]:
     """g, [g,g], [[g,g],[g,g]], ... until the dimension stabilizes."""
     series = [full_space(algebra)]
     while series[-1].dim > 0:
-        nxt = _bracket_span(algebra, series[-1], series[-1])
+        nxt = _bracket_span(algebra, series[-1].basis, series[-1].basis)
         if nxt.dim == series[-1].dim:
             break
         series.append(nxt)
@@ -224,9 +253,8 @@ def derived_series(algebra: LieAlgebra) -> list[Subspace]:
 def lower_central_series(algebra: LieAlgebra) -> list[Subspace]:
     """g, [g,g], [g,[g,g]], ... until the dimension stabilizes."""
     series = [full_space(algebra)]
-    whole = series[0]
     while series[-1].dim > 0:
-        nxt = _bracket_span(algebra, whole, series[-1])
+        nxt = _bracket_span(algebra, series[0].basis, series[-1].basis)
         if nxt.dim == series[-1].dim:
             break
         series.append(nxt)
@@ -252,6 +280,6 @@ def center(algebra: LieAlgebra) -> Subspace:
     stacked = c.transpose(1, 2, 0).reshape(d * d, d)  # rows (j,k), columns i
     if not stacked.any():
         return full_space(algebra)
-    _, s, vh = np.linalg.svd(stacked)
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)   # d^2 >= d rows: vh is d x d
     rank = int(np.sum(s > RANK_TOL * s[0]))
     return Subspace(d, _fix_signs(vh[rank:]))

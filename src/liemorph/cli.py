@@ -83,6 +83,15 @@ def _stringify(obj):
     return obj
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``true``/``false`` are not numbers even though bool is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_config(kind: str, path: str, seed_override=None, out_override=None,
                 tol_overrides=None) -> JobConfig:
     try:
@@ -111,16 +120,16 @@ def load_config(kind: str, path: str, seed_override=None, out_override=None,
     if not isinstance(sampling, dict):
         raise ConfigError("sampling: must be an object")
     count = sampling.get("count", 100)
-    if not isinstance(count, int) or count < 1:
+    if not _is_int(count) or count < 1:
         raise ConfigError("sampling.count: must be a positive integer")
     scale = sampling.get("scale", 1.0)
-    if not isinstance(scale, (int, float)) or not math.isfinite(scale) or scale < 0:
+    if not _is_number(scale) or not math.isfinite(scale) or scale < 0:
         raise ConfigError("sampling.scale: must be a finite non-negative number")
     seed = seed_override if seed_override is not None else sampling.get("seed")
     if seed is None:
         raise ConfigError("sampling.seed: required (determinism is part of the contract); "
                           "set it in the config or pass --seed")
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("sampling.seed: must be an integer")
 
     tolerances = dict(raw.get("tolerances", {}))
@@ -130,7 +139,7 @@ def load_config(kind: str, path: str, seed_override=None, out_override=None,
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"tolerances.{name}: unknown tolerance "
                               f"(known: {sorted(DEFAULT_TOLERANCES)})")
-        if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
+        if not _is_number(value) or not math.isfinite(value) or value <= 0:
             raise ConfigError(f"tolerances.{name}: must be a finite positive number")
 
     options = raw.get("options", {})
@@ -324,10 +333,11 @@ def _job_foliation_scan(config: JobConfig):
     if algebra.dim != 3:
         raise ConfigError(f"foliation-scan: algebra must be 3-dimensional, got dim {algebra.dim}")
     grid = config.options.get("grid", 200)
-    if not isinstance(grid, int) or grid < 10:
+    if not _is_int(grid) or grid < 10:
         raise ConfigError("options.grid: must be an integer >= 10")
     result = scan_3d(algebra, grid=grid, hit_tol=config.tol("classify"),
-                     curvature_seed=config.seed)
+                     curvature_seed=config.seed,
+                     curvature_tol=config.tol("curvature_constant"))
     checks = []
     hits_summary = []
     centerless_solvable = center(algebra).dim == 0 and is_solvable(algebra)
@@ -388,7 +398,7 @@ def _job_curvature(config: JobConfig):
         except StructureError:
             pass  # gram is not the trace metric; the shortcut does not apply
     planes = config.options.get("planes", 200)
-    if not isinstance(planes, int) or planes < 2:
+    if not _is_int(planes) or planes < 2:
         raise ConfigError("options.planes: must be an integer >= 2")
     lo, hi, mean = sectional_profile(algebra, planes, config.seed, table)
     spread = hi - lo

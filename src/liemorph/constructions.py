@@ -14,7 +14,8 @@ from dataclasses import InitVar, dataclass, replace
 import numpy as np
 
 from . import jets
-from .algebra import LieAlgebra, Subspace, derived_series, orthonormalize, span
+from .algebra import (LieAlgebra, Subspace, _bracket_span, derived_series, orthonormalize,
+                      span)
 from .checks import DEFAULT_TOLERANCES, Check, max_residual
 from .errors import ConstructionError, StructureError
 from .groups import MatrixRealization, exp_matrix
@@ -305,21 +306,20 @@ class RootGradedAlgebra:
     def _nilradical_checks(self, n_basis) -> list[Check]:
         """beta orthogonal to [n, n], n closed, n nilpotent: rank decisions on brackets."""
         alg = self.algebra
-        bracket = alg.bracket
-        nn = span([bracket(x, y) for x in n_basis for y in n_basis], alg.dim)
+        nn = _bracket_span(alg, n_basis, n_basis)
         r = max_residual(abs(float(x @ alg.gram @ y))
                          for x in self.beta.space.basis for y in nn.basis)
         out = [Check("beta_orthogonal_to_derived_n", r, ROOT_GRADED_TOL)]
 
         sub_n = span(n_basis, alg.dim)
-        closed = all(sub_n.contains(bracket(x, y)) for x in n_basis for y in n_basis)
+        closed = all(sub_n.contains(alg.bracket(x, y)) for x in n_basis for y in n_basis)
         out.append(Check("n_closed", 0.0 if closed else 1.0, 0.0))
 
         current = sub_n
         for _ in range(alg.dim + 1):
             if current.dim == 0:
                 break
-            nxt = span([bracket(x, y) for x in n_basis for y in current.basis], alg.dim)
+            nxt = _bracket_span(alg, n_basis, current.basis)
             if nxt.dim == current.dim:
                 break
             current = nxt

@@ -207,7 +207,8 @@ class ScanResult:
 
 def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
             refine_starts: int = 16, curvature_planes: int = 500,
-            curvature_seed: int = 0) -> ScanResult:
+            curvature_seed: int = 0,
+            curvature_tol: float = DEFAULT_TOLERANCES["curvature_constant"]) -> ScanResult:
     """Scan unit vertical directions for conformal foliations by geodesics.
 
     Coarse residuals come from a Fibonacci sphere grid; the most promising
@@ -215,7 +216,9 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     Hits are merged within 1e-3 radians (antipodes identified: a line field
     does not see the sign) and reported with the recovered rotation-scaling
     data (alpha, beta) of ad_V on the horizontal plane plus the constant-
-    curvature verdict.
+    curvature verdict.  ``hit_tol`` is also the tolerance of each hit's
+    classify flags, and ``curvature_tol`` that of its constant-curvature
+    verdict.
     """
     if algebra.dim != 3:
         raise ValueError("scan_3d requires a 3-dimensional algebra")
@@ -249,14 +252,14 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
             continue
         if any(min(1.0, abs(float(v @ k))) > merge_cos for k in kept_frames):
             continue
-        frame_vec, hit = _describe_hit(algebra, table, v, resid,
-                                       curvature_planes, curvature_seed)
+        frame_vec, hit = _describe_hit(algebra, table, v, resid, curvature_planes,
+                                       curvature_seed, curvature_tol, hit_tol)
         kept_frames.append(frame_vec)
         hits.append(hit)
     return ScanResult(hits, min_residual, grid)
 
 
-def _describe_hit(algebra, table, v_frame, resid, planes, seed):
+def _describe_hit(algebra, table, v_frame, resid, planes, seed, curvature_tol, classify_tol):
     v_frame = v_frame / np.linalg.norm(v_frame)
     # canonical sign: first significant frame component positive
     nz = np.nonzero(np.abs(v_frame) > 1e-9)[0]
@@ -277,9 +280,10 @@ def _describe_hit(algebra, table, v_frame, resid, planes, seed):
     alpha = 0.5 * (s[0, 0] + s[1, 1])
     beta = 0.5 * (s[0, 1] - s[1, 0])
     adj_resid = float(np.abs(s - np.array([[alpha, beta], [-beta, alpha]])).max())
-    constant, value, spread = is_constant_curvature(algebra, planes, seed, table=table)
+    constant, value, spread = is_constant_curvature(algebra, planes, seed, curvature_tol,
+                                                    table=table)
     dist = DistributionSpec(algebra, span([v_alg], algebra.dim))
-    flags = classify(dist, table).flags()
+    flags = classify(dist, table, classify_tol).flags()
     hit = ScanHit(v_alg, resid, flags, float(alpha), float(beta), adj_resid,
                   constant, value, spread)
     return v_frame, hit

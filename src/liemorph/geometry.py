@@ -53,8 +53,8 @@ def koszul(algebra: LieAlgebra, onb=None) -> ConnectionTable:
     if float(np.abs(gram_check - np.eye(onb.shape[0])).max()) > 1e-10:
         raise StructureError("koszul requires an orthonormal frame")
     c = algebra.structure_constants
-    br = np.einsum("ai,bj,ijk->abk", onb, onb, c)
-    f = np.einsum("abk,kl,cl->abc", br, g, onb)
+    br = np.einsum("ai,bj,ijk->abk", onb, onb, c, optimize=True)
+    f = np.einsum("abk,kl,cl->abc", br, g, onb, optimize=True)
     # transpose(2,0,1)[a,b,c] = f[b,c,a] and transpose(1,2,0)[a,b,c] = f[c,a,b]
     gamma = 0.5 * (f - f.transpose(2, 0, 1) + f.transpose(1, 2, 0))
     return ConnectionTable(algebra, onb, gamma, f)

@@ -88,7 +88,7 @@ class MatrixRealization:
             if np.linalg.matrix_rank(flat, tol=1e-10 * scale) < len(mats):
                 raise StructureError("realization matrices are linearly dependent")
             resid = self.homomorphism_residual()
-            if resid > HOMOMORPHISM_TOL:
+            if not resid <= HOMOMORPHISM_TOL:     # a NaN residual fails too
                 raise StructureError(f"realization is not a homomorphism (residual {resid:.3e})")
 
     @property
@@ -102,13 +102,12 @@ class MatrixRealization:
         return np.einsum("i,ijk->jk", x, np.stack(self.rep))
 
     def homomorphism_residual(self) -> float:
-        c = self.algebra.structure_constants
-        worst = 0.0
-        for i, mi in enumerate(self.rep):
-            for j, mj in enumerate(self.rep):
-                expected = sum(c[i, j, k] * mk for k, mk in enumerate(self.rep))
-                worst = max(worst, float(np.abs(mi @ mj - mj @ mi - expected).max()))
-        return worst
+        """max |[M_i, M_j] - sum_k c[i,j,k] M_k| over all pairs, in one batched product."""
+        rep = np.stack(self.rep)                                # (d, n, n)
+        prod = rep[:, None] @ rep[None, :]                      # (d, d, n, n): M_i M_j
+        comm = prod - prod.transpose(1, 0, 2, 3)
+        expected = np.tensordot(self.algebra.structure_constants, rep, axes=(2, 0))
+        return float(np.abs(comm - expected).max())
 
 
 def sample_points(realization: MatrixRealization, count: int, seed: int,
@@ -150,20 +149,20 @@ def _algebra_from_matrices(mats, gram=None) -> tuple[LieAlgebra, MatrixRealizati
     Every commutator must stay in the span of the basis; that closure is what
     makes the realization a homomorphism by construction.
     """
-    mats = [np.asarray(m, dtype=float) for m in mats]
+    mats = np.stack([np.asarray(m, dtype=float) for m in mats])     # (d, n, n)
     d = len(mats)
-    flat = np.stack([m.reshape(-1) for m in mats], axis=1)
+    flat = mats.reshape(d, -1).T
+    i, j = np.triu_indices(d, 1)
+    # one solve with every commutator [M_i, M_j], i < j, as a right-hand side
+    comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(len(i), flat.shape[0]).T
+    coeff, *_ = np.linalg.lstsq(flat, comm, rcond=None)
+    resid = np.linalg.norm(flat @ coeff - comm, axis=0)
+    if np.any(resid > 1e-10 * np.maximum(1.0, np.linalg.norm(comm, axis=0))):
+        raise StructureError("basis is not closed under the commutator")
+    coeff[np.abs(coeff) < 1e-13] = 0.0
     c = np.zeros((d, d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(-1)
-            coeff, *_ = np.linalg.lstsq(flat, comm, rcond=None)
-            resid = float(np.linalg.norm(flat @ coeff - comm))
-            if resid > 1e-10 * max(1.0, float(np.linalg.norm(comm))):
-                raise StructureError("basis is not closed under the commutator")
-            coeff[np.abs(coeff) < 1e-13] = 0.0
-            c[i, j] = coeff
-            c[j, i] = -coeff
+    c[i, j] = coeff.T
+    c[j, i] = -coeff.T
     if gram is None:
         gram = np.eye(d)
     algebra = LieAlgebra(c, gram)

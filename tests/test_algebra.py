@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import liemorph as lm
-from liemorph.algebra import (LieAlgebra, Subspace, center, derived_series,
-                              full_space, is_abelian, is_nilpotent,
+from liemorph.algebra import (LieAlgebra, Subspace, _bracket_span, center,
+                              derived_series, full_space, is_abelian, is_nilpotent,
                               is_solvable, lower_central_series,
                               orthocomplement, orthonormalize, span)
 from liemorph.errors import StructureError
@@ -84,6 +84,49 @@ def test_lower_central_series_n3(built):
     dims = [s.dim for s in lower_central_series(alg)]
     assert dims == [3, 1, 0]
     assert is_nilpotent(alg)
+
+
+def tri(m):
+    return max(m, 0) * (m + 1) // 2
+
+
+def derived_dims_of_n(n):
+    """Derived series of N_n: the matrices supported on superdiagonals >= 2^k."""
+    dims, k = [], 1
+    while k < n:
+        dims.append(tri(n - k))
+        k *= 2
+    return dims + [0]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_series_of_n_closed_forms(n):
+    alg, _ = lm.build_N(n)
+    # g^k is supported on superdiagonals >= k + 1
+    assert [s.dim for s in lower_central_series(alg)] == [tri(n - k) for k in range(1, n + 1)]
+    assert [s.dim for s in derived_series(alg)] == derived_dims_of_n(n)
+    assert is_nilpotent(alg)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_series_of_s_closed_forms(n):
+    alg, _ = lm.build_S(n)
+    # [S_n, S_n] = [S_n, N_n] = N_n, after which the derived series is that of N_n
+    assert [s.dim for s in lower_central_series(alg)] == [tri(n), tri(n - 1)]
+    assert [s.dim for s in derived_series(alg)] == [tri(n)] + derived_dims_of_n(n)
+    assert center(alg).dim == 1
+
+
+def test_bracket_noise_spans_nothing():
+    # The bases of the center and of the last nonzero g^k come out of SVDs, so
+    # their brackets with g are rounding noise (~1e-16), not zero; the scale
+    # floor of the rank decision keeps that noise from counting as directions.
+    alg, _ = lm.build_N(10)
+    last = lower_central_series(alg)[-2]
+    z = center(alg)
+    assert last.dim == z.dim == 1
+    for sub in (last, z):
+        assert _bracket_span(alg, np.eye(alg.dim), sub.basis).dim == 0
 
 
 def test_series_abelian():

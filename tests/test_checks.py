@@ -12,7 +12,7 @@ import liemorph as lm
 from liemorph.checks import DEFAULT_TOLERANCES, Check, max_residual
 from liemorph.constructions import (RootGradedAlgebra, damek_ricci_root_graded,
                                     second_construction_check)
-from liemorph.foliations import constant_curvature_certificate
+from liemorph.foliations import constant_curvature_certificate, scan_3d
 from liemorph.jets import FamilyReport, verify_family
 
 NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -51,6 +51,8 @@ def test_max_residual_keeps_nan():
     (constant_curvature_certificate, "classify_tol", "classify"),
     (constant_curvature_certificate, "curvature_tol", "curvature_constant"),
     (verify_family, "tol", "family"),
+    (scan_3d, "hit_tol", "classify"),
+    (scan_3d, "curvature_tol", "curvature_constant"),
 ])
 def test_library_tolerances_default_from_the_table(fn, param, name):
     assert inspect.signature(fn).parameters[param].default == DEFAULT_TOLERANCES[name]

@@ -254,6 +254,48 @@ def test_config_validation_errors(tmp_path):
                             "tolerances": {"dilation": value}})
         assert main(["second-construction", "--config", cfg]) == 2
 
+    # JSON true/false are not numbers, although Python's bool is an int
+    for sampling in ({"seed": 1, "count": True}, {"seed": 1, "scale": True},
+                     {"seed": True}, {"seed": False}):
+        cfg = write_config(tmp_path / "boolsampling.json",
+                           {"kind": "verify-family",
+                            "builtin": {"name": "N", "params": {"n": 3}},
+                            "sampling": sampling})
+        assert main(["verify-family", "--config", cfg]) == 2, sampling
+    for name in ("family", "dilation"):
+        cfg = write_config(tmp_path / "booltol.json",
+                           {"kind": "verify-family",
+                            "builtin": {"name": "N", "params": {"n": 3}},
+                            "sampling": {"seed": 1},
+                            "tolerances": {name: True}})
+        assert main(["verify-family", "--config", cfg]) == 2, name
+
+
+def test_foliation_scan_summary_follows_curvature_tol(tmp_path):
+    cfg, out = base_config(tmp_path, "foliation-scan",
+                           builtin={"name": "G3", "params": {"alpha": 1.0, "beta": 0.5}},
+                           options={"expect_hits": True})
+    assert main(["foliation-scan", "--config", cfg]) == 0
+    assert read_report(out)["summary"]["hits"][0]["constant_curvature"] is True
+
+    # a tolerance below the sampled spread (~1e-15) fails the certificate check,
+    # and the hit's summary agrees with it
+    assert main(["foliation-scan", "--config", cfg, "--tol", "curvature_constant=1e-20"]) == 1
+    report = read_report(out)
+    failing = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert "hit[0]:certificate:constant_sectional_curvature" in failing
+    assert report["summary"]["hits"][0]["constant_curvature"] is False
+
+
+def test_check_algebra_n10_series(tmp_path):
+    cfg, out = base_config(tmp_path, "check-algebra",
+                           builtin={"name": "N", "params": {"n": 10}})
+    assert main(["check-algebra", "--config", cfg]) == 0
+    summary = read_report(out)["summary"]
+    assert summary["lower_central_series_dims"] == [45, 36, 28, 21, 15, 10, 6, 3, 1, 0]
+    assert summary["derived_series_dims"] == [45, 36, 21, 3, 0]
+    assert summary["nilpotent"] and summary["center_dim"] == 1
+
 
 def test_load_config_seed_override(tmp_path):
     cfg = write_config(tmp_path / "c.json",

@@ -77,6 +77,14 @@ def test_scan_flat_group_hits_share_zero_scaling():
         assert h.constant_curvature and abs(h.curvature_value) < 1e-9
 
 
+def test_scan_hits_use_the_scan_tolerances():
+    alg, _ = lm.build_G3(1.0, 0.5)
+    hit = scan_3d(alg, hit_tol=1e-6, curvature_tol=1e-20).hits[0]
+    # the spread passes the default 1e-7 but not 1e-20
+    assert 0.0 < hit.curvature_spread < 1e-7 and not hit.constant_curvature
+    assert hit.flags == classify(line(alg, hit.vector), tol=1e-6).flags()
+
+
 def test_abelian_splitting_is_flat():
     alg = LieAlgebra(np.zeros((4, 4, 4)), np.eye(4))
     dist = DistributionSpec(alg, Subspace(4, np.eye(4)[:2]))
