@@ -104,11 +104,11 @@ class LieAlgebra:
         return np.einsum("i,j,ijk->k", x, y, self.structure_constants)
 
     def ad(self, z) -> np.ndarray:
-        """Matrix of v -> [z, v] in the declared basis."""
+        """Matrix of v -> [z, v] in the declared basis; one per row of an (N, d) stack."""
         z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,):
+        if z.ndim not in (1, 2) or z.shape[-1] != self.dim:
             raise ValueError(f"ad argument must have length {self.dim}")
-        return np.einsum("i,ijk->kj", z, self.structure_constants)
+        return np.einsum("...i,ijk->...kj", z, self.structure_constants)
 
     def ad_trace(self, z) -> float:
         z = np.asarray(z, dtype=float)

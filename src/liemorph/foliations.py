@@ -124,64 +124,97 @@ def classify(dist: DistributionSpec, table: ConnectionTable | None = None,
 def fibonacci_sphere(count: int) -> np.ndarray:
     """Deterministic, roughly uniform unit vectors on S^2."""
     golden = math.pi * (3.0 - math.sqrt(5.0))
-    pts = np.zeros((count, 3))
-    for k in range(count):
-        z = 1.0 - 2.0 * (k + 0.5) / count
-        r = math.sqrt(max(0.0, 1.0 - z * z))
-        pts[k] = (r * math.cos(k * golden), r * math.sin(k * golden), z)
-    return pts
+    k = np.arange(count)
+    z = 1.0 - 2.0 * (k + 0.5) / count
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([r * np.cos(k * golden), r * np.sin(k * golden), z], axis=1)
 
 
 def _tangent_pair(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal completion of a unit 3-vector."""
-    pick = 0 if abs(v[0]) <= min(abs(v[1]), abs(v[2])) else (1 if abs(v[1]) <= abs(v[2]) else 2)
-    e = np.zeros(3)
-    e[pick] = 1.0
-    x = e - (e @ v) * v
-    x /= np.linalg.norm(x)
-    y = np.cross(v, x)
-    return x, y
+    x, y = _tangent_pairs(v[None])
+    return x[0], y[0]
 
 
-def _cg_residual(table: ConnectionTable, v_frame: np.ndarray) -> float:
-    """Conformal-plus-geodesic defect of the line field span{v} (frame coords)."""
-    v = v_frame / np.linalg.norm(v_frame)
-    x, y = _tangent_pair(v)
-    b_v = table.nabla(v, v)
-    b_v = b_v - (b_v @ v) * v
-    def sym(a, b):
-        s = 0.5 * (table.nabla(a, b) + table.nabla(b, a))
-        return (s @ v)
-    bxx, byy, bxy = sym(x, x), sym(y, y), sym(x, y)
-    mean = 0.5 * (bxx + byy)
-    return math.sqrt(float(b_v @ b_v) + (bxx - mean) ** 2 + (byy - mean) ** 2 + 2.0 * bxy ** 2)
+def _tangent_pairs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal completion of each row of an (N, 3) stack of unit vectors.
+
+    The completion starts from the coordinate axis of the first smallest
+    component, projected off v.
+    """
+    pick = np.argmin(np.abs(v), axis=1)
+    x = np.eye(3)[pick] - np.take_along_axis(v, pick[:, None], axis=1) * v
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x, np.cross(v, x)
 
 
-def _refine(table: ConnectionTable, v0: np.ndarray, rounds: int = 3) -> tuple[np.ndarray, float]:
-    """Pattern search on the sphere: 8 tangent directions, halving steps."""
-    v = v0 / np.linalg.norm(v0)
-    best = _cg_residual(table, v)
-    diag = 1.0 / math.sqrt(2.0)
-    offsets = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
-               (diag, diag), (diag, -diag), (-diag, diag), (-diag, -diag)]
-    for _ in range(rounds):
-        step = 0.25
-        while step > 1e-13:
-            x, y = _tangent_pair(v)
-            improved = False
-            for a, b in offsets:
-                cand = v + step * (a * x + b * y)
-                cand /= np.linalg.norm(cand)
-                r = _cg_residual(table, cand)
-                if r < best:
-                    v, best = cand, r
-                    improved = True
-                    break
-            if not improved:
-                step *= 0.5
-        if best < 1e-13:
-            break
-    return v, best
+def residuals(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Conformal-plus-geodesic defect of the line fields span{v_k}, frame coordinates.
+
+    ``gamma`` is a 3-d connection table (``ConnectionTable.gamma``) and ``v``
+    an (N, 3) stack of nonzero directions.  With P = I - v v^T and
+    S_v = sym(Gamma . v), the symmetrized horizontal second fundamental form
+    of span{v}, the defect is
+
+        sqrt(|P nabla_v v|^2 + ||P S_v P - tr(P S_v P) P / 2||_F^2):
+
+    the fibres' geodesic curvature and the trace-free part of B_H, which
+    vanish together exactly for a conformal foliation by geodesics.  No
+    tangent frame is built.
+    """
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    geodesic = np.einsum("na,nb,abc->nc", v, v, gamma)
+    geodesic -= np.einsum("nc,nc->n", geodesic, v)[:, None] * v
+    m = np.einsum("abc,nc->nab", gamma, v)
+    p = np.eye(3) - v[:, :, None] * v[:, None, :]
+    psp = p @ (0.5 * (m + m.transpose(0, 2, 1))) @ p
+    free = psp - 0.5 * np.trace(psp, axis1=1, axis2=2)[:, None, None] * p
+    return np.sqrt(np.einsum("nc,nc->n", geodesic, geodesic)
+                   + np.einsum("nab,nab->n", free, free))
+
+
+_DIAG = 1.0 / math.sqrt(2.0)
+# pattern-search offsets (a, b) along the tangent pair (x, y), in trial order
+_OFFSETS = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+                     (_DIAG, _DIAG), (_DIAG, -_DIAG), (-_DIAG, _DIAG), (-_DIAG, -_DIAG)])
+
+
+def _polish(gamma: np.ndarray, starts: np.ndarray, rounds: int = 3):
+    """Pattern search on the sphere from every start at once, in lockstep.
+
+    Each start moves to its first improving offset of step ``step`` along its
+    tangent pair, or halves its own step when none improves; a round ends
+    when the step falls to 1e-13, and a start leaves after a round once its
+    residual is below 1e-13.  Every start follows the path it would follow
+    alone.  Returns the polished directions, their residuals and the number
+    of residual evaluations.
+    """
+    v = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    best = residuals(gamma, v)
+    evaluations = len(v)
+    step = np.full(len(v), 0.25)
+    rounds_left = np.full(len(v), rounds)
+    active = np.ones(len(v), dtype=bool)
+    while active.any():
+        idx = np.flatnonzero(active)
+        x, y = _tangent_pairs(v[idx])
+        cand = v[idx, None] + step[idx, None, None] * (
+            _OFFSETS[:, 0, None] * x[:, None] + _OFFSETS[:, 1, None] * y[:, None])
+        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+        r = residuals(gamma, cand.reshape(-1, 3)).reshape(len(idx), len(_OFFSETS))
+        evaluations += r.size
+        improving = r < best[idx, None]
+        moved = improving.any(axis=1)
+        first = improving.argmax(axis=1)[moved]
+        v[idx[moved]] = cand[moved, first]
+        best[idx[moved]] = r[moved, first]
+        step[idx[~moved]] *= 0.5
+        ended = idx[~(step[idx] > 1e-13)]
+        rounds_left[ended] -= 1
+        done = ended[(rounds_left[ended] == 0) | (best[ended] < 1e-13)]
+        active[done] = False
+        step[ended] = 0.25
+    return v, best, evaluations
 
 
 @dataclass
@@ -202,6 +235,7 @@ class ScanResult:
     hits: list
     min_residual: float
     grid: int
+    evaluations: int            # residual evaluations, coarse grid plus polish
     note: str = "numeric scan over left-invariant line fields; not a proof"
 
 
@@ -212,7 +246,9 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     """Scan unit vertical directions for conformal foliations by geodesics.
 
     Coarse residuals come from a Fibonacci sphere grid; the most promising
-    well-separated candidates are polished by a deterministic pattern search.
+    well-separated candidates are polished together by a deterministic
+    pattern search, and ``ScanResult.evaluations`` counts the residuals
+    evaluated in both stages.
     Hits are merged within 1e-3 radians (antipodes identified: a line field
     does not see the sign) and reported with the recovered rotation-scaling
     data (alpha, beta) of ad_V on the horizontal plane plus the constant-
@@ -224,7 +260,7 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
         raise ValueError("scan_3d requires a 3-dimensional algebra")
     table = koszul(algebra)
     candidates = fibonacci_sphere(grid)
-    coarse = np.array([_cg_residual(table, v) for v in candidates])
+    coarse = residuals(table.gamma, candidates)
     min_residual = float(coarse.min())
 
     # best-first starts for refinement, kept at least 0.3 rad apart
@@ -238,16 +274,13 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
         if len(starts) >= refine_starts:
             break
 
-    refined = []
-    for v0 in starts:
-        v, resid = _refine(table, v0)
-        min_residual = min(min_residual, resid)
-        refined.append((v, resid))
+    polished, polished_resid, evaluations = _polish(table.gamma, np.array(starts))
+    min_residual = min(min_residual, float(polished_resid.min()))
 
     hits = []
     kept_frames = []
     merge_cos = math.cos(1e-3)
-    for v, resid in refined:
+    for v, resid in zip(polished, polished_resid.tolist()):
         if resid >= hit_tol:
             continue
         if any(min(1.0, abs(float(v @ k))) > merge_cos for k in kept_frames):
@@ -256,7 +289,7 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
                                        curvature_seed, curvature_tol, hit_tol)
         kept_frames.append(frame_vec)
         hits.append(hit)
-    return ScanResult(hits, min_residual, grid)
+    return ScanResult(hits, min_residual, grid, grid + evaluations)
 
 
 def _describe_hit(algebra, table, v_frame, resid, planes, seed, curvature_tol, classify_tol):

@@ -130,8 +130,16 @@ def sectional_profile(algebra: LieAlgebra, n_planes: int = 500, seed: int = 0,
     """(min, max, mean) of sectional curvature over random planes."""
     if table is None:
         table = koszul(algebra)
-    r = curvature(table)
-    values = [sectional(r, x, y) for x, y in random_planes(algebra.dim, n_planes, seed)]
+    d = algebra.dim
+    x, y = (np.array(v) for v in zip(*random_planes(d, n_planes, seed)))
+    # R(x, y, y, x) for every plane: xy[p, (a, b)] = x_a y_b against R as a
+    # (d^2, d^2) matrix, paired with y_c x_d, the transpose of xy's (a, b) block
+    xy = (x[:, :, None] * y[:, None, :]).reshape(-1, d * d)
+    rxy = (xy @ curvature(table).reshape(d * d, d * d)).reshape(-1, d, d)
+    num = np.einsum("pcd,pdc->p", rxy, xy.reshape(-1, d, d))
+    den = np.einsum("pa,pa->p", x, x) * np.einsum("pa,pa->p", y, y) \
+        - np.einsum("pa,pa->p", x, y) ** 2
+    values = num / den
     return float(np.min(values)), float(np.max(values)), float(np.mean(values))
 
 

@@ -14,22 +14,26 @@ HOMOMORPHISM_TOL = 1e-10
 
 
 def exp_matrix(x, t=1.0) -> np.ndarray:
-    """e^{tX}, or the stack of e^{t_k X} when ``t`` is a 1-d array.
+    """e^{tX} for one matrix, or a stack of exponentials.
 
-    A scalar ``t`` is a batch of one.  Each t_k X with a power that is exactly
-    zero gets the terminating power series, which is exact up to rounding.
-    The others go through scaling-and-squaring with a degree-12 truncated
-    series scaled so that ||t_k X|| / 2^k <= 0.5.
+    A 1-d ``t`` gives the stack of e^{t_k X}; an (N, n, n) stack ``x`` with a
+    scalar ``t`` gives the stack of e^{t X_k}.  An (n, n) ``x`` with a scalar
+    ``t`` is a batch of one, and every slice of a batch gets the result it
+    would get alone.  Each matrix with a power that is exactly zero gets the
+    terminating power series, which is exact up to rounding.  The others go
+    through scaling-and-squaring with a degree-12 truncated series scaled so
+    that ||t_k X|| / 2^k <= 0.5.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    if x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {x.shape}")
     ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
-        raise ValueError(f"t must be a scalar or a 1-d array, got shape {ts.shape}")
+    if ts.ndim > 1 or (x.ndim == 3 and ts.ndim):
+        raise ValueError(f"t must be a scalar, or a 1-d array with one matrix, "
+                         f"got shape {ts.shape}")
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(ts)):
         raise ValueError("exp_matrix requires finite entries")
-    n = x.shape[0]
+    n = x.shape[-1]
     a = ts.reshape(-1, 1, 1) * x
     eye = np.broadcast_to(np.eye(n), a.shape)
     powers = [eye]
@@ -61,7 +65,7 @@ def exp_matrix(x, t=1.0) -> np.ndarray:
         for step in range(k.max()):
             series = np.where((k > step)[:, None, None], series @ series, series)
         out[~nilpotent] = series
-    return out if ts.ndim else out[0]
+    return out if ts.ndim or x.ndim == 3 else out[0]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from liemorph.cli import load_config, main
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+# shipped configs whose job is expected to fail a check
+FAILING_CONFIGS = {"check_algebra_inline_bad_jacobi.json"}
 
 
 def write_config(path, payload):
@@ -313,17 +318,30 @@ def test_list_builtins(capsys):
         assert name in out
 
 
-def test_reports_are_deterministic(tmp_path):
-    cfg, out = base_config(tmp_path, "verify-family",
-                           builtin={"name": "N", "params": {"n": 4}})
+def report_bodies_of_two_runs(tmp_path, kind, builtin):
+    """Report bytes of two runs of one job, without the wall-time line."""
+    cfg, out = base_config(tmp_path, kind, builtin=builtin)
     bodies = []
     for run_idx in range(2):
-        assert main(["verify-family", "--config", cfg]) == 0
+        assert main([kind, "--config", cfg]) == 0
         with open(out, "rb") as fh:
             lines = [ln for ln in fh.read().splitlines()
                      if b"wall_time_s" not in ln]
         bodies.append(b"\n".join(lines))
+    return bodies
+
+
+def test_reports_are_deterministic(tmp_path):
+    bodies = report_bodies_of_two_runs(tmp_path, "verify-family",
+                                       {"name": "N", "params": {"n": 4}})
     assert bodies[0] == bodies[1]
+
+
+def test_foliation_scan_reports_are_deterministic(tmp_path):
+    bodies = report_bodies_of_two_runs(tmp_path, "foliation-scan",
+                                       {"name": "G3", "params": {"alpha": 1.0, "beta": 0.5}})
+    assert bodies[0] == bodies[1]
+    assert b"evaluations" not in bodies[0]
 
 
 def test_cli_subprocess_roundtrip(tmp_path):
@@ -335,3 +353,11 @@ def test_cli_subprocess_roundtrip(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
     assert read_report(out)["overall_pass"]
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_exit_status(tmp_path, config):
+    kind = json.loads(config.read_text(encoding="utf-8"))["kind"]
+    status = main([kind, "--config", str(config), "--out", str(tmp_path / "report.json")])
+    assert status == (1 if config.name in FAILING_CONFIGS else 0)
+    assert read_report(tmp_path / "report.json")["overall_pass"] == (status == 0)

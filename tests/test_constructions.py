@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,16 @@ def test_damek_ricci_graded_validates(built):
     assert graded.beta_value(np.array([0.0, 0.0, 0.0, 2.0])) == 1.0
 
 
+def test_beta_value_of_a_stack_matches_each_vector():
+    graded = damek_ricci_root_graded(2, 1)
+    stack = np.outer(np.linspace(-3.0, 3.0, 7), graded.a_space.basis[0])
+    values = graded.beta_value(stack)
+    assert values.shape == (7,)
+    assert values.tolist() == [graded.beta_value(v) for v in stack]
+    with pytest.raises(ValueError, match="abelian part"):
+        graded.beta_value(np.vstack([stack, np.eye(4)[:1]]))
+
+
 def test_damek_ricci_z_root_rejected():
     with pytest.raises(StructureError, match="beta_orthogonal_to_derived_n"):
         damek_ricci_root_graded(2, 1, beta_root="z")
@@ -238,6 +250,42 @@ def test_second_construction_dilation_formula_explicit():
     x = np.eye(4)[0]
     ratio = (big @ x) @ alg.gram @ (big @ x)
     assert abs(ratio - np.exp(t)) < 1e-12
+
+
+def dilation_residual_per_sample(graded, samples):
+    """Reference: the dilation defect one sample and one beta vector at a time."""
+    alg, g = graded.algebra, graded.algebra.gram
+    worst = 0.0
+    for v in samples:
+        target = math.exp(2.0 * graded.beta_value(v))
+        big = lm.exp_matrix(alg.ad(v))
+        for x in lm.orthonormalize(alg, graded.beta.space).basis:
+            image = big @ x
+            ratio = float(image @ g @ image) / float(x @ g @ x)
+            worst = max(worst, abs(ratio - target) / max(1.0, target))
+    return worst
+
+
+def s3_root_graded():
+    """Upper triangular 3 x 3: a = the diagonal, beta the root of E_12."""
+    alg, _ = lm.build_S(3)
+    eye = np.eye(6)
+    roots = tuple(lm.RootSpace(np.array(values), lm.Subspace(6, eye[[k]]))
+                  for values, k in (([1.0, -1.0, 0.0], 3), ([1.0, 0.0, -1.0], 4),
+                                    ([0.0, 1.0, -1.0], 5)))
+    return lm.RootGradedAlgebra(alg, lm.Subspace(6, eye[:3]), roots, 0)
+
+
+@pytest.mark.parametrize("graded", [damek_ricci_root_graded(2, 1), s3_root_graded()],
+                         ids=["damek_ricci", "S3"])
+def test_batched_dilation_matches_per_sample_reference(graded):
+    rng = np.random.default_rng(9)
+    samples = [rng.uniform(-4.0, 4.0, graded.a_space.dim) @ graded.a_space.basis
+               for _ in range(300)]
+    by_name = {c.name: c for c in second_construction_check(graded, samples)}
+    assert by_name["dilation_matches_exp_2beta"].passed
+    want = dilation_residual_per_sample(graded, samples)
+    assert by_name["dilation_matches_exp_2beta"].residual == pytest.approx(want, rel=0, abs=1e-15)
 
 
 def test_second_construction_rank_one_iwasawa():

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 import liemorph as lm
 from liemorph.algebra import LieAlgebra, Subspace, span
 from liemorph.errors import StructureError
-from liemorph.foliations import (DistributionSpec, classify,
+from liemorph.foliations import (DistributionSpec, _polish, _tangent_pair, classify,
                                  constant_curvature_certificate,
-                                 fibonacci_sphere, scan_3d, second_forms)
+                                 fibonacci_sphere, residuals, scan_3d, second_forms)
+from liemorph.geometry import koszul
 
 
 def so3():
@@ -19,6 +22,31 @@ def so3():
 
 def line(alg, v):
     return DistributionSpec(alg, span([np.asarray(v, float)], alg.dim))
+
+
+def cg_residual_with_frame(table, v_frame):
+    """Reference: the conformal-plus-geodesic defect through an explicit tangent frame."""
+    v = v_frame / np.linalg.norm(v_frame)
+    x, y = _tangent_pair(v)
+    b_v = table.nabla(v, v)
+    b_v = b_v - (b_v @ v) * v
+
+    def sym(a, b):
+        return 0.5 * (table.nabla(a, b) + table.nabla(b, a)) @ v
+
+    bxx, byy, bxy = sym(x, x), sym(y, y), sym(x, y)
+    mean = 0.5 * (bxx + byy)
+    return math.sqrt(float(b_v @ b_v) + (bxx - mean) ** 2 + (byy - mean) ** 2 + 2.0 * bxy ** 2)
+
+
+SCAN_ALGEBRAS = {
+    "G3(1,0.5)": lambda: lm.build_G3(1.0, 0.5)[0],
+    "G3(0,1)": lambda: lm.build_G3(0.0, 1.0)[0],
+    "G_alpha(0.5)": lambda: lm.build_Galpha(0.5)[0],
+    "G_alpha(1)": lambda: lm.build_Galpha(1.0)[0],
+    "G_alpha(2)": lambda: lm.build_Galpha(2.0)[0],
+    "S2": lambda: lm.build_S(2)[0],
+}
 
 
 def test_distribution_requires_involutive_vertical(built):
@@ -130,13 +158,51 @@ def test_scan_g3_recovers_alpha_beta(built):
     assert hit.constant_curvature and abs(hit.curvature_value + 1.0) < 1e-7
 
 
+# min_residual found by the frame-based scalar search this scan replaced
+GALPHA_MIN_RESIDUAL = {0.5: 0.46770717334674261, 1.0: 0.70710678118654757,
+                       2.0: 0.93541434669348522}
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_scan_galpha_finds_nothing(alpha):
     alg, _ = lm.build_Galpha(alpha)
     result = scan_3d(alg)
     assert result.hits == []
-    assert result.min_residual > 1e-3
+    assert abs(result.min_residual - GALPHA_MIN_RESIDUAL[alpha]) < 1e-12
     assert "not a proof" in result.note
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS))
+def test_frame_free_residuals_match_the_frame_reference(name):
+    table = koszul(SCAN_ALGEBRAS[name]())
+    v = np.random.default_rng(3).standard_normal((2000, 3))
+    want = [cg_residual_with_frame(table, row) for row in v]
+    np.testing.assert_allclose(residuals(table.gamma, v), want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["G3(1,0.5)", "G_alpha(1)", "S2"])
+def test_lockstep_polish_follows_each_start_alone(name):
+    gamma = koszul(SCAN_ALGEBRAS[name]()).gamma
+    starts = fibonacci_sphere(40)[::5]
+    together, resid, evaluations = _polish(gamma, starts)
+    total = 0
+    for k, start in enumerate(starts):
+        alone, r, n = _polish(gamma, start[None])
+        np.testing.assert_array_equal(alone[0], together[k])
+        assert r[0] == resid[k]
+        total += n
+    assert evaluations == total
+
+
+def test_scan_counts_its_residual_evaluations():
+    alg, _ = lm.build_Galpha(1.0)
+    result = scan_3d(alg, grid=120, refine_starts=5)
+    # the grid, one evaluation per start, then eight offsets per start and step;
+    # no start gets below 1e-13, so each runs three rounds of at least 41
+    # halvings from 0.25 down to 1e-13
+    assert (result.evaluations - 120 - 5) % 8 == 0
+    assert result.evaluations > 120 + 5 + 8 * 5 * 3 * 40
+    assert scan_3d(alg, grid=120, refine_starts=5).evaluations == result.evaluations
 
 
 def test_scan_s2_center_hit(built):

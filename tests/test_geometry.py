@@ -6,7 +6,7 @@ from liemorph.algebra import LieAlgebra
 from liemorph.errors import StructureError
 from liemorph.geometry import (curvature, curvature_symmetry_residuals,
                                gl_connection_term, is_constant_curvature,
-                               koszul, random_planes, sectional)
+                               koszul, random_planes, sectional, sectional_profile)
 
 
 def flat(n):
@@ -141,6 +141,17 @@ def test_is_constant_curvature_verdicts(built):
     alg, _ = built["H1"]
     ok, _, _ = is_constant_curvature(alg, 300, seed=2)
     assert not ok
+
+
+@pytest.mark.parametrize("name", ["G3", "Ga1", "DR", "H2", "S3", "N4"])
+def test_sectional_profile_matches_per_plane_sectional(built, name):
+    alg, _ = built[name]
+    table = koszul(alg)
+    r = curvature(table)
+    values = [sectional(r, x, y) for x, y in random_planes(alg.dim, 300, seed=4)]
+    np.testing.assert_allclose(sectional_profile(alg, 300, 4, table),
+                               [min(values), max(values), np.mean(values)],
+                               rtol=0, atol=1e-14)
 
 
 def test_random_planes_are_orthonormal():

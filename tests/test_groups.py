@@ -193,6 +193,25 @@ def test_exp_batch_matches_scalar_calls(rng):
         exp_matrix(x, np.ones((2, 2)))
 
 
+def test_exp_stack_matches_per_slice_calls(built, rng):
+    # nilpotent, diagonal, rotation-scaling and generic slices in one stack
+    alg, _ = built["DR"]
+    stack = np.stack([alg.ad(v) for v in rng.uniform(-3.0, 3.0, (6, 4))]
+                     + [np.triu(rng.standard_normal((4, 4)), 1),
+                        np.diag([0.1, -2.0, 40.0, 0.0]),
+                        5.0 * rng.standard_normal((4, 4)),
+                        np.zeros((4, 4))])
+    for t in (1.0, -0.7):
+        batch = exp_matrix(stack, t)
+        assert batch.shape == stack.shape
+        want = np.stack([exp_matrix(x, t) for x in stack])
+        assert batch.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        exp_matrix(stack, np.ones(len(stack)))
+    with pytest.raises(ValueError):
+        exp_matrix(np.ones((2, 3, 4)))
+
+
 def test_sampling_overflow_is_a_structure_error(built):
     _, real = built["N4"]
     with pytest.raises(StructureError, match="non-finite"):
