@@ -8,6 +8,7 @@ are zero-based.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,11 +76,15 @@ class LieAlgebra:
         return self.structure_constants.shape[0]
 
     def validation_report(self) -> list[Check]:
-        """One check per structural invariant.
+        """One check per structural invariant, computed once per instance; a fresh list.
 
         Tolerances scale with the data; they are structural, not named
         tolerances of ``checks.DEFAULT_TOLERANCES``.
         """
+        return list(self._validation)
+
+    @cached_property
+    def _validation(self) -> tuple[Check, ...]:
         c, g = self.structure_constants, self.gram
         scale = _scale(c)
         anti = float(np.abs(c + c.transpose(1, 0, 2)).max()) if c.size else 0.0
@@ -88,12 +93,12 @@ class LieAlgebra:
         eig = np.linalg.eigvalsh(0.5 * (g + g.T))
         floor = 1e-12 * max(1.0, float(eig.max()))
         posdef = max(0.0, floor - float(eig.min()))
-        return [
+        return (
             Check("antisymmetry", anti, 1e-12 * scale),
             Check("jacobi", jacobi, 1e-12 * scale),
             Check("gram_symmetric", gsym, 1e-12 * max(1.0, float(np.abs(g).max()))),
             Check("gram_positive_definite", posdef, 0.0),
-        ]
+        )
 
     def bracket(self, x, y) -> np.ndarray:
         """[x, y] for coordinate vectors x, y."""

@@ -130,12 +130,6 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(k * golden), r * np.sin(k * golden), z], axis=1)
 
 
-def _tangent_pair(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal completion of a unit 3-vector."""
-    x, y = _tangent_pairs(v[None])
-    return x[0], y[0]
-
-
 def _tangent_pairs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal completion of each row of an (N, 3) stack of unit vectors.
 
@@ -240,8 +234,7 @@ class ScanResult:
 
 
 def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
-            refine_starts: int = 16, curvature_planes: int = 500,
-            curvature_seed: int = 0,
+            refine_starts: int = 16,
             curvature_tol: float = DEFAULT_TOLERANCES["curvature_constant"]) -> ScanResult:
     """Scan unit vertical directions for conformal foliations by geodesics.
 
@@ -251,10 +244,10 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     evaluated in both stages.
     Hits are merged within 1e-3 radians (antipodes identified: a line field
     does not see the sign) and reported with the recovered rotation-scaling
-    data (alpha, beta) of ad_V on the horizontal plane plus the constant-
-    curvature verdict.  ``hit_tol`` is also the tolerance of each hit's
-    classify flags, and ``curvature_tol`` that of its constant-curvature
-    verdict.
+    data (alpha, beta) of ad_V on the horizontal plane plus the algebra's
+    exact constant-curvature verdict, computed once per scan.  ``hit_tol`` is
+    also the tolerance of each hit's classify flags, and ``curvature_tol``
+    that of the constant-curvature verdict.
     """
     if algebra.dim != 3:
         raise ValueError("scan_3d requires a 3-dimensional algebra")
@@ -277,6 +270,7 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     polished, polished_resid, evaluations = _polish(table.gamma, np.array(starts))
     min_residual = min(min_residual, float(polished_resid.min()))
 
+    curvature_verdict = is_constant_curvature(algebra, curvature_tol, table)
     hits = []
     kept_frames = []
     merge_cos = math.cos(1e-3)
@@ -285,41 +279,39 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
             continue
         if any(min(1.0, abs(float(v @ k))) > merge_cos for k in kept_frames):
             continue
-        frame_vec, hit = _describe_hit(algebra, table, v, resid, curvature_planes,
-                                       curvature_seed, curvature_tol, hit_tol)
-        kept_frames.append(frame_vec)
-        hits.append(hit)
+        v = v / np.linalg.norm(v)
+        # canonical sign: first significant frame component positive
+        nz = np.nonzero(np.abs(v) > 1e-9)[0]
+        if nz.size and v[nz[0]] < 0:
+            v = -v
+        kept_frames.append(v)
+        v_alg, _, _, alpha, beta, adj_resid = _rotation_scaling(algebra, table, v)
+        flags = classify(DistributionSpec(algebra, span([v_alg], algebra.dim)), table,
+                         hit_tol).flags()
+        hits.append(ScanHit(v_alg, resid, flags, alpha, beta, adj_resid, *curvature_verdict))
     return ScanResult(hits, min_residual, grid, grid + evaluations)
 
 
-def _describe_hit(algebra, table, v_frame, resid, planes, seed, curvature_tol, classify_tol):
-    v_frame = v_frame / np.linalg.norm(v_frame)
-    # canonical sign: first significant frame component positive
-    nz = np.nonzero(np.abs(v_frame) > 1e-9)[0]
-    if nz.size and v_frame[nz[0]] < 0:
-        v_frame = -v_frame
-    x, y = _tangent_pair(v_frame)
+def _rotation_scaling(algebra, table, v_frame):
+    """ad_V on the horizontal plane of a unit frame vector, read as alpha I + beta J.
+
+    Returns (v, x, y, alpha, beta, residual): v and its tangent pair (x, y)
+    in algebra coordinates, the recovered data with beta >= 0 (the sign of y
+    is free), and the max distance of the 2x2 block <[V, X_i], X_j> from
+    [[alpha, beta], [-beta, alpha]].
+    """
+    x, y = (u[0] for u in _tangent_pairs(v_frame[None]))
+    v_alg, x_alg, y_alg = (table.to_algebra_coords(u) for u in (v_frame, x, y))
     g = algebra.gram
-    v_alg = table.to_algebra_coords(v_frame)
-    x_alg = table.to_algebra_coords(x)
-    y_alg = table.to_algebra_coords(y)
-    s = np.array([[algebra.bracket(v_alg, x_alg) @ g @ x_alg,
-                   algebra.bracket(v_alg, x_alg) @ g @ y_alg],
-                  [algebra.bracket(v_alg, y_alg) @ g @ x_alg,
-                   algebra.bracket(v_alg, y_alg) @ g @ y_alg]])
+    s = np.array([[algebra.bracket(v_alg, a) @ g @ b for b in (x_alg, y_alg)]
+                  for a in (x_alg, y_alg)])
     if 0.5 * (s[0, 1] - s[1, 0]) < 0:
         # flip the second horizontal vector so the recovered rotation part is >= 0
         s[0, 1], s[1, 0] = -s[0, 1], -s[1, 0]
     alpha = 0.5 * (s[0, 0] + s[1, 1])
     beta = 0.5 * (s[0, 1] - s[1, 0])
     adj_resid = float(np.abs(s - np.array([[alpha, beta], [-beta, alpha]])).max())
-    constant, value, spread = is_constant_curvature(algebra, planes, seed, curvature_tol,
-                                                    table=table)
-    dist = DistributionSpec(algebra, span([v_alg], algebra.dim))
-    flags = classify(dist, table, classify_tol).flags()
-    hit = ScanHit(v_alg, resid, flags, float(alpha), float(beta), adj_resid,
-                  constant, value, spread)
-    return v_frame, hit
+    return v_alg, x_alg, y_alg, float(alpha), float(beta), adj_resid
 
 
 @dataclass
@@ -337,8 +329,6 @@ class CurvatureCertificate:
 
 
 def constant_curvature_certificate(algebra: LieAlgebra, v,
-                                   curvature_planes: int = 500,
-                                   curvature_seed: int = 0,
                                    classify_tol: float = CLASSIFY_TOL,
                                    curvature_tol: float = DEFAULT_TOLERANCES["curvature_constant"],
                                    ) -> CurvatureCertificate:
@@ -372,27 +362,16 @@ def constant_curvature_certificate(algebra: LieAlgebra, v,
 
     v_frame = table.to_frame_coords(v)
     v_frame /= np.linalg.norm(v_frame)
-    x, y = _tangent_pair(v_frame)
-    x_alg, y_alg = table.to_algebra_coords(x), table.to_algebra_coords(y)
-    v_alg = table.to_algebra_coords(v_frame)
-    g = algebra.gram
-    alpha = 0.5 * (algebra.bracket(v_alg, x_alg) @ g @ x_alg
-                   + algebra.bracket(v_alg, y_alg) @ g @ y_alg)
-    beta = 0.5 * (algebra.bracket(v_alg, x_alg) @ g @ y_alg
-                  - algebra.bracket(v_alg, y_alg) @ g @ x_alg)
-    if beta < 0:
-        beta = -beta
-
+    _, x_alg, y_alg, alpha, beta, _ = _rotation_scaling(algebra, table, v_frame)
     comm = algebra.bracket(x_alg, y_alg)
     derived = derived_series(algebra)[1]
     horiz = span([x_alg, y_alg], algebra.dim)
     contained = horiz.contains_all(derived, 1e-8) and derived.contains_all(horiz, 1e-8)
-    constant, value, spread = is_constant_curvature(algebra, curvature_planes,
-                                                    curvature_seed, table=table)
+    _, value, spread = is_constant_curvature(algebra, curvature_tol, table)
     checks = (
         Check("horizontal_vectors_commute", float(np.abs(comm).max()), classify_tol),
         Check("horizontal_plane_is_derived_algebra", 0.0 if contained else 1.0, 0.0),
         Check("constant_sectional_curvature", spread, curvature_tol),
         Check("curvature_equals_minus_alpha_sq", abs(value + alpha * alpha), curvature_tol),
     )
-    return CurvatureCertificate(float(alpha), float(beta), value, checks)
+    return CurvatureCertificate(alpha, beta, value, checks)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,7 +107,11 @@ class MatrixRealization:
         return np.einsum("i,ijk->jk", x, np.stack(self.rep))
 
     def homomorphism_residual(self) -> float:
-        """max |[M_i, M_j] - sum_k c[i,j,k] M_k| over all pairs, in one batched product."""
+        """max |[M_i, M_j] - sum_k c[i,j,k] M_k| over all pairs, computed once per instance."""
+        return self._homomorphism_residual
+
+    @cached_property
+    def _homomorphism_residual(self) -> float:
         rep = np.stack(self.rep)                                # (d, n, n)
         prod = rep[:, None] @ rep[None, :]                      # (d, d, n, n): M_i M_j
         comm = prod - prod.transpose(1, 0, 2, 3)

@@ -158,7 +158,7 @@ def test_criterion_7_constant_curvature_values():
         for beta in (0.0, 1.0):
             alg, _ = lm.build_G3(alpha, beta)
             r = curvature(koszul(alg))
-            for x, y in random_planes(3, 200, seed=7000):
+            for x, y in zip(*random_planes(3, 200, seed=7000)):
                 worst = max(worst, abs(sectional(r, x, y) + alpha * alpha))
     report("criterion 7: sectional curvature equals -alpha^2 on all G3 builders",
            worst < 1e-8, f"worst {worst:.2e}")

@@ -277,19 +277,50 @@ def test_config_validation_errors(tmp_path):
 
 
 def test_foliation_scan_summary_follows_curvature_tol(tmp_path):
+    # H_1's centre line is a hit, and the exact spread of its curvature operator is 1
     cfg, out = base_config(tmp_path, "foliation-scan",
-                           builtin={"name": "G3", "params": {"alpha": 1.0, "beta": 0.5}},
+                           builtin={"name": "H", "params": {"n": 1}},
                            options={"expect_hits": True})
-    assert main(["foliation-scan", "--config", cfg]) == 0
+    assert main(["foliation-scan", "--config", cfg, "--tol", "curvature_constant=2"]) == 0
     assert read_report(out)["summary"]["hits"][0]["constant_curvature"] is True
 
-    # a tolerance below the sampled spread (~1e-15) fails the certificate check,
-    # and the hit's summary agrees with it
-    assert main(["foliation-scan", "--config", cfg, "--tol", "curvature_constant=1e-20"]) == 1
+    assert main(["foliation-scan", "--config", cfg, "--tol", "curvature_constant=0.5"]) == 0
+    assert read_report(out)["summary"]["hits"][0]["constant_curvature"] is False
+
+
+def test_curvature_job_rejects_dimension_below_two(tmp_path):
+    cfg, out = base_config(tmp_path, "curvature",
+                           inline={"structure_constants": [[[0.0]]], "gram": [[1.0]]})
+    assert main(["curvature", "--config", cfg]) == 2
+    assert not Path(out).exists()
+
+
+def test_curvature_checks_read_the_exact_operator(tmp_path):
+    # H_1: the sampled spread of 200 planes is below the exact spread 1, and the
+    # sampled mean is off the exact mean -1/12; the checks carry the exact values
+    cfg, out = base_config(tmp_path, "curvature",
+                           builtin={"name": "H", "params": {"n": 1}},
+                           options={"planes": 200, "expect_constant": True,
+                                    "expect_value": 0.0})
+    assert main(["curvature", "--config", cfg, "--tol", "curvature_constant=2",
+                 "--tol", "expected_value=0.1"]) == 0
     report = read_report(out)
-    failing = [c["name"] for c in report["checks"] if not c["pass"]]
-    assert "hit[0]:certificate:constant_sectional_curvature" in failing
-    assert report["summary"]["hits"][0]["constant_curvature"] is False
+    checks = {c["name"]: c for c in report["checks"]}
+    assert float(checks["sectional_spread"]["max_residual"]) == 1.0
+    assert float(checks["sectional_value"]["max_residual"]) == 1.0 / 12.0
+    assert float(report["summary"]["sectional_spread"]) < 1.0
+
+
+def test_check_algebra_validates_once(tmp_path, monkeypatch):
+    import liemorph.algebra as algebra_module
+    calls = []
+    jacobi = algebra_module._jacobi_residual
+    monkeypatch.setattr(algebra_module, "_jacobi_residual",
+                        lambda c: calls.append(c.shape) or jacobi(c))
+    cfg, _ = base_config(tmp_path, "check-algebra",
+                         builtin={"name": "N", "params": {"n": 10}})
+    assert main(["check-algebra", "--config", cfg]) == 0
+    assert calls == [(45, 45, 45)]
 
 
 def test_check_algebra_n10_series(tmp_path):

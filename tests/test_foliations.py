@@ -6,7 +6,7 @@ import pytest
 import liemorph as lm
 from liemorph.algebra import LieAlgebra, Subspace, span
 from liemorph.errors import StructureError
-from liemorph.foliations import (DistributionSpec, _polish, _tangent_pair, classify,
+from liemorph.foliations import (DistributionSpec, _polish, _tangent_pairs, classify,
                                  constant_curvature_certificate,
                                  fibonacci_sphere, residuals, scan_3d, second_forms)
 from liemorph.geometry import koszul
@@ -27,7 +27,7 @@ def line(alg, v):
 def cg_residual_with_frame(table, v_frame):
     """Reference: the conformal-plus-geodesic defect through an explicit tangent frame."""
     v = v_frame / np.linalg.norm(v_frame)
-    x, y = _tangent_pair(v)
+    x, y = (u[0] for u in _tangent_pairs(v[None]))
     b_v = table.nabla(v, v)
     b_v = b_v - (b_v @ v) * v
 
@@ -105,12 +105,13 @@ def test_scan_flat_group_hits_share_zero_scaling():
         assert h.constant_curvature and abs(h.curvature_value) < 1e-9
 
 
-def test_scan_hits_use_the_scan_tolerances():
-    alg, _ = lm.build_G3(1.0, 0.5)
-    hit = scan_3d(alg, hit_tol=1e-6, curvature_tol=1e-20).hits[0]
-    # the spread passes the default 1e-7 but not 1e-20
-    assert 0.0 < hit.curvature_spread < 1e-7 and not hit.constant_curvature
+def test_scan_hits_use_the_scan_tolerances(built):
+    alg, _ = built["H1"]
+    # the centre line; the exact spread of H_1's curvature operator is 1
+    hit = scan_3d(alg, hit_tol=1e-6, curvature_tol=0.5).hits[0]
+    assert hit.curvature_spread == 1.0 and not hit.constant_curvature
     assert hit.flags == classify(line(alg, hit.vector), tol=1e-6).flags()
+    assert scan_3d(alg, hit_tol=1e-6, curvature_tol=2.0).hits[0].constant_curvature
 
 
 def test_abelian_splitting_is_flat():
