@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 from . import groups
@@ -22,28 +24,28 @@ BUILTINS = (
         "N",
         "upper-triangular unipotent n x n matrices (nilpotent), trace metric",
         (("n", "int", "n >= 2", None),),
-        lambda n: groups.build_N(int(n)),
+        groups.build_N,
         construction_kind="N",
     ),
     BuiltinSpec(
         "H",
         "Heisenberg group of dimension 2n+1, trace metric",
         (("n", "int", "n >= 1", None),),
-        lambda n: groups.build_H(int(n)),
+        groups.build_H,
         construction_kind="H",
     ),
     BuiltinSpec(
         "K",
         "nilpotent group of dimension n+1 with a single filiform-type generator, trace metric",
         (("n", "int", "n >= 2", None),),
-        lambda n: groups.build_K(int(n)),
+        groups.build_K,
         construction_kind="K",
     ),
     BuiltinSpec(
         "S",
         "upper-triangular n x n matrices with positive diagonal (solvable), trace metric",
         (("n", "int", "n >= 2", None),),
-        lambda n: groups.build_S(int(n)),
+        groups.build_S,
         construction_kind="S",
     ),
     BuiltinSpec(
@@ -52,7 +54,7 @@ BUILTINS = (
         "orthonormal declared basis",
         (("alpha", "float", "(alpha, beta) != (0, 0)", None),
          ("beta", "float", "", 0.0)),
-        lambda alpha, beta=0.0: groups.build_G3(float(alpha), float(beta)),
+        groups.build_G3,
         three_dim=True,
     ),
     BuiltinSpec(
@@ -60,7 +62,7 @@ BUILTINS = (
         "solvable 3-d group, generator acting on the plane with eigenvalues alpha and -1; "
         "orthonormal declared basis",
         (("alpha", "float", "", None),),
-        lambda alpha: groups.build_Galpha(float(alpha)),
+        groups.build_Galpha,
         three_dim=True,
     ),
     BuiltinSpec(
@@ -68,7 +70,7 @@ BUILTINS = (
         "solvable algebra v + z + a with Heisenberg-type nilradical; algebra only",
         (("dim_v", "int", "dim_v >= 1", None),
          ("dim_z", "int", "dim_z >= 1", None)),
-        lambda dim_v, dim_z: groups.build_damek_ricci(int(dim_v), int(dim_z)),
+        groups.build_damek_ricci,
     ),
 )
 
@@ -91,16 +93,37 @@ def list_builtins() -> list[dict]:
     return out
 
 
+def _has_type(value, type_name: str) -> bool:
+    """An ``int`` is an integer and a ``float`` a finite number; a boolean is neither."""
+    if isinstance(value, bool):
+        return False
+    if type_name == "int":
+        return isinstance(value, numbers.Integral)
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 def build(name: str, params: dict):
-    """(algebra, realization or None) for a catalog entry."""
+    """(algebra, realization or None) for a catalog entry; params of the declared types.
+
+    A parameter left out takes its default from the params table.
+    """
     if name not in BY_NAME:
         raise KeyError(f"unknown builtin {name!r}; available: {sorted(BY_NAME)}")
     spec = BY_NAME[name]
-    expected = {p[0] for p in spec.params}
-    unknown = set(params) - expected
+    if not isinstance(params, dict):
+        raise TypeError(f"builtin {name}: params must be an object")
+    unknown = set(params) - {p[0] for p in spec.params}
     if unknown:
         raise ValueError(f"builtin {name}: unknown parameters {sorted(unknown)}")
     missing = [p[0] for p in spec.params if p[3] is None and p[0] not in params]
     if missing:
         raise ValueError(f"builtin {name}: missing parameters {missing}")
-    return spec.build(**params)
+    args = {}
+    for param, type_name, _, default in spec.params:
+        value = params.get(param, default)
+        if not _has_type(value, type_name):
+            raise TypeError(f"builtin {name}: parameter {param} must be "
+                            f"{'an integer' if type_name == 'int' else 'a finite number'}, "
+                            f"got {value!r}")
+        args[param] = value if type_name == "int" else float(value)
+    return spec.build(**args)

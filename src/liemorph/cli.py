@@ -19,11 +19,10 @@ import numpy as np
 
 from . import __version__, catalog
 from .algebra import (LieAlgebra, Subspace, center, derived_series, is_abelian,
-                      is_nilpotent, is_solvable, lower_central_series)
+                      is_solvable, lower_central_series)
 from .checks import DEFAULT_TOLERANCES, Check
-from .constructions import (RootGradedAlgebra, RootSpace,
-                            damek_ricci_root_graded, first_construction,
-                            second_construction_check)
+from .constructions import (RootGradedAlgebra, RootSpace, damek_ricci_grading,
+                            first_construction, second_construction_check)
 from .errors import ConstructionError, StructureError
 from .foliations import constant_curvature_certificate, scan_3d
 from .geometry import (curvature, curvature_symmetry_residuals,
@@ -146,13 +145,38 @@ def load_config(kind: str, path: str, seed_override=None, out_override=None,
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise ConfigError("options: must be an object")
+    _check_options(kind, options)
     out = out_override if out_override is not None else raw.get("out", "liemorph_report.json")
     return JobConfig(kind, algebra_source, count, seed, float(scale),
                      tolerances, options, out)
 
 
+def _check_options(kind: str, options: dict):
+    """Each option a job kind takes, by name: its test and what the test asks for."""
+    flag = (lambda v: isinstance(v, bool), "true or false")
+    known = {
+        "foliation-scan": {"grid": (lambda v: _is_int(v) and v >= 10, "an integer >= 10"),
+                           "expect_hits": flag},
+        "curvature": {"planes": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+                      "expect_constant": flag,
+                      "expect_value": (lambda v: _is_number(v) and math.isfinite(v),
+                                       "a finite number")},
+        "second-construction": {"beta_root": (lambda v: v in ("v", "z"), '"v" or "z"')},
+    }.get(kind, {})
+    for name, value in options.items():
+        if name not in known:
+            raise ConfigError(f"options.{name}: not an option of {kind} "
+                              f"(options: {sorted(known) or 'none'})")
+        test, wanted = known[name]
+        if not test(value):
+            raise ConfigError(f"options.{name}: must be {wanted}")
+    if "expect_value" in options and options.get("expect_constant") is not True:
+        raise ConfigError("options.expect_value: needs expect_constant true")
+
+
 def _load_algebra(config: JobConfig, need_realization: bool = False,
                   validate: bool = True):
+    """(algebra, realization or None, name): a builtin's name, or the inline source's key."""
     src = config.algebra_source
     if "builtin" in src:
         entry = src["builtin"]
@@ -166,22 +190,21 @@ def _load_algebra(config: JobConfig, need_realization: bool = False,
             raise ConfigError(f"builtin {entry['name']}: job kind {config.kind} "
                               "needs a matrix realization")
         return algebra, realization, entry["name"]
-    if "inline" in src:
-        entry = src["inline"]
-        try:
-            c = np.asarray(entry["structure_constants"], dtype=float)
-            gram = np.asarray(entry.get("gram", np.eye(c.shape[0])), dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"inline: {exc}") from exc
-        if need_realization:
-            raise ConfigError(f"inline algebras have no matrix realization; "
-                              f"job kind {config.kind} needs one")
-        try:
-            algebra = LieAlgebra(c, gram, validate=validate)
-        except StructureError as exc:
-            raise ConfigError(f"inline: {exc}") from exc
-        return algebra, None, "inline"
-    raise ConfigError(f"job kind {config.kind} does not accept this algebra source")
+    (key, entry), = src.items()
+    if (key == "inline_root_graded") != (config.kind == "second-construction"):
+        raise ConfigError(f"job kind {config.kind} does not accept the algebra source {key}")
+    if need_realization:
+        raise ConfigError(f"inline algebras have no matrix realization; "
+                          f"job kind {config.kind} needs one")
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{key}: expected an object with 'structure_constants'")
+    try:
+        c = np.asarray(entry["structure_constants"], dtype=float)
+        gram = np.asarray(entry.get("gram", np.eye(c.shape[0])), dtype=float)
+        algebra = LieAlgebra(c, gram, validate=validate)
+    except (KeyError, TypeError, ValueError, IndexError, StructureError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    return algebra, None, key
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +220,13 @@ def _job_check_algebra(config: JobConfig):
     summary = {"builtin": name, "dim": algebra.dim}
     structurally_ok = all(c.passed for c in checks)
     if structurally_ok:
+        derived, lower = derived_series(algebra), lower_central_series(algebra)
         summary.update({
-            "derived_series_dims": [s.dim for s in derived_series(algebra)],
-            "lower_central_series_dims": [s.dim for s in lower_central_series(algebra)],
+            "derived_series_dims": [s.dim for s in derived],
+            "lower_central_series_dims": [s.dim for s in lower],
             "center_dim": center(algebra).dim,
-            "solvable": is_solvable(algebra),
-            "nilpotent": is_nilpotent(algebra),
+            "solvable": derived[-1].dim == 0,
+            "nilpotent": lower[-1].dim == 0,
             "abelian": is_abelian(algebra),
         })
     return checks, summary
@@ -258,47 +282,40 @@ def _family_job(config: JobConfig, per_residual: bool):
 
 
 def _root_graded_from_config(config: JobConfig) -> RootGradedAlgebra:
-    src = config.algebra_source
-    if "builtin" in src:
-        entry = src["builtin"]
-        if entry.get("name") != "damek_ricci":
-            raise ConfigError("second-construction: builtin must be damek_ricci "
-                              "(or use inline_root_graded)")
-        params = entry.get("params", {})
-        try:
-            return damek_ricci_root_graded(
-                int(params["dim_v"]), int(params["dim_z"]),
-                beta_root=config.options.get("beta_root", "v"), validate=False)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"builtin damek_ricci: {exc}") from exc
-    entry = src.get("inline_root_graded")
-    if entry is None:
-        raise ConfigError("second-construction needs builtin damek_ricci or inline_root_graded")
+    algebra, _, name = _load_algebra(config)
+    if name == "damek_ricci":
+        params = config.algebra_source["builtin"]["params"]
+        return damek_ricci_grading(algebra, params["dim_v"], params["dim_z"],
+                                   beta_root=config.options.get("beta_root", "v"), validate=False)
+    if name != "inline_root_graded":
+        raise ConfigError("second-construction: builtin must be damek_ricci "
+                          "(or use inline_root_graded)")
+    entry = config.algebra_source[name]
+    if not _is_int(entry.get("beta")):
+        raise ConfigError("inline_root_graded.beta: must be an integer")
     try:
-        c = np.asarray(entry["structure_constants"], dtype=float)
-        gram = np.asarray(entry.get("gram", np.eye(c.shape[0])), dtype=float)
-        algebra = LieAlgebra(c, gram)
         d = algebra.dim
         eye = np.eye(d)
         a_space = Subspace(d, eye[list(entry["a_indices"])])
         roots = tuple(RootSpace(np.asarray(r["values"], float), Subspace(d, eye[list(r["indices"])]))
                       for r in entry["roots"])
-        return RootGradedAlgebra(algebra, a_space, roots, int(entry["beta"]), validate=False)
+        return RootGradedAlgebra(algebra, a_space, roots, entry["beta"], validate=False)
     except (KeyError, TypeError, ValueError, IndexError, StructureError) as exc:
         raise ConfigError(f"inline_root_graded: {exc}") from exc
 
 
-def _a_samples(graded: RootGradedAlgebra, config: JobConfig) -> list:
-    """config.count points of a in algebra coordinates, coefficients ~ U[-scale, scale].
+def _a_samples(graded: RootGradedAlgebra, config: JobConfig) -> np.ndarray:
+    """config.count points of a in algebra coordinates from one U[-scale, scale] draw.
 
-    A range too wide for a float gives non-finite samples, which fail the
-    dilation check.
+    Sample k uses the stream positions of the k-th of ``count`` single-sample
+    draws.  A range too wide for a float gives non-finite samples, which fail
+    the dilation check.
     """
     if not math.isfinite(2.0 * config.scale):
-        return [np.full(graded.algebra.dim, math.inf)] * config.count
+        return np.full((config.count, graded.algebra.dim), math.inf)
     rng = np.random.default_rng(config.seed)
-    return [rng.uniform(-config.scale, config.scale, graded.a_space.dim)
-            @ graded.a_space.basis for _ in range(config.count)]
+    return rng.uniform(-config.scale, config.scale,
+                       (config.count, graded.a_space.dim)) @ graded.a_space.basis
 
 
 def _job_second_construction(config: JobConfig):
@@ -334,8 +351,6 @@ def _job_foliation_scan(config: JobConfig):
     if algebra.dim != 3:
         raise ConfigError(f"foliation-scan: algebra must be 3-dimensional, got dim {algebra.dim}")
     grid = config.options.get("grid", 200)
-    if not _is_int(grid) or grid < 10:
-        raise ConfigError("options.grid: must be an integer >= 10")
     result = scan_3d(algebra, grid=grid, hit_tol=config.tol("classify"),
                      curvature_tol=config.tol("curvature_constant"))
     checks = []
@@ -391,17 +406,13 @@ def _job_curvature(config: JobConfig):
                for n, resid in curvature_symmetry_residuals(r).items()]
     if realization is not None:
         try:
-            worst = 0.0
-            for a, row in enumerate(table.onb):
-                via_gl = gl_connection_term(realization, row)
-                via_koszul = table.to_algebra_coords(table.gamma[a, a])
-                worst = max(worst, float(np.abs(via_gl - via_koszul).max()))
-            checks.append(Check("gl_vs_koszul", worst, config.tol("connection")))
+            via_gl = gl_connection_term(realization, table.onb)
+            via_koszul = table.to_algebra_coords(np.einsum("aac->ac", table.gamma))
+            checks.append(Check("gl_vs_koszul", float(np.abs(via_gl - via_koszul).max()),
+                                config.tol("connection")))
         except StructureError:
             pass  # gram is not the trace metric; the shortcut does not apply
     planes = config.options.get("planes", 200)
-    if not _is_int(planes) or planes < 2:
-        raise ConfigError("options.planes: must be an integer >= 2")
     lo, hi, mean = sectional_profile(algebra, planes, config.seed, table)
     summary = {"builtin": name, "planes": planes,
                "sectional_min": fmt(lo), "sectional_max": fmt(hi),
@@ -411,8 +422,7 @@ def _job_curvature(config: JobConfig):
         _, value, spread = is_constant_curvature(algebra, tol, table)
         checks.append(Check("sectional_spread", spread, tol))
         if "expect_value" in config.options:
-            target = float(config.options["expect_value"])
-            checks.append(Check("sectional_value", abs(value - target),
+            checks.append(Check("sectional_value", abs(value - config.options["expect_value"]),
                                 config.tol("expected_value")))
     return checks, summary
 

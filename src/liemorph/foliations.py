@@ -7,8 +7,8 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .algebra import (LieAlgebra, Subspace, center, derived_series, is_solvable,
-                      orthocomplement, orthonormalize, span)
+from .algebra import (LieAlgebra, Subspace, _bracket_span, _fix_signs, center, derived_series,
+                      is_solvable, orthocomplement, orthonormalize, span)
 from .checks import DEFAULT_TOLERANCES, Check
 from .errors import StructureError
 from .geometry import ConnectionTable, is_constant_curvature, koszul
@@ -35,10 +35,9 @@ class DistributionSpec:
         if self.vertical.dim + self.horizontal.dim != self.algebra.dim:
             raise StructureError("splitting dimensions do not fill the algebra")
         if foliation and self.vertical.dim > 1:
-            for i, x in enumerate(self.vertical.basis):
-                for y in self.vertical.basis[i + 1:]:
-                    if not self.vertical.contains(self.algebra.bracket(x, y), 1e-10):
-                        raise StructureError("vertical distribution is not involutive")
+            brackets = _bracket_span(self.algebra, self.vertical.basis, self.vertical.basis)
+            if not self.vertical.contains_all(brackets, 1e-10):
+                raise StructureError("vertical distribution is not involutive")
 
 
 def _frame_coords(algebra: LieAlgebra, table: ConnectionTable, rows: np.ndarray) -> np.ndarray:
@@ -64,13 +63,8 @@ def second_forms(dist: DistributionSpec, table: ConnectionTable | None = None):
     p_h = np.eye(alg.dim) - p_v
 
     def sym_nabla(rows, proj):
-        k = rows.shape[0]
-        out = np.zeros((k, k, alg.dim))
-        for i in range(k):
-            for j in range(i, k):
-                s = 0.5 * (table.nabla(rows[i], rows[j]) + table.nabla(rows[j], rows[i]))
-                out[i, j] = out[j, i] = proj @ s
-        return out
+        nabla = np.einsum("ia,jb,abc->ijc", rows, rows, table.gamma)
+        return 0.5 * (nabla + nabla.transpose(1, 0, 2)) @ proj.T
 
     return sym_nabla(v_onb, p_h), sym_nabla(h_onb, p_v)
 
@@ -279,11 +273,7 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
             continue
         if any(min(1.0, abs(float(v @ k))) > merge_cos for k in kept_frames):
             continue
-        v = v / np.linalg.norm(v)
-        # canonical sign: first significant frame component positive
-        nz = np.nonzero(np.abs(v) > 1e-9)[0]
-        if nz.size and v[nz[0]] < 0:
-            v = -v
+        v = _fix_signs(v[None] / np.linalg.norm(v))[0]     # first significant component > 0
         kept_frames.append(v)
         v_alg, _, _, alpha, beta, adj_resid = _rotation_scaling(algebra, table, v)
         flags = classify(DistributionSpec(algebra, span([v_alg], algebra.dim)), table,
@@ -302,9 +292,8 @@ def _rotation_scaling(algebra, table, v_frame):
     """
     x, y = (u[0] for u in _tangent_pairs(v_frame[None]))
     v_alg, x_alg, y_alg = (table.to_algebra_coords(u) for u in (v_frame, x, y))
-    g = algebra.gram
-    s = np.array([[algebra.bracket(v_alg, a) @ g @ b for b in (x_alg, y_alg)]
-                  for a in (x_alg, y_alg)])
+    h = np.stack([x_alg, y_alg])
+    s = h @ algebra.ad(v_alg).T @ algebra.gram @ h.T     # s[i, j] = <[V, X_i], X_j>
     if 0.5 * (s[0, 1] - s[1, 0]) < 0:
         # flip the second horizontal vector so the recovered rotation part is >= 0
         s[0, 1], s[1, 0] = -s[0, 1], -s[1, 0]
@@ -361,9 +350,9 @@ def constant_curvature_certificate(algebra: LieAlgebra, v,
             f"(residuals {result.residuals})")
 
     v_frame = table.to_frame_coords(v)
-    v_frame /= np.linalg.norm(v_frame)
+    v_frame = _fix_signs(v_frame[None] / np.linalg.norm(v_frame))[0]     # a line has no sign
     _, x_alg, y_alg, alpha, beta, _ = _rotation_scaling(algebra, table, v_frame)
-    comm = algebra.bracket(x_alg, y_alg)
+    comm = algebra.ad(x_alg) @ y_alg
     derived = derived_series(algebra)[1]
     horiz = span([x_alg, y_alg], algebra.dim)
     contained = horiz.contains_all(derived, 1e-8) and derived.contains_all(horiz, 1e-8)

@@ -64,17 +64,18 @@ def koszul(algebra: LieAlgebra, onb=None) -> ConnectionTable:
 def gl_connection_term(realization: MatrixRealization, x) -> np.ndarray:
     """nabla_X X for the metric induced by trace(A B^t): project [X, X^t] back.
 
-    Only valid when the algebra's gram equals the trace inner product of the
-    realization matrices; anything else raises.
+    ``x`` is one coordinate vector or an (N, d) stack of them, with one row
+    of the result per row.  Only valid when the algebra's gram equals the
+    trace inner product of the realization matrices; anything else raises.
     """
-    mats = realization.rep
-    gram_rep = np.array([[float(np.sum(a * b)) for b in mats] for a in mats])
+    rep = np.stack(realization.rep)                          # (d, n, n)
+    gram_rep = np.einsum("ajk,bjk->ab", rep, rep)
     if float(np.abs(gram_rep - realization.algebra.gram).max()) > 1e-10:
         raise StructureError("algebra gram is not the trace inner product of the realization")
-    m = realization.matrix_of(x)
-    comm = m @ m.T - m.T @ m
-    b = np.array([float(np.sum(comm * a)) for a in mats])
-    return np.linalg.solve(gram_rep, b)
+    m = np.einsum("...i,ijk->...jk", np.asarray(x, dtype=float), rep)
+    mt = np.swapaxes(m, -1, -2)
+    b = np.einsum("...jk,ajk->...a", m @ mt - mt @ m, rep)
+    return np.linalg.solve(gram_rep, b[..., None])[..., 0]
 
 
 def curvature(table: ConnectionTable) -> np.ndarray:

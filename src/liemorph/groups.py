@@ -276,30 +276,27 @@ def build_damek_ricci(dim_v: int, dim_z: int, j_maps=None) -> tuple[LieAlgebra, 
     j_maps = [np.asarray(j, dtype=float) for j in j_maps]
     if len(j_maps) != dim_z:
         raise StructureError(f"need {dim_z} J maps, got {len(j_maps)}")
-    for m, j in enumerate(j_maps):
-        if j.shape != (dim_v, dim_v):
-            raise StructureError(f"J_{m} must be {dim_v} x {dim_v}")
-        if float(np.abs(j + j.T).max()) > 1e-12:
-            raise StructureError(f"failed Clifford identity: J_{m} is not skew-symmetric")
-    for a in range(dim_z):
-        for b in range(a, dim_z):
-            anti = j_maps[a] @ j_maps[b] + j_maps[b] @ j_maps[a]
-            target = -2.0 * np.eye(dim_v) if a == b else np.zeros((dim_v, dim_v))
-            if float(np.abs(anti - target).max()) > 1e-12:
-                raise StructureError(
-                    f"failed Clifford identity: J_{a} J_{b} + J_{b} J_{a} != "
-                    + ("-2 I" if a == b else "0"))
+    # the first map of the wrong shape, or dim_z; every map before it is stacked
+    shaped = next((m for m, j in enumerate(j_maps) if j.shape != (dim_v, dim_v)), dim_z)
+    j = np.stack(j_maps[:shaped]) if shaped else np.zeros((0, dim_v, dim_v))
+    skew = np.flatnonzero(np.abs(j + j.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12)
+    if skew.size:
+        raise StructureError(f"failed Clifford identity: J_{skew[0]} is not skew-symmetric")
+    if shaped < dim_z:
+        raise StructureError(f"J_{shaped} must be {dim_v} x {dim_v}")
+    prod = j[:, None] @ j[None, :]                           # J_a J_b at [a, b]
+    target = -2.0 * np.eye(dim_z)[:, :, None, None] * np.eye(dim_v)
+    failed = np.argwhere(np.triu(
+        np.abs(prod + prod.transpose(1, 0, 2, 3) - target).max(axis=(2, 3)) > 1e-12))
+    if failed.size:
+        a, b = failed[0]
+        raise StructureError(f"failed Clifford identity: J_{a} J_{b} + J_{b} J_{a} != "
+                             + ("-2 I" if a == b else "0"))
     d = dim_v + dim_z + 1
     ia = d - 1
+    iv, iz = np.arange(dim_v), dim_v + np.arange(dim_z)
     c = np.zeros((d, d, d))
-    for i in range(dim_v):
-        for j in range(dim_v):
-            for m in range(dim_z):
-                c[i, j, dim_v + m] = j_maps[m][j, i]
-    for i in range(dim_v):
-        c[ia, i, i] = 0.5
-        c[i, ia, i] = -0.5
-    for m in range(dim_z):
-        c[ia, dim_v + m, dim_v + m] = 1.0
-        c[dim_v + m, ia, dim_v + m] = -1.0
+    c[:dim_v, :dim_v, iz] = j.transpose(2, 1, 0)            # c[i, j, Z_m] = J_m[j, i]
+    c[ia, iv, iv], c[iv, ia, iv] = 0.5, -0.5
+    c[ia, iz, iz], c[iz, ia, iz] = 1.0, -1.0
     return LieAlgebra(c, np.eye(d)), None

@@ -275,6 +275,60 @@ def test_config_validation_errors(tmp_path):
                             "tolerances": {name: True}})
         assert main(["verify-family", "--config", cfg]) == 2, name
 
+    # one builtin path: declared parameter types, no unknown names, no coercion
+    damek_ricci = {"name": "damek_ricci", "params": {"dim_v": 2, "dim_z": 1}}
+    bad_sources = [
+        ("second-construction", {"builtin": "damek_ricci"}),
+        ("second-construction", {"builtin": {**damek_ricci,
+                                             "params": {"dim_v": 2, "dim_z": 1, "bogus": 3}}}),
+        ("second-construction", {"builtin": {**damek_ricci,
+                                             "params": {"dim_v": 2.7, "dim_z": 1}}}),
+        ("second-construction", {"inline_root_graded": {
+            "structure_constants": [[[0.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+            "a_indices": [1], "roots": [{"values": [1.0], "indices": [0]}], "beta": 0.5}}),
+        ("second-construction", {"inline": {"structure_constants": [[[0.0]]]}}),
+        ("check-algebra", {"builtin": {"name": "N", "params": {"n": 2.5}}}),
+        ("check-algebra", {"builtin": {"name": "N", "params": {"n": "3"}}}),
+        ("check-algebra", {"builtin": {"name": "N", "params": [3]}}),
+        ("check-algebra", {"inline": [[[0.0]]]}),
+        ("curvature", {"builtin": {"name": "G3", "params": {"alpha": True}}}),
+        ("curvature", {"builtin": {"name": "G3", "params": {"alpha": 1.0, "beta": "0"}}}),
+        ("curvature", {"builtin": {"name": "damek_ricci",
+                                   "params": {"dim_v": 2.7, "dim_z": 1}}}),
+    ]
+    # options: known names per kind, booleans for expect_*, a finite expect_value
+    g_alpha = {"builtin": {"name": "G_alpha", "params": {"alpha": 1.0}}}
+    g3 = {"builtin": {"name": "G3", "params": {"alpha": 1.0, "beta": 0.5}}}
+    bad_options = [
+        ("foliation-scan", g_alpha, {"expect_hit": True}),
+        ("foliation-scan", g_alpha, {"expect_hits": "yes"}),
+        ("foliation-scan", g_alpha, {"expect_hits": 1}),
+        ("foliation-scan", g_alpha, {"grid": 5}),
+        ("foliation-scan", g_alpha, {"grid": 200.0}),
+        ("curvature", g3, {"expect_costant": True}),
+        ("curvature", g3, {"expect_value": -1.0}),
+        ("curvature", g3, {"expect_constant": False, "expect_value": -1.0}),
+        ("curvature", g3, {"expect_constant": True, "expect_value": "abc"}),
+        ("curvature", g3, {"expect_constant": True, "expect_value": True}),
+        ("curvature", g3, {"expect_constant": "true"}),
+        ("curvature", g3, {"planes": 1}),
+        ("curvature", g3, {"grid": 200}),
+        ("second-construction", {"builtin": damek_ricci}, {"beta_root": "w"}),
+        ("check-algebra", {"builtin": {"name": "N", "params": {"n": 3}}}, {"expect_hits": True}),
+    ]
+    cases = [(kind, source, {}) for kind, source in bad_sources] + bad_options
+    for kind, source, options in cases:
+        cfg = write_config(tmp_path / "badsource.json",
+                           {"kind": kind, **source, "sampling": {"seed": 1},
+                            "options": options, "out": str(tmp_path / "unwritten.json")})
+        assert main([kind, "--config", cfg]) == 2, (source, options)
+        assert not (tmp_path / "unwritten.json").exists()
+    with open(tmp_path / "nan.json", "w", encoding="utf-8") as fh:   # JSON's NaN extension
+        fh.write('{"kind": "curvature", "builtin": {"name": "G3", "params": {"alpha": 1.0}}, '
+                 '"sampling": {"seed": 1}, '
+                 '"options": {"expect_constant": true, "expect_value": NaN}}')
+    assert main(["curvature", "--config", str(tmp_path / "nan.json")]) == 2
+
 
 def test_foliation_scan_summary_follows_curvature_tol(tmp_path):
     # H_1's centre line is a hit, and the exact spread of its curvature operator is 1
@@ -321,6 +375,48 @@ def test_check_algebra_validates_once(tmp_path, monkeypatch):
                          builtin={"name": "N", "params": {"n": 10}})
     assert main(["check-algebra", "--config", cfg]) == 0
     assert calls == [(45, 45, 45)]
+
+
+@pytest.mark.parametrize("name, n", [("N", 10), ("S", 8)])
+def test_check_algebra_computes_each_series_once(tmp_path, monkeypatch, name, n):
+    import liemorph.algebra as algebra_module
+    import liemorph.cli as cli_module
+    calls = []
+    for fn in ("derived_series", "lower_central_series"):
+        original = getattr(algebra_module, fn)
+
+        def counted(algebra, fn=fn, original=original):
+            calls.append(fn)
+            return original(algebra)
+
+        monkeypatch.setattr(algebra_module, fn, counted)
+        monkeypatch.setattr(cli_module, fn, counted)
+    cfg, out = base_config(tmp_path, "check-algebra", builtin={"name": name, "params": {"n": n}})
+    assert main(["check-algebra", "--config", cfg]) == 0
+    assert sorted(calls) == ["derived_series", "lower_central_series"]
+    summary = read_report(out)["summary"]
+    assert summary["solvable"] is True and summary["nilpotent"] is (name == "N")
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.0])
+@pytest.mark.parametrize("source", ["damek_ricci", "s3"])
+def test_a_samples_are_one_draw_of_the_per_sample_stream(tmp_path, source, scale):
+    from liemorph.cli import _a_samples, _root_graded_from_config
+    if source == "damek_ricci":
+        extra = {"builtin": {"name": "damek_ricci", "params": {"dim_v": 2, "dim_z": 1}}}
+    else:
+        alg, _ = __import__("liemorph").build_S(3)
+        extra = {"inline_root_graded": {
+            "structure_constants": alg.structure_constants.tolist(), "a_indices": [0, 1, 2],
+            "roots": [{"values": [1.0, -1.0, 0.0], "indices": [3]}], "beta": 0}}
+    payload = {"kind": "second-construction",
+               "sampling": {"count": 2000, "seed": 5, "scale": scale}, **extra}
+    config = load_config("second-construction", write_config(tmp_path / "c.json", payload))
+    graded = _root_graded_from_config(config)
+    rng = np.random.default_rng(config.seed)
+    loop = [rng.uniform(-scale, scale, graded.a_space.dim) @ graded.a_space.basis
+            for _ in range(config.count)]
+    assert np.array_equal(_a_samples(graded, config), loop)
 
 
 def test_check_algebra_n10_series(tmp_path):

@@ -234,6 +234,14 @@ def test_certificate_g3(built):
     assert checks["horizontal_vectors_commute"].residual < 1e-12
 
 
+def test_certificate_does_not_see_the_sign_of_v(built):
+    alg, _ = built["G3"]
+    plus = constant_curvature_certificate(alg, [1.0, 0.0, 0.0])
+    minus = constant_curvature_certificate(alg, [-1.0, 0.0, 0.0])
+    assert (minus.alpha, minus.beta) == (plus.alpha, plus.beta) == (1.0, 0.5)
+    assert [c.residual for c in minus.checks] == [c.residual for c in plus.checks]
+
+
 def test_certificate_rejects_centered_algebra(built):
     alg, _ = built["S2"]
     with pytest.raises(StructureError, match="centerless"):

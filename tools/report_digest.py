@@ -1,0 +1,104 @@
+"""Digest every shipped config's report, to compare two checkouts report by report.
+
+    python tools/report_digest.py ROOT --seeds 1 5000 > digest.txt
+    python tools/report_digest.py ROOT --seeds 1 5000 --against digest.txt
+
+Runs each config under ``ROOT/configs/`` and ``ROOT/benchmarks/configs/`` once
+per seed through ``liemorph.cli.main``, imported from ``ROOT/src``, with the
+report written to a temporary directory.  Prints one line per report: the
+config path relative to ROOT, the seed, the exit status, and the SHA-256 of
+the report without ``wall_time_s`` and ``job.out`` (``-`` when no report was
+written).  An exception that escapes ``main`` is recorded as the status
+``raised:<type>``.
+
+With ``--against FILE`` (an earlier output of this script) it also lists the
+reports whose digest differs and exits 1 when some exit status differs, or a
+report is missing on one side; differing bytes alone exit 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+CONFIG_DIRS = ("configs", "benchmarks/configs")
+
+
+def digest(report_path: Path) -> str:
+    if not report_path.exists():
+        return "-"
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    report.pop("wall_time_s", None)
+    report.get("job", {}).pop("out", None)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run_all(root: Path, seeds) -> list[tuple[str, int, str, str]]:
+    sys.path.insert(0, str(root / "src"))
+    from liemorph.cli import main
+
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for config in sorted(p for d in CONFIG_DIRS for p in (root / d).glob("*.json")):
+            kind = json.loads(config.read_text(encoding="utf-8"))["kind"]
+            for seed in seeds:
+                out = Path(tmp) / "report.json"
+                out.unlink(missing_ok=True)
+                argv = [kind, "--config", str(config), "--seed", str(seed), "--out", str(out)]
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        status = str(main(argv))
+                except Exception as exc:     # a traceback is a status of its own
+                    status = f"raised:{type(exc).__name__}"
+                    traceback.print_exc()
+                rows.append((config.relative_to(root).as_posix(), seed, status, digest(out)))
+    return rows
+
+
+def compare(rows, against: Path) -> int:
+    """Print the differences from an earlier digest; 1 if an exit status differs."""
+    old = {}
+    for line in against.read_text(encoding="utf-8").splitlines():
+        path, seed, status, sha = line.split()
+        old[(path, int(seed))] = (status, sha)
+    new = {(path, seed): (status, sha) for path, seed, status, sha in rows}
+    failed = False
+    for key in sorted(set(old) | set(new)):
+        label = f"{key[0]} seed {key[1]}"
+        if key not in old or key not in new:
+            print(f"only in {'the new run' if key in new else 'FILE'}: {label}")
+            failed = True
+        elif old[key][0] != new[key][0]:
+            print(f"exit status differs: {label}: {old[key][0]} -> {new[key][0]}")
+            failed = True
+        elif old[key][1] != new[key][1]:
+            print(f"report bytes differ: {label}")
+    return 1 if failed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", type=Path, help="checkout whose src/ and configs are used")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    parser.add_argument("--against", type=Path, default=None,
+                        help="earlier digest to compare with")
+    args = parser.parse_args(argv)
+    rows = run_all(args.root.resolve(), args.seeds)
+    if args.against is None:
+        for path, seed, status, sha in rows:
+            print(f"{path} {seed} {status} {sha}")
+        return 0
+    return compare(rows, args.against)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
