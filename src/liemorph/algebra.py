@@ -7,6 +7,7 @@ are zero-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -32,11 +33,68 @@ def _scale(c: np.ndarray) -> float:
     return max(1.0, float(np.abs(c).max()) if c.size else 0.0)
 
 
-def _jacobi_residual(c: np.ndarray) -> float:
-    """Max |coefficient| of [X_i,[X_j,X_k]] + [X_j,[X_k,X_i]] + [X_k,[X_i,X_j]].
+def _coo_max_abs(terms, budget: float = math.inf) -> float | None:
+    """max |sum of the terms| over every output index, by a join of nonzero entries.
 
-    One first index i at a time, so the check needs d^3 memory, not d^4;
-    each of the three terms of a slab J[j, k, l] is one BLAS product.
+    Each term is ``(spec, x, y, outputs)``.  ``spec`` names the axes of x and
+    y as einsum does ("ijm,kml"), and the one letter they share is summed
+    over.  Each product of a nonzero x entry with a nonzero y entry is added
+    at every index string of ``outputs`` (a leading "-" subtracts it), so one
+    join can feed several permutations of its indices.  Sums are keyed by
+    the output entries the products reach (``np.unique`` + ``bincount``);
+    every other entry is 0.  The products are counted from the nonzero
+    patterns first, and when the count times the outputs exceeds ``budget``
+    the join is not formed: the result is None.
+
+    A dense product turns an inf or NaN entry into NaN through inf * 0; the
+    join forms no such product, so any non-finite entry makes the result
+    NaN outright.
+    """
+    pending, size = [], 0
+    for spec, x, y, outputs in terms:
+        xs, ys = spec.split(",")
+        (m,) = set(xs) & set(ys)
+        y = np.moveaxis(y, ys.index(m), 0)          # y's nonzeros come sorted by m
+        ys = m + ys.replace(m, "")
+        xi = np.unravel_index(np.flatnonzero(x != 0), x.shape)    # != 0: NaN counts
+        yi = np.unravel_index(np.flatnonzero(y != 0), y.shape)
+        if not (np.isfinite(x[xi]).all() and np.isfinite(y[yi]).all()):
+            return math.nan
+        ycount = np.bincount(yi[0], minlength=y.shape[0])
+        reps = ycount[xi[xs.index(m)]]              # y partners of each x entry
+        size += int(reps.sum()) * len(outputs)
+        pending.append((xs, ys, m, x, y, xi, yi, ycount, reps, outputs))
+    if size > budget:
+        return None
+    if not size:
+        return 0.0
+    keys, vals = [], []
+    for xs, ys, m, x, y, xi, yi, ycount, reps, outputs in pending:
+        # pair k of x entry a is the k-th y entry with the same m
+        first = np.cumsum(reps) - reps              # first pair of each x entry
+        ystart = np.cumsum(ycount) - ycount         # first y entry of each m
+        xa = np.repeat(np.arange(len(reps)), reps)
+        ya = np.arange(len(xa)) + (ystart[xi[xs.index(m)]] - first)[xa]
+        axes = {**{a: (xi[p][xa], x.shape[p]) for p, a in enumerate(xs) if a != m},
+                **{a: (yi[p][ya], y.shape[p]) for p, a in enumerate(ys) if a != m}}
+        prod = x[xi][xa] * y[yi][ya]
+        for out in outputs:
+            letters = out.lstrip("-")
+            keys.append(np.ravel_multi_index(tuple(axes[a][0] for a in letters),
+                                             tuple(axes[a][1] for a in letters)))
+            vals.append(-prod if out.startswith("-") else prod)
+    # return_index selects numpy's stable sort, whose first use in a fresh
+    # process maps less new code than the default sort's (ru_maxrss: 0.25
+    # against about 0.4 MB)
+    _, _, where = np.unique(np.concatenate(keys), return_index=True, return_inverse=True)
+    return float(np.abs(np.bincount(where, weights=np.concatenate(vals))).max())
+
+
+def _jacobi_dense(c: np.ndarray) -> float:
+    """``_jacobi_residual`` by dense products, one first index i at a time.
+
+    The check needs d^3 memory, not d^4; each of the three terms of a slab
+    J[j, k, l] is one BLAS product.
     """
     d = c.shape[0]
     rows = c.reshape(d * d, d)                          # [(j,k), m] = c[j,k,m]
@@ -47,6 +105,27 @@ def _jacobi_residual(c: np.ndarray) -> float:
                      + (c[i] @ cols).reshape(d, d, d)   # sum_m c[i,j,m] c[k,m,l]
                      ).max())
         for i in range(d))
+
+
+def _jacobi_sparse(c: np.ndarray, budget: float = math.inf) -> float | None:
+    """``_jacobi_residual`` by one join of c with itself; None over ``budget``.
+
+    T[i,j,k,l] = sum_m c[i,j,m] c[k,m,l] is placed at the three cyclic
+    permutations of (i, j, k), in the order the dense path adds them.
+    """
+    return _coo_max_abs([("ijm,kml", c, c, ("kijl", "jkil", "ijkl"))], budget)
+
+
+def _jacobi_residual(c: np.ndarray) -> float:
+    """Max |coefficient| of [X_i,[X_j,X_k]] + [X_j,[X_k,X_i]] + [X_k,[X_i,X_j]].
+
+    Sparse constants, such as those of every builtin above dimension 3, go
+    through the join of nonzero entries, whose sums are exact on integer
+    constants.  When the join would form more than d^3 products, the size
+    of one dense slab, the dense path runs instead.
+    """
+    sparse = _jacobi_sparse(c, budget=c.shape[0] ** 3)
+    return _jacobi_dense(c) if sparse is None else sparse
 
 
 @dataclass(frozen=True)

@@ -290,6 +290,10 @@ def _root_graded_from_config(config: JobConfig) -> RootGradedAlgebra:
     if name != "inline_root_graded":
         raise ConfigError("second-construction: builtin must be damek_ricci "
                           "(or use inline_root_graded)")
+    if "beta_root" in config.options:
+        raise ConfigError("options.beta_root: applies to the damek_ricci builtin only; "
+                          "an inline_root_graded source names its distinguished root "
+                          "by inline_root_graded.beta")
     entry = config.algebra_source[name]
     if not _is_int(entry.get("beta")):
         raise ConfigError("inline_root_graded.beta: must be an integer")

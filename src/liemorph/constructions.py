@@ -241,6 +241,11 @@ class RootGradedAlgebra:
     def __post_init__(self, validate):
         if not 0 <= self.beta_index < len(self.roots):
             raise StructureError("beta_index out of range")
+        for k, root in enumerate(self.roots):
+            if root.values.shape != (self.a_space.dim,):
+                raise StructureError(f"root {k}: values must have one entry per a-basis "
+                                     f"vector ({self.a_space.dim}), got shape "
+                                     f"{root.values.shape}")
         if validate:
             failed = [c.name for c in self.validation_report() if not c.passed]
             if failed:

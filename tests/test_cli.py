@@ -179,6 +179,31 @@ def test_second_construction_inline_iwasawa(tmp_path):
     assert read_report(out)["overall_pass"]
 
 
+def iwasawa_rank_one(tmp_path, **changes):
+    """The shipped rank-one Iwasawa config with ``changes`` merged into its top level."""
+    shipped = Path(__file__).resolve().parents[1] / "configs/second_construction_iwasawa_rank_one.json"
+    payload = json.loads(shipped.read_text(encoding="utf-8"))
+    payload.update(changes, out=str(tmp_path / "unwritten.json"))
+    return write_config(tmp_path / "iwasawa.json", payload)
+
+
+def test_root_values_shorter_than_a_is_a_config_error(tmp_path, capsys):
+    cfg = iwasawa_rank_one(tmp_path)
+    graded = json.loads(Path(cfg).read_text(encoding="utf-8"))["inline_root_graded"]
+    graded["roots"] = [{"values": [], "indices": [0]}]
+    cfg = iwasawa_rank_one(tmp_path, inline_root_graded=graded)
+    assert main(["second-construction", "--config", cfg]) == 2
+    assert "root 0: values must have one entry per a-basis vector" in capsys.readouterr().err
+    assert not (tmp_path / "unwritten.json").exists()
+
+
+def test_beta_root_on_an_inline_source_is_a_config_error(tmp_path, capsys):
+    cfg = iwasawa_rank_one(tmp_path, options={"beta_root": "z"})
+    assert main(["second-construction", "--config", cfg]) == 2
+    assert "inline_root_graded.beta" in capsys.readouterr().err
+    assert not (tmp_path / "unwritten.json").exists()
+
+
 def test_foliation_scan_expectations(tmp_path):
     cfg, out = base_config(tmp_path, "foliation-scan",
                            builtin={"name": "G_alpha", "params": {"alpha": 1.0}},

@@ -12,7 +12,8 @@ written).  An exception that escapes ``main`` is recorded as the status
 ``raised:<type>``.
 
 With ``--against FILE`` (an earlier output of this script) it also lists the
-reports whose digest differs and exits 1 when some exit status differs, or a
+reports whose digest differs, ends with the line ``differing: K of N reports,
+exit-status changes: M``, and exits 1 when some exit status differs, or a
 report is missing on one side; differing bytes alone exit 0.
 """
 
@@ -64,15 +65,27 @@ def run_all(root: Path, seeds) -> list[tuple[str, int, str, str]]:
     return rows
 
 
+def read_digest(path: Path) -> list[tuple[str, int, str, str]]:
+    """The rows of an earlier output of this script."""
+    rows = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        config, seed, status, sha = line.split()
+        rows.append((config, int(seed), status, sha))
+    return rows
+
+
 def compare(rows, against: Path) -> int:
-    """Print the differences from an earlier digest; 1 if an exit status differs."""
-    old = {}
-    for line in against.read_text(encoding="utf-8").splitlines():
-        path, seed, status, sha = line.split()
-        old[(path, int(seed))] = (status, sha)
+    """Print the differences from an earlier digest; 1 if an exit status differs.
+
+    The last line is the total: ``differing: K of N reports, exit-status
+    changes: M``, so a run with no differences still prints one line.
+    """
+    old = {(path, seed): (status, sha) for path, seed, status, sha in read_digest(against)}
     new = {(path, seed): (status, sha) for path, seed, status, sha in rows}
+    keys = sorted(set(old) | set(new))
+    differing = status_changes = 0
     failed = False
-    for key in sorted(set(old) | set(new)):
+    for key in keys:
         label = f"{key[0]} seed {key[1]}"
         if key not in old or key not in new:
             print(f"only in {'the new run' if key in new else 'FILE'}: {label}")
@@ -80,8 +93,13 @@ def compare(rows, against: Path) -> int:
         elif old[key][0] != new[key][0]:
             print(f"exit status differs: {label}: {old[key][0]} -> {new[key][0]}")
             failed = True
+            status_changes += 1
         elif old[key][1] != new[key][1]:
             print(f"report bytes differ: {label}")
+        else:
+            continue
+        differing += 1
+    print(f"differing: {differing} of {len(keys)} reports, exit-status changes: {status_changes}")
     return 1 if failed else 0
 
 
