@@ -20,6 +20,8 @@ from .errors import StructureError
 # these thresholds are shared by every helper below.
 RANK_TOL = 1e-10
 SUBSPACE_TOL = 1e-10
+# below this many dense multiply-adds, _representation_residual skips the join
+_JOIN_MIN_WORK = 2 ** 19
 
 
 def _readonly(a, dtype=float):
@@ -43,8 +45,8 @@ def _coo_max_abs(terms, budget: float = math.inf) -> float | None:
     join can feed several permutations of its indices.  Sums are keyed by
     the output entries the products reach (``np.unique`` + ``bincount``);
     every other entry is 0.  The products are counted from the nonzero
-    patterns first, and when the count times the outputs exceeds ``budget``
-    the join is not formed: the result is None.
+    patterns first, term by term, and once the count times the outputs
+    exceeds ``budget`` the join is not formed: the result is None.
 
     A dense product turns an inf or NaN entry into NaN through inf * 0; the
     join forms no such product, so any non-finite entry makes the result
@@ -63,9 +65,9 @@ def _coo_max_abs(terms, budget: float = math.inf) -> float | None:
         ycount = np.bincount(yi[0], minlength=y.shape[0])
         reps = ycount[xi[xs.index(m)]]              # y partners of each x entry
         size += int(reps.sum()) * len(outputs)
+        if size > budget:
+            return None
         pending.append((xs, ys, m, x, y, xi, yi, ycount, reps, outputs))
-    if size > budget:
-        return None
     if not size:
         return 0.0
     keys, vals = [], []
@@ -90,42 +92,42 @@ def _coo_max_abs(terms, budget: float = math.inf) -> float | None:
     return float(np.abs(np.bincount(where, weights=np.concatenate(vals))).max())
 
 
-def _jacobi_dense(c: np.ndarray) -> float:
-    """``_jacobi_residual`` by dense products, one first index i at a time.
+def _representation_residual(c: np.ndarray, rep: np.ndarray) -> float:
+    """max |[M_i, M_j] - sum_k c[i,j,k] M_k| over the (d, n, n) stack ``rep``.
 
-    The check needs d^3 memory, not d^4; each of the three terms of a slab
-    J[j, k, l] is one BLAS product.
+    One rule picks the path.  The join of nonzero entries (M_i M_j added at
+    (i, j) and subtracted at (j, i), then c[i,j,k] M_k subtracted; exact on
+    integer data) runs when the dense products would do at least
+    ``_JOIN_MIN_WORK`` multiply-adds, d^2 n^2 (d + n), below which they take
+    less than the join's fixed cost of about 0.1 ms, and when it forms no
+    more entries than one d n^2 slab.  Otherwise dense products run over
+    blocks of first indices i, each block at most max(2^16, d n^2) entries.
+
+    A non-finite entry makes the residual NaN on both paths: the dense
+    products turn it into NaN through inf * 0, the join returns NaN outright.
     """
-    d = c.shape[0]
-    rows = c.reshape(d * d, d)                          # [(j,k), m] = c[j,k,m]
-    cols = c.transpose(1, 0, 2).reshape(d, d * d)       # [m, (k,l)] = c[k,m,l]
-    return max_residual(
-        float(np.abs((rows @ c[i]).reshape(d, d, d)     # sum_m c[j,k,m] c[i,m,l]
-                     + c[:, i] @ c                      # sum_m c[k,i,m] c[j,m,l]
-                     + (c[i] @ cols).reshape(d, d, d)   # sum_m c[i,j,m] c[k,m,l]
-                     ).max())
-        for i in range(d))
-
-
-def _jacobi_sparse(c: np.ndarray, budget: float = math.inf) -> float | None:
-    """``_jacobi_residual`` by one join of c with itself; None over ``budget``.
-
-    T[i,j,k,l] = sum_m c[i,j,m] c[k,m,l] is placed at the three cyclic
-    permutations of (i, j, k), in the order the dense path adds them.
-    """
-    return _coo_max_abs([("ijm,kml", c, c, ("kijl", "jkil", "ijkl"))], budget)
+    d, n = rep.shape[:2]
+    slab = d * n * n
+    if d * slab * (d + n) >= _JOIN_MIN_WORK:
+        resid = _coo_max_abs([("iab,jbc", rep, rep, ("ijac", "-jiac")),
+                              ("ijk,kac", c, rep, ("-ijac",))], slab)
+        if resid is not None:
+            return resid
+    step = max(2 ** 16, slab) // max(1, slab)
+    with np.errstate(invalid="ignore", over="ignore"):      # inf * 0 and overflow fail as NaN, inf
+        return max_residual(
+            float(np.abs(rep[i:i + step, None] @ rep - rep @ rep[i:i + step, None]
+                         - np.tensordot(c[i:i + step], rep, axes=(2, 0))).max())
+            for i in range(0, d, step))
 
 
 def _jacobi_residual(c: np.ndarray) -> float:
     """Max |coefficient| of [X_i,[X_j,X_k]] + [X_j,[X_k,X_i]] + [X_k,[X_i,X_j]].
 
-    Sparse constants, such as those of every builtin above dimension 3, go
-    through the join of nonzero entries, whose sums are exact on integer
-    constants.  When the join would form more than d^3 products, the size
-    of one dense slab, the dense path runs instead.
+    For antisymmetric c this is the representation residual of the adjoint
+    stack ad X_i = c[i].T: Jacobi holds iff ad[X_i, X_j] = [ad X_i, ad X_j].
     """
-    sparse = _jacobi_sparse(c, budget=c.shape[0] ** 3)
-    return _jacobi_dense(c) if sparse is None else sparse
+    return _representation_residual(c, c.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)

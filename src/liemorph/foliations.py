@@ -8,7 +8,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .algebra import (LieAlgebra, Subspace, _bracket_span, _fix_signs, center, derived_series,
-                      is_solvable, orthocomplement, orthonormalize, span)
+                      orthocomplement, orthonormalize, span)
 from .checks import DEFAULT_TOLERANCES, Check
 from .errors import StructureError
 from .geometry import ConnectionTable, is_constant_curvature, koszul
@@ -334,9 +334,10 @@ def constant_curvature_certificate(algebra: LieAlgebra, v,
     if algebra.dim != 3:
         failures.append("not 3-dimensional")
     else:
+        series = derived_series(algebra)
         if center(algebra).dim != 0:
             failures.append("not centerless")
-        if not is_solvable(algebra):
+        if series[-1].dim != 0:
             failures.append("not solvable")
     if failures:
         raise StructureError("hypotheses failed: " + ", ".join(failures))
@@ -353,7 +354,7 @@ def constant_curvature_certificate(algebra: LieAlgebra, v,
     v_frame = _fix_signs(v_frame[None] / np.linalg.norm(v_frame))[0]     # a line has no sign
     _, x_alg, y_alg, alpha, beta, _ = _rotation_scaling(algebra, table, v_frame)
     comm = algebra.ad(x_alg) @ y_alg
-    derived = derived_series(algebra)[1]
+    derived = series[1]
     horiz = span([x_alg, y_alg], algebra.dim)
     contained = horiz.contains_all(derived, 1e-8) and derived.contains_all(horiz, 1e-8)
     _, value, spread = is_constant_curvature(algebra, curvature_tol, table)

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import LieAlgebra, _coo_max_abs
+from .algebra import LieAlgebra, _representation_residual
 from .errors import StructureError
 
 HOMOMORPHISM_TOL = 1e-10
@@ -88,13 +88,15 @@ class MatrixRealization:
             m.flags.writeable = False
         object.__setattr__(self, "rep", mats)
         if validate:
+            # the residual first: it is NaN on a non-finite entry, which the rank test
+            # would misreport as dependence (inf) or fail to decompose (NaN)
+            resid = self.homomorphism_residual()
+            if not resid <= HOMOMORPHISM_TOL:     # a NaN residual fails too
+                raise StructureError(f"realization is not a homomorphism (residual {resid:.3e})")
             flat = np.stack([m.reshape(-1) for m in mats])
             scale = max(1.0, float(np.abs(flat).max()))
             if np.linalg.matrix_rank(flat, tol=1e-10 * scale) < len(mats):
                 raise StructureError("realization matrices are linearly dependent")
-            resid = self.homomorphism_residual()
-            if not resid <= HOMOMORPHISM_TOL:     # a NaN residual fails too
-                raise StructureError(f"realization is not a homomorphism (residual {resid:.3e})")
 
     @property
     def ambient(self) -> int:
@@ -112,37 +114,7 @@ class MatrixRealization:
 
     @cached_property
     def _homomorphism_residual(self) -> float:
-        """The join of nonzero entries for large sparse realizations, dense products otherwise.
-
-        The join costs about 0.1 ms at any size, which the dense products
-        only take once they do about 2^19 multiply-adds (d^2 n^2 (d + n));
-        and it may form no more entries than the dense (d, d, n, n) array.
-        """
-        c, rep = self.algebra.structure_constants, np.stack(self.rep)
-        d, n = rep.shape[:2]
-        sparse = None
-        if d * d * n * n * (d + n) >= 2 ** 19:
-            sparse = _homomorphism_sparse(c, rep, budget=d * d * n * n)
-        return _homomorphism_dense(c, rep) if sparse is None else sparse
-
-
-def _homomorphism_dense(c: np.ndarray, rep: np.ndarray) -> float:
-    """The homomorphism residual of the (d, n, n) stack ``rep`` by dense products."""
-    prod = rep[:, None] @ rep[None, :]                          # (d, d, n, n): M_i M_j
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    expected = np.tensordot(c, rep, axes=(2, 0))
-    return float(np.abs(comm - expected).max())
-
-
-def _homomorphism_sparse(c: np.ndarray, rep: np.ndarray,
-                         budget: float = math.inf) -> float | None:
-    """The homomorphism residual by joins of nonzero entries; None over ``budget``.
-
-    M_i M_j is added at (i, j) and subtracted at (j, i), then c[i,j,k] M_k is
-    subtracted, in the order the dense path combines them.
-    """
-    return _coo_max_abs([("iab,jbc", rep, rep, ("ijac", "-jiac")),
-                         ("ijk,kac", c, rep, ("-ijac",))], budget)
+        return _representation_residual(self.algebra.structure_constants, np.stack(self.rep))
 
 
 def sample_points(realization: MatrixRealization, count: int, seed: int,

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +241,29 @@ def test_certificate_does_not_see_the_sign_of_v(built):
     minus = constant_curvature_certificate(alg, [-1.0, 0.0, 0.0])
     assert (minus.alpha, minus.beta) == (plus.alpha, plus.beta) == (1.0, 0.5)
     assert [c.residual for c in minus.checks] == [c.residual for c in plus.checks]
+
+
+def test_certificate_reads_solvability_off_its_one_derived_series(tmp_path, monkeypatch):
+    import liemorph.algebra as algebra_module
+    import liemorph.cli as cli_module
+    import liemorph.foliations as foliations_module
+    calls = []
+
+    def counted(module, name):      # a name the module does not hold is added, and never called
+        original = getattr(module, name, None)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs:
+                            calls.append(name) or original(*args, **kwargs), raising=False)
+
+    counted(foliations_module, "derived_series")
+    for module in (algebra_module, foliations_module):
+        counted(module, "is_solvable")
+    counted(cli_module, "constant_curvature_certificate")
+    config = Path(__file__).resolve().parents[1] / "configs/foliation_scan_G3.json"
+    assert cli_module.main(["foliation-scan", "--config", str(config),
+                            "--out", str(tmp_path / "report.json")]) == 0
+    certificates = calls.count("constant_curvature_certificate")
+    assert certificates >= 1
+    assert calls == ["constant_curvature_certificate", "derived_series"] * certificates
 
 
 def test_certificate_rejects_centered_algebra(built):

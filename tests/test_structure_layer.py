@@ -85,6 +85,17 @@ def test_nan_homomorphism_residual_fails_validation(built):
         MatrixRealization(nan_alg, real.rep)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_matrix_entry_is_not_a_homomorphism(built, bad):
+    # the residual must run before the rank test, which would call an inf entry a
+    # linear dependence and fail to decompose a NaN one (LinAlgError)
+    alg, real = built["N3"]
+    rep = [np.array(m) for m in real.rep]
+    rep[0][0, 1] = bad
+    with pytest.raises(StructureError, match=r"not a homomorphism \(residual nan\)"):
+        MatrixRealization(alg, tuple(rep))
+
+
 def test_non_closed_basis_is_rejected():
     e12, e23 = np.zeros((3, 3)), np.zeros((3, 3))
     e12[0, 1] = e23[1, 2] = 1.0
