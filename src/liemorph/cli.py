@@ -9,6 +9,7 @@ field is the single non-deterministic entry.  Exit status: 0 all checks pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__, catalog
 from .algebra import (LieAlgebra, Subspace, center, derived_series, is_abelian,
                       is_solvable, lower_central_series)
-from .checks import DEFAULT_TOLERANCES, Check
+from .checks import DEFAULT_TOLERANCES, Check, max_residual
 from .constructions import (RootGradedAlgebra, RootSpace, damek_ricci_grading,
                             first_construction, second_construction_check)
 from .errors import ConstructionError, StructureError
@@ -385,7 +386,8 @@ def _job_foliation_scan(config: JobConfig):
                             0.0 if result.hits else 1.0, 0.0))
     elif expect is False:
         floor = config.tol("nonexistence_floor")
-        shortfall = max(0.0, floor - result.min_residual) if result.hits == [] else floor
+        # max_residual keeps a NaN min_residual NaN, so the check fails
+        shortfall = max_residual([floor - result.min_residual]) if result.hits == [] else floor
         checks.append(Check("min_residual_exceeds_floor", shortfall, 0.0))
     summary = {
         "builtin": name,
@@ -483,6 +485,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use and kept for the process.
+
+    ``parse_args`` starts every call from the defaults, so nothing one call
+    parses reaches the next.
+    """
+    return build_parser()
+
+
 def _parse_tol_overrides(pairs) -> dict:
     out = {}
     for pair in pairs:
@@ -497,7 +509,7 @@ def _parse_tol_overrides(pairs) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.list_builtins:
         for row in catalog.list_builtins():

@@ -124,16 +124,60 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(k * golden), r * np.sin(k * golden), z], axis=1)
 
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """v over its norm along the last axis: the bits of ``np.linalg.norm``, without its wrapper."""
+    return v / np.sqrt((v * v).sum(axis=-1))[..., None]
+
+
+_EYE3 = np.eye(3)
+# (v x x)_i = v_{i+1} x_{i+2} - v_{i+2} x_{i+1}, indices mod 3
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
+
+
 def _tangent_pairs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal completion of each row of an (N, 3) stack of unit vectors.
 
     The completion starts from the coordinate axis of the first smallest
-    component, projected off v.
+    component, projected off v; the second vector is v x x.
     """
-    pick = np.argmin(np.abs(v), axis=1)
-    x = np.eye(3)[pick] - np.take_along_axis(v, pick[:, None], axis=1) * v
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return x, np.cross(v, x)
+    pick = np.abs(v).argmin(axis=1)
+    x = _unit_rows(_EYE3[pick] - v[np.arange(len(v)), pick][:, None] * v)
+    return x, v[:, _NEXT] * x[:, _AFTER] - v[:, _AFTER] * x[:, _NEXT]
+
+
+def _residual_kernel(gamma: np.ndarray):
+    """The defect of ``residuals`` for one connection table, as a function of an (N, 3) stack.
+
+    Coefficients are precomputed once: with S_v = sym(Gamma . v), one
+    (N, 9) @ (9, 6) product of v (x) v gives g = Gamma(v, v) and S_v v, and
+    one (N, 3) @ (3, 10) product gives S_v and, in its last column, tr S_v.
+    For unit v, q = g . v = v^T S_v v, P S_v P = S_v - v (S_v v)^T - (S_v v) v^T
+    + q v v^T and tr(P S_v P) = tr S_v - q.  The geodesic vector and the
+    trace-free matrix stay explicit: |P S_v P|^2 - tr^2 / 2 would cancel
+    near a hit.
+    """
+    sym = 0.5 * (gamma + gamma.transpose(1, 0, 2))          # S_v[a, b] = sym[a, b, c] v_c
+    quad = np.concatenate([gamma.reshape(9, 3), sym.transpose(1, 2, 0).reshape(9, 3)], axis=1)
+    lin = np.concatenate([sym.transpose(2, 0, 1).reshape(3, 9),
+                          np.einsum("aac->c", sym)[:, None]], axis=1)
+    eye = _EYE3.reshape(9)
+
+    def kernel(v: np.ndarray) -> np.ndarray:
+        v = _unit_rows(v)
+        vv = (v[:, :, None] * v[:, None, :]).reshape(-1, 9)
+        gs = vv @ quad
+        g, sv = gs[:, :3], gs[:, 3:]
+        q = np.einsum("nc,nc->n", g, v)
+        geodesic = g - q[:, None] * v
+        s = v @ lin
+        half_t = 0.5 * (s[:, 9] - q)
+        w = v[:, :, None] * sv[:, None, :]
+        free = (s[:, :9] - (w + w.transpose(0, 2, 1)).reshape(-1, 9)
+                + (q + half_t)[:, None] * vv - half_t[:, None] * eye)
+        return np.sqrt(np.einsum("nc,nc->n", geodesic, geodesic)
+                       + np.einsum("nc,nc->n", free, free))
+
+    return kernel
 
 
 def residuals(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -148,23 +192,16 @@ def residuals(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     the fibres' geodesic curvature and the trace-free part of B_H, which
     vanish together exactly for a conformal foliation by geodesics.  No
-    tangent frame is built.
+    tangent frame is built; see ``_residual_kernel``.
     """
-    v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    geodesic = np.einsum("na,nb,abc->nc", v, v, gamma)
-    geodesic -= np.einsum("nc,nc->n", geodesic, v)[:, None] * v
-    m = np.einsum("abc,nc->nab", gamma, v)
-    p = np.eye(3) - v[:, :, None] * v[:, None, :]
-    psp = p @ (0.5 * (m + m.transpose(0, 2, 1))) @ p
-    free = psp - 0.5 * np.trace(psp, axis1=1, axis2=2)[:, None, None] * p
-    return np.sqrt(np.einsum("nc,nc->n", geodesic, geodesic)
-                   + np.einsum("nab,nab->n", free, free))
+    return _residual_kernel(gamma)(v)
 
 
 _DIAG = 1.0 / math.sqrt(2.0)
 # pattern-search offsets (a, b) along the tangent pair (x, y), in trial order
 _OFFSETS = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
                      (_DIAG, _DIAG), (_DIAG, -_DIAG), (-_DIAG, _DIAG), (-_DIAG, -_DIAG)])
+_OFFSET_X, _OFFSET_Y = _OFFSETS.T[:, :, None]
 
 
 def _polish(gamma: np.ndarray, starts: np.ndarray, rounds: int = 3):
@@ -177,32 +214,38 @@ def _polish(gamma: np.ndarray, starts: np.ndarray, rounds: int = 3):
     alone.  Returns the polished directions, their residuals and the number
     of residual evaluations.
     """
-    v = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    best = residuals(gamma, v)
-    evaluations = len(v)
+    score = _residual_kernel(gamma)
+    polished = _unit_rows(starts)
+    polished_best = score(polished)
+    evaluations = len(polished)
+    # the active starts, compacted: their rows of ``polished`` and their state
+    rows = np.arange(len(polished))
+    v, best = polished.copy(), polished_best.copy()
     step = np.full(len(v), 0.25)
     rounds_left = np.full(len(v), rounds)
-    active = np.ones(len(v), dtype=bool)
-    while active.any():
-        idx = np.flatnonzero(active)
-        x, y = _tangent_pairs(v[idx])
-        cand = v[idx, None] + step[idx, None, None] * (
-            _OFFSETS[:, 0, None] * x[:, None] + _OFFSETS[:, 1, None] * y[:, None])
-        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-        r = residuals(gamma, cand.reshape(-1, 3)).reshape(len(idx), len(_OFFSETS))
+    while len(rows):
+        x, y = _tangent_pairs(v)
+        cand = _unit_rows(v[:, None] + step[:, None, None]
+                          * (_OFFSET_X * x[:, None] + _OFFSET_Y * y[:, None]))
+        r = score(cand.reshape(-1, 3)).reshape(len(v), len(_OFFSETS))
         evaluations += r.size
-        improving = r < best[idx, None]
+        improving = r < best[:, None]
         moved = improving.any(axis=1)
         first = improving.argmax(axis=1)[moved]
-        v[idx[moved]] = cand[moved, first]
-        best[idx[moved]] = r[moved, first]
-        step[idx[~moved]] *= 0.5
-        ended = idx[~(step[idx] > 1e-13)]
-        rounds_left[ended] -= 1
-        done = ended[(rounds_left[ended] == 0) | (best[ended] < 1e-13)]
-        active[done] = False
-        step[ended] = 0.25
-    return v, best, evaluations
+        v[moved] = cand[moved, first]
+        best[moved] = r[moved, first]
+        step[~moved] *= 0.5
+        ended = ~(step > 1e-13)
+        if ended.any():
+            rounds_left[ended] -= 1
+            step[ended] = 0.25
+            done = ended & ((rounds_left == 0) | (best < 1e-13))
+            if done.any():
+                polished[rows[done]], polished_best[rows[done]] = v[done], best[done]
+                keep = ~done
+                rows, v, best, step, rounds_left = (
+                    rows[keep], v[keep], best[keep], step[keep], rounds_left[keep])
+    return polished, polished_best, evaluations
 
 
 @dataclass
@@ -248,7 +291,6 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     table = koszul(algebra)
     candidates = fibonacci_sphere(grid)
     coarse = residuals(table.gamma, candidates)
-    min_residual = float(coarse.min())
 
     # best-first starts for refinement, kept at least 0.3 rad apart
     # (antipodes identified: a line field does not see the sign of V)
@@ -262,14 +304,14 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
             break
 
     polished, polished_resid, evaluations = _polish(table.gamma, np.array(starts))
-    min_residual = min(min_residual, float(polished_resid.min()))
+    min_residual = float(np.minimum(coarse.min(), polished_resid.min()))     # a NaN stays NaN
 
     curvature_verdict = is_constant_curvature(algebra, curvature_tol, table)
     hits = []
     kept_frames = []
     merge_cos = math.cos(1e-3)
     for v, resid in zip(polished, polished_resid.tolist()):
-        if resid >= hit_tol:
+        if not resid < hit_tol:         # a NaN residual is no hit
             continue
         if any(min(1.0, abs(float(v @ k))) > merge_cos for k in kept_frames):
             continue

@@ -232,6 +232,52 @@ def test_tolerance_override(tmp_path):
     assert report["checks"][1]["tolerance"] == "9.9999999999999998e-13"
 
 
+def test_main_keeps_nothing_from_an_earlier_call(tmp_path):
+    import liemorph.cli as cli_module
+    # the parser is built once per process, and each call starts from its defaults
+    assert cli_module._parser() is cli_module._parser()
+    assert cli_module.build_parser() is not cli_module._parser()
+    cfg, out = base_config(tmp_path, "curvature",
+                           builtin={"name": "G3", "params": {"alpha": 1.0, "beta": 0.5}})
+    first = tmp_path / "first.json"
+    assert main(["curvature", "--config", cfg, "--tol", "connection=1e-6",
+                 "--seed", "11", "--out", str(first)]) == 0
+    assert main(["curvature", "--config", cfg]) == 0
+    echo = read_report(first)["job"]
+    assert (echo["tolerances"], echo["sampling"]["seed"], echo["out"]) == (
+        {"connection": "9.9999999999999995e-07"}, 11, str(first))
+    echo = read_report(out)["job"]
+    assert (echo["tolerances"], echo["sampling"]["seed"], echo["out"]) == ({}, 7, out)
+
+
+def test_a_nan_scan_residual_fails_the_nonexistence_floor(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    import liemorph.cli as cli_module
+    import liemorph.foliations as foliations_module
+    scan, koszul = foliations_module.scan_3d, foliations_module.koszul
+
+    def nan_table(algebra):
+        table = koszul(algebra)
+        return dataclasses.replace(table, gamma=np.full_like(table.gamma, np.nan))
+
+    def scan_on_a_nonfinite_gamma(algebra, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(foliations_module, "koszul", nan_table)
+            return scan(algebra, **kwargs)
+
+    monkeypatch.setattr(cli_module, "scan_3d", scan_on_a_nonfinite_gamma)
+    cfg, out = base_config(tmp_path, "foliation-scan",
+                           builtin={"name": "G_alpha", "params": {"alpha": 1.0}},
+                           options={"expect_hits": False})
+    assert main(["foliation-scan", "--config", cfg]) == 1
+    report = read_report(out)
+    assert report["summary"]["hits"] == [] and report["summary"]["min_residual"] == "nan"
+    check, = (c for c in report["checks"] if c["name"] == "min_residual_exceeds_floor")
+    assert check["max_residual"] == "nan" and not check["pass"]
+    assert "FAIL min_residual_exceeds_floor" in capsys.readouterr().out
+
+
 def test_config_validation_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

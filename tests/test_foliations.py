@@ -40,6 +40,19 @@ def cg_residual_with_frame(table, v_frame):
     return math.sqrt(float(b_v @ b_v) + (bxx - mean) ** 2 + (byy - mean) ** 2 + 2.0 * bxy ** 2)
 
 
+def einsum_residuals(gamma, v):
+    """Reference: the defect through batched projections P S_v P, one einsum per term."""
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    geodesic = np.einsum("na,nb,abc->nc", v, v, gamma)
+    geodesic -= np.einsum("nc,nc->n", geodesic, v)[:, None] * v
+    m = np.einsum("abc,nc->nab", gamma, v)
+    p = np.eye(3) - v[:, :, None] * v[:, None, :]
+    psp = p @ (0.5 * (m + m.transpose(0, 2, 1))) @ p
+    free = psp - 0.5 * np.trace(psp, axis1=1, axis2=2)[:, None, None] * p
+    return np.sqrt(np.einsum("nc,nc->n", geodesic, geodesic)
+                   + np.einsum("nab,nab->n", free, free))
+
+
 SCAN_ALGEBRAS = {
     "G3(1,0.5)": lambda: lm.build_G3(1.0, 0.5)[0],
     "G3(0,1)": lambda: lm.build_G3(0.0, 1.0)[0],
@@ -180,6 +193,34 @@ def test_frame_free_residuals_match_the_frame_reference(name):
     v = np.random.default_rng(3).standard_normal((2000, 3))
     want = [cg_residual_with_frame(table, row) for row in v]
     np.testing.assert_allclose(residuals(table.gamma, v), want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS))
+def test_residual_kernel_matches_the_einsum_reference(name):
+    gamma = koszul(SCAN_ALGEBRAS[name]()).gamma
+    v = np.random.default_rng(5).standard_normal((2000, 3))
+    got = residuals(gamma, v)
+    np.testing.assert_allclose(got, einsum_residuals(gamma, v), rtol=0, atol=4e-15)
+    for scale in (1e-150, 1e150):
+        np.testing.assert_allclose(residuals(gamma, scale * v), got, rtol=0, atol=4e-15)
+
+
+def test_residual_kernel_vanishes_at_the_g3_hit(built):
+    gamma = koszul(built["G3"][0]).gamma
+    assert residuals(gamma, np.array([[1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])).max() <= 1e-14
+
+
+def test_a_nan_polish_residual_is_no_hit_and_stays_the_minimum(monkeypatch):
+    import liemorph.foliations as foliations_module
+    polish = foliations_module._polish
+
+    def nan_polish(gamma, starts, rounds=3):
+        v, best, evaluations = polish(gamma, starts, rounds)
+        return v, np.full_like(best, np.nan), evaluations
+
+    monkeypatch.setattr(foliations_module, "_polish", nan_polish)
+    result = scan_3d(lm.build_G3(1.0, 0.5)[0])      # finite on the coarse grid, a hit at e_1
+    assert result.hits == [] and math.isnan(result.min_residual)
 
 
 @pytest.mark.parametrize("name", ["G3(1,0.5)", "G_alpha(1)", "S2"])
