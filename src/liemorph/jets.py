@@ -3,10 +3,13 @@
 One evaluator serves every operator: a ``CurveJet`` stacks P points and D
 direction matrices, and each field is evaluated once over all P x D curves,
 with ``Jet2`` arithmetic running elementwise on (P, D) arrays (second-order
-Taylor mode).  ``verify_family`` puts all sample points and every frame
-direction plus the tension drift into one curve; ``kappa``, ``laplacian``,
-``kappa_matrix``, ``laplacian_values`` and ``derivs`` are views of the same
-evaluation at one point.
+Taylor mode).  A ``HolomorphicImage`` F(phi) applies the second-order chain
+rule to its sub-field jets instead, with F and its derivatives evaluated on
+the (P, 1) values only, and ``CurveJet.jet`` evaluates each field once per
+curve, however many images share it.  ``verify_family`` puts all sample
+points and every frame direction plus the tension drift into one curve;
+``kappa``, ``laplacian``, ``kappa_matrix``, ``laplacian_values`` and
+``derivs`` are views of the same evaluation at one point.
 
 The curve jet uses the exact order-2 expansion p (I + sX + s^2 X^2 / 2); the
 truncation introduces no error in the first or second derivative at s = 0, so
@@ -15,8 +18,10 @@ the only noise in kappa / laplacian values is rounding.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -60,10 +65,11 @@ class Jet2:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.v * o.v,
-                    self.d1 * o.v + self.v * o.d1,
-                    self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2)
+        if not isinstance(other, Jet2):     # a scalar or array factor: three products
+            return Jet2(self.v * other, self.d1 * other, self.d2 * other)
+        return Jet2(self.v * other.v,
+                    self.d1 * other.v + self.v * other.d1,
+                    self.d2 * other.v + 2.0 * self.d1 * other.d1 + self.v * other.d2)
 
     __rmul__ = __mul__
 
@@ -111,13 +117,15 @@ class CurveJet:
     their squares M^2, both (D, n, n).  ``entry(i, j)`` is the jet of x[i, j]
     on all P x D curves: value p[i, j], velocity (pM)[i, j] and acceleration
     (pM^2)[i, j], each a (P, D) array (the value is (P, 1) and broadcasts).
-    Only the requested entries are formed, and each one once.
+    Only the requested entries are formed, and each one once; ``jet(f)``
+    likewise evaluates each hashable field once per curve.
     """
 
     points: np.ndarray
     mats: np.ndarray
     squares: np.ndarray
     _entries: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def along(cls, points, mats) -> "CurveJet":
@@ -132,6 +140,16 @@ class CurveJet:
             jet = Jet2(self.points[:, i, j:j + 1], row @ self.mats[:, :, j].T,
                        row @ self.squares[:, :, j].T)
             self._entries[(i, j)] = jet
+        return jet
+
+    def jet(self, f: "ScalarField") -> Jet2:
+        """``f.eval_jet(self)``, memoised per field; an unhashable field is not memoised."""
+        try:
+            jet = self._fields.get(f)
+        except TypeError:
+            return f.eval_jet(self)
+        if jet is None:
+            jet = self._fields[f] = f.eval_jet(self)
         return jet
 
 
@@ -223,7 +241,7 @@ class LinearCombo(ScalarField):
     def eval_jet(self, curve):
         out = Jet2(0.0, 0.0, 0.0)
         for c, f in zip(self.coeffs, self.fields):
-            out = out + c * f.eval_jet(curve)
+            out = out + c * curve.jet(f)
         return out
 
     def __repr__(self):
@@ -237,16 +255,24 @@ class Polynomial:
 
     terms: tuple  # of (exponents tuple, complex coefficient)
 
+    def __post_init__(self):
+        bad = [exponents for exponents, _ in self.terms for e in exponents
+               if not (isinstance(e, (int, np.integer)) and e >= 0)]
+        if bad:
+            raise ValueError(f"exponents must be non-negative integers, got {bad[0]}")
+
     @classmethod
     def from_dict(cls, d: dict) -> "Polynomial":
         return cls(tuple(sorted(d.items())))
 
-    @property
+    @cached_property
     def n_vars(self) -> int:
         return max((len(e) for e, _ in self.terms), default=0)
 
     def __call__(self, args):
         args = list(args)
+        if len(args) < self.n_vars:
+            raise ValueError(f"a polynomial in {self.n_vars} variables got {len(args)} arguments")
         powers = [[arg] for arg in args]   # powers[k][e - 1] = args[k] ** e, by repeated products
         total = None
         for exponents, coeff in self.terms:
@@ -259,6 +285,62 @@ class Polynomial:
             total = term if total is None else total + term
         return total if total is not None else 0.0
 
+    @cached_property
+    def _chain(self) -> tuple:
+        """(exponents, coeffs): F, its gradient and its upper Hessian from monomial rows.
+
+        Column c of ``coeffs`` is the derivative of order ``_derivative_orders``
+        [c]: F, then d_k F for each k, then d_k d_l F for each k <= l (doubled
+        when k < l, so each symmetric pair is summed once).  It is
+        sum_r coeffs[r, c] z ** exponents[r]: since
+        d^a z^e = falling(e, a) z^(e - a), each term gives one row to every
+        derivative that does not vanish on it.
+        """
+        n = self.n_vars
+        exponents = np.array([tuple(e) + (0,) * (n - len(e)) for e, _ in self.terms],
+                             dtype=np.intp).reshape(len(self.terms), n)
+        orders, weights = _derivative_orders(n)
+        e = np.arange(exponents.max(initial=0) + 1)
+        falling = np.array([np.ones_like(e), e, e * (e - 1)])     # falling[a, e], a <= 2
+        factors = falling[orders[:, None, :], exponents].prod(axis=2) * weights[:, None]
+        col, term = np.nonzero(factors)
+        coeffs = np.zeros((len(col), len(orders)), dtype=complex)
+        coeffs[np.arange(len(col)), col] = (
+            np.array([c for _, c in self.terms], dtype=complex)[term] * factors[col, term])
+        return exponents[term] - orders[col], coeffs
+
+    def derivatives(self, values: np.ndarray) -> np.ndarray:
+        """F, d_k F and the doubled upper Hessian (see ``_chain``) at Q points.
+
+        ``values`` is (Q, n) complex, one column per variable; the result is
+        (Q, 1 + n + n(n+1)/2).  Powers are repeated products, as in
+        ``__call__``.  Each point takes its own (1, R) @ (R, columns)
+        product, so its sums do not depend on how many points come with it.
+        """
+        exponents, coeffs = self._chain
+        mono = np.ones((len(values), len(exponents)), dtype=complex)
+        for z, column in zip(values.T, exponents.T):
+            powers = np.empty((len(z), max(2, column.max(initial=0) + 1)), dtype=complex)
+            powers[:, 0] = 1.0
+            powers[:, 1] = z
+            for e in range(2, powers.shape[1]):
+                np.multiply(powers[:, e - 1], z, out=powers[:, e])
+            mono *= powers[:, column]
+        return (mono[:, None, :] @ coeffs)[:, 0]
+
+
+@cache
+def _derivative_orders(n: int) -> tuple:
+    """Orders of F, of each d_k F and of each d_k d_l F (k <= l) in n variables.
+
+    Returns the (1 + n + n(n+1)/2, n) orders and each column's weight: 2 for
+    k < l, whose twin d_l d_k F is not listed, else 1.
+    """
+    eye = np.eye(n, dtype=np.intp)
+    k, l = np.triu_indices(n)
+    orders = np.concatenate([np.zeros((1, n), dtype=np.intp), eye, eye[k] + eye[l]])
+    return orders, np.concatenate([np.ones(1 + n, dtype=np.intp), 2 - (k == l)])
+
 
 @dataclass(frozen=True)
 class HolomorphicImage(ScalarField):
@@ -269,15 +351,38 @@ class HolomorphicImage(ScalarField):
 
     is_complex = True
 
+    def __post_init__(self):
+        if self.poly.n_vars > len(self.fields):
+            raise ValueError(f"a polynomial in {self.poly.n_vars} variables needs as many "
+                             f"fields, got {len(self.fields)}")
+
     def value(self, point):
         return self.poly([complex(f.value(point)) for f in self.fields])
 
     def eval_jet(self, curve):
-        jets = [f.eval_jet(curve) for f in self.fields]
-        out = self.poly(jets)
-        if not isinstance(out, Jet2):
-            out = Jet2(out, 0.0, 0.0)
-        return out
+        """The second-order chain rule on the sub-field jets phi_k.
+
+        F and its partial derivatives are evaluated on the sub-fields' values
+        only; then d1 = sum_k F_k phi_k' and
+        d2 = sum_k F_k phi_k'' + sum_{k,l} F_kl phi_k' phi_l'.
+        """
+        jets = [curve.jet(f) for f in self.fields]
+        n = self.poly.n_vars
+        values = [j.v for j in jets[:n]]
+        shape = np.broadcast(*values).shape
+        z = np.empty((n,) + shape, dtype=complex)
+        for k, v in enumerate(values):
+            z[k] = v
+        z = z.reshape(n, math.prod(shape)).T
+        derivs = [col.reshape(shape) for col in self.poly.derivatives(z).T]
+        d1 = d2 = 0.0
+        for k in range(n):
+            d1 = d1 + derivs[1 + k] * jets[k].d1
+            d2 = d2 + derivs[1 + k] * jets[k].d2
+        pairs = itertools.combinations_with_replacement(range(n), 2)   # k <= l, as in _chain
+        for hess, (k, l) in zip(derivs[1 + n:], pairs):
+            d2 = d2 + hess * (jets[k].d1 * jets[l].d1)
+        return Jet2(derivs[0], d1, d2)
 
     def __repr__(self):
         return f"poly_image[{len(self.poly.terms)} terms of {len(self.fields)} fields]"
@@ -315,20 +420,18 @@ def identity_polynomial(k: int, n_vars: int) -> Polynomial:
 
 
 def random_polynomial(n_vars: int, rng: np.random.Generator, max_degree: int = 3) -> Polynomial:
-    """All monomials of total degree <= max_degree, coefficients uniform in the unit disk."""
-    exponents = [()]
-    def extend(prefix, remaining, budget):
-        if remaining == 0:
-            return [tuple(prefix)]
-        out = []
-        for e in range(budget + 1):
-            out.extend(extend(prefix + [e], remaining - 1, budget - e))
-        return out
-    monomials = extend([], n_vars, max_degree)
+    """All monomials of total degree <= max_degree, coefficients uniform in the unit disk.
+
+    Monomials in lexicographic order; each takes two uniforms u, v from one
+    draw and gets the coefficient sqrt(u) e^(2 pi i v).
+    """
+    monomials = [e for e in itertools.product(range(max_degree + 1), repeat=n_vars)
+                 if sum(e) <= max_degree]
+    u = rng.uniform(size=2 * len(monomials)).tolist()
     terms = {}
-    for mono in sorted(monomials):
-        r = math.sqrt(rng.uniform())
-        theta = rng.uniform(0.0, 2.0 * math.pi)
+    for mono, r2, t in zip(monomials, u[::2], u[1::2]):
+        r = math.sqrt(r2)
+        theta = 2.0 * math.pi * t
         terms[mono] = complex(r * math.cos(theta), r * math.sin(theta))
     return Polynomial.from_dict(terms)
 
@@ -378,7 +481,7 @@ def _jets(fields, points, mats) -> tuple:
     d1 = np.empty(shape, dtype=complex)
     d2 = np.empty(shape, dtype=complex)
     for k, f in enumerate(fields):
-        jet = f.eval_jet(curve)
+        jet = curve.jet(f)
         d1[k] = jet.d1
         d2[k] = jet.d2
     return d1, d2
@@ -444,6 +547,11 @@ def laplacian_values(fields, point, frame: Frame) -> np.ndarray:
     return _frame_operators(tuple(fields), _one_point(point), frame)[1][0]
 
 
+@cache
+def _upper_triangle(n: int) -> tuple:
+    return np.triu_indices(n)
+
+
 @dataclass
 class FamilyReport:
     """Worst-case residuals of the orthogonal-harmonic-family conditions."""
@@ -457,13 +565,12 @@ class FamilyReport:
 
     @property
     def worst(self) -> float:
-        """Largest residual; a NaN or inf residual is returned as it is."""
-        parts = [0.0]
-        if self.tau_max.size:
-            parts.append(self.tau_max.max())
-        if self.kappa_max.size:
-            parts.append(np.triu(self.kappa_max).max())
-        return float(np.max(parts))
+        """Largest residual; a NaN or inf residual is returned as it is.
+
+        Only the upper triangle of ``kappa_max`` (k <= l) is read.
+        """
+        upper = self.kappa_max[_upper_triangle(len(self.kappa_max))]
+        return float(np.maximum(self.tau_max.max(initial=0.0), upper.max(initial=0.0)))
 
     @property
     def passed(self) -> bool:
@@ -491,10 +598,10 @@ def verify_family(fields, points, frame: Frame,
     if not fields:
         raise ValueError("verify_family needs at least one field")
     n = len(fields)
-    points = list(points)
-    if not points:
+    points = np.asarray(list(points), dtype=float)
+    if not len(points):
         return FamilyReport(n, 0, tol, np.zeros(n), np.zeros((n, n)),
                             ["no sample points supplied; the check is vacuous"])
-    kap, tau = _frame_operators(fields, np.stack(points), frame)
+    kap, tau = _frame_operators(fields, points, frame)
     return FamilyReport(n, len(points), tol, np.abs(tau).max(axis=0),
                         np.abs(kap).max(axis=0))

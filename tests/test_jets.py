@@ -1,14 +1,17 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 import liemorph as lm
 from liemorph.errors import DomainError
 from liemorph.groups import sample_points
-from liemorph.jets import (Constant, FamilyReport, Frame, Jet2, Polynomial, derivs,
-                           fd_check, holomorphic_post, identity_polynomial,
-                           kappa, kappa_matrix, laplacian, laplacian_values,
-                           linear_combination, log_diag, matrix_entry,
-                           random_polynomial, verify_family)
+from liemorph.jets import (Constant, CurveJet, FamilyReport, Frame, HolomorphicImage, Jet2,
+                           LinearCombo, Polynomial, ScalarField, derivs, fd_check,
+                           holomorphic_post, identity_polynomial, kappa, kappa_matrix,
+                           laplacian, laplacian_values, linear_combination, log_diag,
+                           matrix_entry, random_polynomial, verify_family)
 
 
 def rel_err(a, b):
@@ -358,3 +361,224 @@ def test_family_report_nonfinite_residuals_fail(bad):
     assert not rep.passed
     assert not np.isfinite(rep.worst)
     assert FamilyReport(1, 1, 1e-8, np.zeros(1), np.zeros((1, 1))).passed
+
+
+def test_family_report_reads_only_the_upper_triangle():
+    upper = FamilyReport(2, 1, 1e-8, np.zeros(2), np.array([[0.0, np.nan], [0.0, 0.0]]))
+    assert not upper.passed and math.isnan(upper.worst)
+    lower = FamilyReport(2, 1, 1e-8, np.zeros(2), np.array([[1e-9, 0.0], [np.nan, 2e-9]]))
+    assert lower.passed and lower.worst == 2e-9
+
+
+# ---------------------------------------------------------------------------
+# malformed polynomials
+# ---------------------------------------------------------------------------
+
+def test_polynomial_with_more_variables_than_fields_is_rejected(built):
+    alg, real = built["H2"]
+    fc = lm.first_construction(alg, real, "H")
+    assert len(fc.family) == 2
+    with pytest.raises(ValueError):
+        holomorphic_post({(0, 0, 1): 1.0}, fc.family)
+    with pytest.raises(ValueError):
+        HolomorphicImage(Polynomial.from_dict({(0, 0, 1): 1.0}), fc.family)
+    with pytest.raises(ValueError):
+        Polynomial.from_dict({(0, 0, 1): 1.0})([1.0, 2.0])
+    holomorphic_post({(0, 1): 1.0}, fc.family + fc.family)   # fewer variables is fine
+
+
+@pytest.mark.parametrize("exponents", [(-1,), (1.5,), (1, -2), (2.0,)])
+def test_polynomial_rejects_bad_exponents(exponents):
+    with pytest.raises(ValueError):
+        Polynomial.from_dict({exponents: 1.0})
+
+
+# ---------------------------------------------------------------------------
+# random_polynomial against its recursive one-draw-per-number form
+# ---------------------------------------------------------------------------
+
+def recursive_random_polynomial(n_vars, rng, max_degree=3):
+    """The reference: recursive monomial enumeration, two scalar draws per term."""
+    def extend(prefix, remaining, budget):
+        if remaining == 0:
+            return [tuple(prefix)]
+        out = []
+        for e in range(budget + 1):
+            out.extend(extend(prefix + [e], remaining - 1, budget - e))
+        return out
+    terms = {}
+    for mono in sorted(extend([], n_vars, max_degree)):
+        r = math.sqrt(rng.uniform())
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        terms[mono] = complex(r * math.cos(theta), r * math.sin(theta))
+    return Polynomial.from_dict(terms)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5000])
+def test_random_polynomial_matches_the_recursive_form_bit_for_bit(seed):
+    for n_vars in range(1, 5):
+        for max_degree in range(4):
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                want = recursive_random_polynomial(n_vars, want_rng, max_degree)
+                got = random_polynomial(n_vars, got_rng, max_degree)
+                assert repr(got.terms) == repr(want.terms)   # float reprs round-trip: bits
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# the chain rule of HolomorphicImage against Jet2 arithmetic
+# ---------------------------------------------------------------------------
+
+def frame_curve(name, built, frames, n_points=20, seed=3, scale=1.0):
+    alg, real = built[name]
+    frame = frames[name]
+    pts = np.stack(sample_points(real, n_points, seed=seed, scale=scale))
+    return CurveJet.along(pts, np.stack(frame.mats + (frame.tension_mat,)))
+
+
+def jet2_reference(image, curve):
+    """F(phi_1, ..., phi_n) by Jet2 products on the sub-field jets."""
+    out = image.poly([f.eval_jet(curve) for f in image.fields])
+    return out if isinstance(out, Jet2) else Jet2(out, 0.0, 0.0)
+
+
+def assert_jets_close(got, want, rtol=1e-12):
+    for part in ("v", "d1", "d2"):
+        a, b = np.broadcast_arrays(getattr(got, part), getattr(want, part))
+        scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+        assert float(np.abs(a - b).max(initial=0.0)) <= rtol * scale, part
+
+
+@pytest.mark.parametrize("name, kind", [("N4", "N"), ("H2", "H")])
+def test_chain_rule_matches_jet2_arithmetic(built, frames, rng, name, kind):
+    alg, real = built[name]
+    fc = lm.first_construction(alg, real, kind)
+    curve = frame_curve(name, built, frames)
+    for max_degree in range(5):
+        for _ in range(3):
+            image = holomorphic_post(random_polynomial(len(fc.family), rng, max_degree),
+                                     fc.family)
+            assert_jets_close(image.eval_jet(curve), jet2_reference(image, curve))
+
+
+def test_chain_rule_on_constant_real_and_nested_sub_fields(built, frames, rng):
+    alg, real = built["H2"]
+    fc = lm.first_construction(alg, real, "H")
+    curve = frame_curve("H2", built, frames)
+    with_constant = holomorphic_post(random_polynomial(2, rng), (Constant(0.3 - 0.4j),
+                                                                  fc.family[1]))
+    inner = holomorphic_post(random_polynomial(2, rng), fc.family)
+    nested = holomorphic_post(random_polynomial(3, rng), (inner, fc.family[0], fc.family[1]))
+    all_constant = holomorphic_post(random_polynomial(2, rng), (Constant(0.5), Constant(1j)))
+    for image in (with_constant, nested, all_constant):
+        assert_jets_close(image.eval_jet(curve), jet2_reference(image, curve))
+
+    s3 = frame_curve("S3", built, frames, scale=0.8)
+    logs = tuple(log_diag(i) for i in range(3))
+    image = holomorphic_post(random_polynomial(3, rng), logs)
+    assert_jets_close(image.eval_jet(s3), jet2_reference(image, s3))
+
+
+def test_chain_rule_of_empty_and_constant_polynomials(built, frames, rng):
+    alg, real = built["H2"]
+    fc = lm.first_construction(alg, real, "H")
+    curve = frame_curve("H2", built, frames)
+    empty = holomorphic_post(Polynomial(()), fc.family)
+    jet = empty.eval_jet(curve)
+    assert np.all(jet.v == 0) and np.all(jet.d1 == 0) and np.all(jet.d2 == 0)
+    constant = holomorphic_post(random_polynomial(2, rng, max_degree=0), fc.family)
+    c = constant.poly.terms[0][1]
+    jet = constant.eval_jet(curve)
+    assert np.all(jet.v == c) and np.all(jet.d1 == 0) and np.all(jet.d2 == 0)
+    assert_jets_close(jet, jet2_reference(constant, curve))
+    rep = verify_family([empty, constant], sample_points(real, 10, seed=1, scale=1.0),
+                        frames["H2"])
+    assert rep.passed and rep.worst == 0.0
+
+
+def test_huge_coefficients_give_a_failing_nonfinite_residual(built, frames):
+    alg, real = built["H2"]
+    fc = lm.first_construction(alg, real, "H")
+    image = holomorphic_post({(3, 0): 1e300, (1, 2): 1e300j}, fc.family)
+    pts = sample_points(real, 10, seed=1, scale=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify_family([image], pts, frames["H2"])
+    assert not np.isfinite(rep.worst)
+    assert not rep.passed
+
+
+def test_an_inf_entry_gives_a_failing_nonfinite_residual(built, frames, rng):
+    alg, real = built["H2"]
+    fc = lm.first_construction(alg, real, "H")
+    pts = sample_points(real, 5, seed=2, scale=1.0)
+    pts[3] = pts[3].copy()
+    pts[3][0, 1] = np.inf
+    entry = fc.phi[0]
+    assert entry == matrix_entry(0, 1)
+    image = holomorphic_post(random_polynomial(2, rng), fc.family)
+    for field in (entry, fc.family[0], image):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = verify_family([field], pts, frames["H2"])
+        assert not np.isfinite(rep.worst), field
+        assert not rep.passed
+
+
+def test_each_sub_field_is_evaluated_once_per_curve(built, frames, rng, monkeypatch):
+    alg, real = built["H2"]
+    fc = lm.first_construction(alg, real, "H")
+    calls = []
+    original = LinearCombo.eval_jet
+
+    def counting(self, curve):
+        calls.append((self, id(curve)))
+        return original(self, curve)
+
+    monkeypatch.setattr(LinearCombo, "eval_jet", counting)
+    images = [holomorphic_post(random_polynomial(2, rng), fc.family) for _ in range(3)]
+    pts = sample_points(real, 10, seed=4, scale=1.0)
+    rep = verify_family(images + [fc.family[0]], pts, frames["H2"], tol=1e-7)
+    assert rep.passed
+    assert len(calls) == len(set(calls)) == len(fc.family)     # once each, on one curve
+    assert {f for f, _ in calls} == set(fc.family)
+
+
+@dataclass
+class UnhashableField(ScalarField):
+    """A field that compares by value but cannot be hashed (eq without frozen)."""
+
+    inner: ScalarField
+    is_complex = True
+
+    def value(self, point):
+        return self.inner.value(point)
+
+    def eval_jet(self, curve):
+        return curve.jet(self.inner)
+
+
+def test_unhashable_fields_still_verify(built, frames, rng):
+    alg, real = built["H2"]
+    fc = lm.first_construction(alg, real, "H")
+    wrapped = tuple(UnhashableField(f) for f in fc.family)
+    with pytest.raises(TypeError):
+        hash(wrapped[0])
+    poly = random_polynomial(2, rng)
+    pts = sample_points(real, 20, seed=5, scale=1.0)
+    got = verify_family([holomorphic_post(poly, wrapped), wrapped[0]], pts, frames["H2"],
+                        tol=1e-7)
+    want = verify_family([holomorphic_post(poly, fc.family), fc.family[0]], pts,
+                         frames["H2"], tol=1e-7)
+    assert got.passed
+    np.testing.assert_array_equal(got.kappa_max, want.kappa_max)
+    np.testing.assert_array_equal(got.tau_max, want.tau_max)
+
+
+def test_scalar_times_jet_matches_the_jet_product(rng):
+    jet = Jet2(rng.standard_normal((4, 1)), rng.standard_normal((4, 3)),
+               rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+    for c in (0.7, -2.5 + 0.25j, np.float64(3.0)):
+        for got in (jet * c, c * jet):
+            want = jet * Jet2(c, 0.0, 0.0)
+            for part in ("v", "d1", "d2"):
+                np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
