@@ -218,6 +218,8 @@ class Subspace:
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float).reshape(-1, self.ambient_dim)
+        if not np.isfinite(b).all():
+            raise StructureError("subspace basis has non-finite entries")
         if b.shape[0] > 0:
             rank = np.linalg.matrix_rank(b, tol=RANK_TOL * max(1.0, float(np.abs(b).max())))
             if rank < b.shape[0]:
@@ -255,22 +257,42 @@ def span(vectors, ambient_dim: int) -> Subspace:
 
 
 def _span_above(vectors, ambient_dim: int, floor: float) -> Subspace:
-    """``span`` keeping only singular values above ``RANK_TOL * s[0]`` and ``floor``."""
-    vs = np.asarray(vectors, dtype=float).reshape(-1, ambient_dim)
-    if vs.shape[0] == 0 or not vs.any():
-        return Subspace(ambient_dim, np.zeros((0, ambient_dim)))
-    _, s, vh = np.linalg.svd(vs, full_matrices=False)
-    rank = int(np.sum(s > max(RANK_TOL * s[0], floor)))
+    """``span`` keeping only singular values above ``RANK_TOL * s[0]`` and ``floor``.
+
+    ``_rank_decision`` drops zero rows and QR-reduces a tall stack to d x d
+    before the SVD; non-finite input raises StructureError.
+    """
+    rank, _, vh = _rank_decision(np.asarray(vectors, dtype=float).reshape(-1, ambient_dim), floor)
     return Subspace(ambient_dim, _fix_signs(vh[:rank]))
+
+
+def _rank_decision(stack: np.ndarray, floor: float = 0.0):
+    """(rank, s, vh) of a (k, d) stack, counting s above max(RANK_TOL * s[0], floor).
+
+    vh[:rank] spans the row space, vh[rank:] the null space.  The SVD runs on
+    the nonzero rows, or on their d x d R factor when more than d remain: R =
+    Q^T stack has the same row space and, up to rounding, singular values.
+    An inf or NaN entry raises StructureError before LAPACK, which can hang.
+    """
+    rows = stack[stack.any(axis=1)]              # a NaN row counts as nonzero
+    if not np.isfinite(rows).all():
+        raise StructureError("rank decision on non-finite input")
+    if rows.shape[0] > rows.shape[1]:
+        rows = np.linalg.qr(rows, mode="r")
+    if rows.shape[0] == 0:
+        return 0, np.zeros(0), np.eye(stack.shape[1])
+    _, s, vh = np.linalg.svd(rows)
+    return int(np.sum(s > max(RANK_TOL * s[0], floor))), s, vh
 
 
 def _fix_signs(rows: np.ndarray) -> np.ndarray:
     """Make the first significantly nonzero coefficient of each row positive."""
     rows = np.array(rows, dtype=float)
-    for r in rows:
-        nz = np.nonzero(np.abs(r) > 1e-9 * max(1.0, float(np.abs(r).max())))[0]
-        if nz.size and r[nz[0]] < 0:
-            r *= -1.0
+    size = np.abs(rows)
+    # fmax ignores a NaN row maximum, so such a row keeps the 1e-9 floor
+    significant = size > 1e-9 * np.fmax(1.0, size.max(axis=1))[:, None]
+    lead = rows[np.arange(len(rows)), significant.argmax(axis=1)]
+    rows[significant.any(axis=1) & (lead < 0)] *= -1.0
     return rows
 
 
@@ -305,11 +327,7 @@ def orthonormal_basis(algebra: LieAlgebra) -> np.ndarray:
 
 def orthocomplement(algebra: LieAlgebra, subspace: Subspace) -> Subspace:
     """Orthogonal complement with respect to the algebra's inner product."""
-    if subspace.dim == 0:
-        return full_space(algebra)
-    m = subspace.basis @ algebra.gram
-    _, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > RANK_TOL * s[0]))
+    rank, _, vh = _rank_decision(subspace.basis @ algebra.gram)
     return Subspace(algebra.dim, _fix_signs(vh[rank:]))
 
 
@@ -321,8 +339,9 @@ def _bracket_span(algebra: LieAlgebra, left: np.ndarray, right: np.ndarray) -> S
     brackets that are all rounding noise (such as [g, z(g)]) span nothing.
     """
     c = algebra.structure_constants
-    vecs = np.einsum("ai,bj,ijk->abk", left, right, c, optimize=True)
-    return _span_above(vecs, algebra.dim, RANK_TOL * _scale(c))
+    with np.errstate(invalid="ignore", over="ignore"):      # inf * 0, overflow: raised below
+        brackets = right @ np.tensordot(left, c, axes=(1, 0))
+    return _span_above(brackets, algebra.dim, RANK_TOL * _scale(c))
 
 
 def derived_series(algebra: LieAlgebra) -> list[Subspace]:
@@ -360,12 +379,12 @@ def is_abelian(algebra: LieAlgebra) -> bool:
 
 
 def center(algebra: LieAlgebra) -> Subspace:
-    """Null space of the stacked maps x -> [x, e_j]."""
-    c = algebra.structure_constants
+    """Null space of the stacked maps x -> [x, e_j].
+
+    ``_rank_decision`` drops the stack's zero rows and QR-reduces the rest to
+    d x d before the SVD; non-finite constants raise StructureError.
+    """
     d = algebra.dim
-    stacked = c.transpose(1, 2, 0).reshape(d * d, d)  # rows (j,k), columns i
-    if not stacked.any():
-        return full_space(algebra)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)   # d^2 >= d rows: vh is d x d
-    rank = int(np.sum(s > RANK_TOL * s[0]))
+    stacked = algebra.structure_constants.transpose(1, 2, 0).reshape(d * d, d)  # rows (j,k)
+    rank, _, vh = _rank_decision(stacked)
     return Subspace(d, _fix_signs(vh[rank:]))

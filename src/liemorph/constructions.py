@@ -14,8 +14,7 @@ from dataclasses import InitVar, dataclass, replace
 import numpy as np
 
 from . import jets
-from .algebra import (LieAlgebra, Subspace, _bracket_span, derived_series, orthonormalize,
-                      span)
+from .algebra import LieAlgebra, Subspace, _bracket_span, orthonormalize, span
 from .checks import DEFAULT_TOLERANCES, Check, max_residual
 from .errors import ConstructionError, StructureError
 from .groups import MatrixRealization, exp_matrix
@@ -119,8 +118,8 @@ def restrict_to_xi_perp(w: IsotropicBasis, xi) -> IsotropicBasis:
 def xi_vector(algebra: LieAlgebra, horizontal_onb) -> np.ndarray:
     """(trace ad_X) over an orthonormal basis of the orthocomplement of [g, g]."""
     horizontal_onb = np.asarray(horizontal_onb, dtype=float).reshape(-1, algebra.dim)
-    series = derived_series(algebra)
-    derived = series[1] if len(series) > 1 else series[0]  # [g,g] = g for perfect algebras
+    eye = np.eye(algebra.dim)
+    derived = _bracket_span(algebra, eye, eye)     # [g, g], all of g for a perfect algebra
     g = algebra.gram
     scales = np.outer(np.abs(horizontal_onb).max(axis=1), np.abs(derived.basis).max(axis=1))
     if np.any(np.abs(horizontal_onb @ g @ derived.basis.T) > 1e-10 * np.maximum(1.0, scales)):
@@ -128,7 +127,7 @@ def xi_vector(algebra: LieAlgebra, horizontal_onb) -> np.ndarray:
     if horizontal_onb.shape[0] != algebra.dim - derived.dim:
         raise StructureError("horizontal basis does not span the orthocomplement of [g, g]")
     gram_h = horizontal_onb @ g @ horizontal_onb.T
-    if float(np.abs(gram_h - np.eye(horizontal_onb.shape[0])).max()) > 1e-8:
+    if float(np.abs(gram_h - np.eye(horizontal_onb.shape[0])).max(initial=0.0)) > 1e-8:
         raise StructureError("horizontal basis is not orthonormal")
     return np.einsum("hi,ijj->h", horizontal_onb, algebra.structure_constants)
 
