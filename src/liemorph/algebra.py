@@ -375,16 +375,18 @@ def is_nilpotent(algebra: LieAlgebra) -> bool:
 
 
 def is_abelian(algebra: LieAlgebra) -> bool:
-    return float(np.abs(algebra.structure_constants).max()) <= 1e-12 if algebra.dim else True
+    g = np.eye(algebra.dim)       # [g, g] = 0 under the series' noise floor
+    return algebra.dim == 0 or _bracket_span(algebra, g, g).dim == 0
 
 
 def center(algebra: LieAlgebra) -> Subspace:
     """Null space of the stacked maps x -> [x, e_j].
 
     ``_rank_decision`` drops the stack's zero rows and QR-reduces the rest to
-    d x d before the SVD; non-finite constants raise StructureError.
+    d x d before the SVD, with the series' noise floor; non-finite constants
+    raise StructureError.
     """
-    d = algebra.dim
-    stacked = algebra.structure_constants.transpose(1, 2, 0).reshape(d * d, d)  # rows (j,k)
-    rank, _, vh = _rank_decision(stacked)
+    c, d = algebra.structure_constants, algebra.dim
+    stacked = c.transpose(1, 2, 0).reshape(d * d, d)  # rows (j,k)
+    rank, _, vh = _rank_decision(stacked, RANK_TOL * _scale(c))
     return Subspace(d, _fix_signs(vh[rank:]))

@@ -19,21 +19,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__, catalog
-from .algebra import (LieAlgebra, Subspace, center, derived_series, is_abelian,
-                      is_solvable, lower_central_series)
+from .algebra import LieAlgebra, Subspace, center, derived_series, lower_central_series
 from .checks import DEFAULT_TOLERANCES, Check, max_residual
 from .constructions import (RootGradedAlgebra, RootSpace, damek_ricci_grading,
                             first_construction, second_construction_check)
 from .errors import ConstructionError, StructureError
-from .foliations import constant_curvature_certificate, scan_3d
+from .foliations import scan_3d
 from .geometry import (curvature, curvature_symmetry_residuals,
                        gl_connection_term, is_constant_curvature, koszul,
                        sectional_profile)
 from .groups import HOMOMORPHISM_TOL, sample_points
 from .jets import Frame, verify_family
 
-JOB_KINDS = ("check-algebra", "construct", "verify-family",
-             "second-construction", "foliation-scan", "curvature")
 
 class ConfigError(Exception):
     """Raised for malformed configs; maps to exit status 2."""
@@ -228,7 +225,8 @@ def _job_check_algebra(config: JobConfig):
             "center_dim": center(algebra).dim,
             "solvable": derived[-1].dim == 0,
             "nilpotent": lower[-1].dim == 0,
-            "abelian": is_abelian(algebra),
+            # [g, g] = 0, read off the series (one term: [g, g] = g)
+            "abelian": derived[min(1, len(derived) - 1)].dim == 0,
         })
     return checks, summary
 
@@ -358,9 +356,7 @@ def _job_foliation_scan(config: JobConfig):
     grid = config.options.get("grid", 200)
     result = scan_3d(algebra, grid=grid, hit_tol=config.tol("classify"),
                      curvature_tol=config.tol("curvature_constant"))
-    checks = []
-    hits_summary = []
-    centerless_solvable = center(algebra).dim == 0 and is_solvable(algebra)
+    checks, hits_summary = [], []
     for i, hit in enumerate(result.hits):
         checks.append(Check(f"hit[{i}]:residual", hit.residual, config.tol("classify")))
         checks.append(Check(f"hit[{i}]:adjoint_structure", hit.adjoint_residual,
@@ -373,12 +369,10 @@ def _job_foliation_scan(config: JobConfig):
             "constant_curvature": hit.constant_curvature,
             "curvature_value": fmt(hit.curvature_value),
         }
-        if centerless_solvable:
-            cert = constant_curvature_certificate(
-                algebra, hit.vector, classify_tol=config.tol("classify"),
-                curvature_tol=config.tol("curvature_constant"))
-            checks += [replace(c, name=f"hit[{i}]:certificate:{c.name}") for c in cert.checks]
-            entry["certificate_passed"] = cert.passed
+        if hit.certificate is not None:      # the algebra is centerless and solvable
+            checks += [replace(c, name=f"hit[{i}]:certificate:{c.name}")
+                       for c in hit.certificate.checks]
+            entry["certificate_passed"] = hit.certificate.passed
         hits_summary.append(entry)
     expect = config.options.get("expect_hits")
     if expect is True:
@@ -389,14 +383,8 @@ def _job_foliation_scan(config: JobConfig):
         # max_residual keeps a NaN min_residual NaN, so the check fails
         shortfall = max_residual([floor - result.min_residual]) if result.hits == [] else floor
         checks.append(Check("min_residual_exceeds_floor", shortfall, 0.0))
-    summary = {
-        "builtin": name,
-        "grid": grid,
-        "hits": hits_summary,
-        "min_residual": fmt(result.min_residual),
-        "note": result.note,
-    }
-    return checks, summary
+    return checks, {"builtin": name, "grid": grid, "hits": hits_summary,
+                    "min_residual": fmt(result.min_residual), "note": result.note}
 
 
 def _job_curvature(config: JobConfig):
@@ -441,6 +429,7 @@ _JOBS = {
     "foliation-scan": _job_foliation_scan,
     "curvature": _job_curvature,
 }
+JOB_KINDS = tuple(_JOBS)
 
 
 def run(config: JobConfig) -> dict:

@@ -40,10 +40,6 @@ class DistributionSpec:
                 raise StructureError("vertical distribution is not involutive")
 
 
-def _frame_coords(algebra: LieAlgebra, table: ConnectionTable, rows: np.ndarray) -> np.ndarray:
-    return rows @ algebra.gram @ table.onb.T
-
-
 def second_forms(dist: DistributionSpec, table: ConnectionTable | None = None):
     """(B_V, B_H): symmetrized, projected covariant derivatives of the splitting.
 
@@ -55,10 +51,9 @@ def second_forms(dist: DistributionSpec, table: ConnectionTable | None = None):
     alg = dist.algebra
     if table is None:
         table = koszul(alg)
-    v_onb = _frame_coords(alg, table, orthonormalize(alg, dist.vertical).basis) \
-        if dist.vertical.dim else np.zeros((0, alg.dim))
-    h_onb = _frame_coords(alg, table, orthonormalize(alg, dist.horizontal).basis) \
-        if dist.horizontal.dim else np.zeros((0, alg.dim))
+    # the orthonormalized bases in frame coordinates; an empty one gives (0, d)
+    v_onb, h_onb = (orthonormalize(alg, sub).basis @ alg.gram @ table.onb.T
+                    for sub in (dist.vertical, dist.horizontal))
     p_v = v_onb.T @ v_onb
     p_h = np.eye(alg.dim) - p_v
 
@@ -259,6 +254,7 @@ class ScanHit:
     constant_curvature: bool
     curvature_value: float
     curvature_spread: float
+    certificate: CurvatureCertificate | None = None     # on centerless solvable algebras only
 
 
 @dataclass
@@ -285,6 +281,10 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     exact constant-curvature verdict, computed once per scan.  ``hit_tol`` is
     also the tolerance of each hit's classify flags, and ``curvature_tol``
     that of the constant-curvature verdict.
+
+    On a centerless solvable algebra each hit carries its direction's certificate
+    (classify tolerance ``hit_tol``, met by the hit), from the hit's own data; the
+    center and derived series are computed once, if a polished residual is below it.
     """
     if algebra.dim != 3:
         raise ValueError("scan_3d requires a 3-dimensional algebra")
@@ -307,6 +307,11 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     min_residual = float(np.minimum(coarse.min(), polished_resid.min()))     # a NaN stays NaN
 
     curvature_verdict = is_constant_curvature(algebra, curvature_tol, table)
+    derived = None          # [g, g] when the hits are certified
+    if (polished_resid < hit_tol).any():
+        series = derived_series(algebra)
+        if series[-1].dim == 0 and center(algebra).dim == 0:
+            derived = series[1]
     hits = []
     kept_frames = []
     merge_cos = math.cos(1e-3)
@@ -317,10 +322,13 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
             continue
         v = _fix_signs(v[None] / np.linalg.norm(v))[0]     # first significant component > 0
         kept_frames.append(v)
-        v_alg, _, _, alpha, beta, adj_resid = _rotation_scaling(algebra, table, v)
+        v_alg, _, _, alpha, beta, adj_resid = rotation = _rotation_scaling(algebra, table, v)
         flags = classify(DistributionSpec(algebra, span([v_alg], algebra.dim)), table,
                          hit_tol).flags()
-        hits.append(ScanHit(v_alg, resid, flags, alpha, beta, adj_resid, *curvature_verdict))
+        certificate = None if derived is None else _certificate(
+            algebra, derived, rotation, curvature_verdict, hit_tol, curvature_tol)
+        hits.append(ScanHit(v_alg, resid, flags, alpha, beta, adj_resid, *curvature_verdict,
+                            certificate))
     return ScanResult(hits, min_residual, grid, grid + evaluations)
 
 
@@ -372,34 +380,35 @@ def constant_curvature_certificate(algebra: LieAlgebra, v,
     of the classify flags and of ``horizontal_vectors_commute``;
     ``curvature_tol`` that of the two curvature checks.
     """
-    failures = []
     if algebra.dim != 3:
-        failures.append("not 3-dimensional")
-    else:
-        series = derived_series(algebra)
-        if center(algebra).dim != 0:
-            failures.append("not centerless")
-        if series[-1].dim != 0:
-            failures.append("not solvable")
+        raise StructureError("hypotheses failed: not 3-dimensional")
+    series = derived_series(algebra)
+    failures = [name for name, failed in (("not centerless", center(algebra).dim),
+                                          ("not solvable", series[-1].dim)) if failed]
     if failures:
         raise StructureError("hypotheses failed: " + ", ".join(failures))
     v = np.asarray(v, dtype=float)
     table = koszul(algebra)
-    dist = DistributionSpec(algebra, span([v], algebra.dim))
-    result = classify(dist, table, classify_tol)
+    result = classify(DistributionSpec(algebra, span([v], algebra.dim)), table, classify_tol)
     if not (result.conformal and result.totally_geodesic):
         raise StructureError(
             "hypotheses failed: direction is not a conformal foliation by geodesics "
             f"(residuals {result.residuals})")
-
     v_frame = table.to_frame_coords(v)
     v_frame = _fix_signs(v_frame[None] / np.linalg.norm(v_frame))[0]     # a line has no sign
-    _, x_alg, y_alg, alpha, beta, _ = _rotation_scaling(algebra, table, v_frame)
+    return _certificate(algebra, series[1], _rotation_scaling(algebra, table, v_frame),
+                        is_constant_curvature(algebra, curvature_tol, table),
+                        classify_tol, curvature_tol)
+
+
+def _certificate(algebra: LieAlgebra, derived: Subspace, rotation, curvature_verdict,
+                 classify_tol: float, curvature_tol: float) -> CurvatureCertificate:
+    """The conclusion's checks, from [g, g], a line's rotation-scaling data and the verdict."""
+    _, x_alg, y_alg, alpha, beta, _ = rotation
+    _, value, spread = curvature_verdict
     comm = algebra.ad(x_alg) @ y_alg
-    derived = series[1]
     horiz = span([x_alg, y_alg], algebra.dim)
     contained = horiz.contains_all(derived, 1e-8) and derived.contains_all(horiz, 1e-8)
-    _, value, spread = is_constant_curvature(algebra, curvature_tol, table)
     checks = (
         Check("horizontal_vectors_commute", float(np.abs(comm).max()), classify_tol),
         Check("horizontal_plane_is_derived_algebra", 0.0 if contained else 1.0, 0.0),

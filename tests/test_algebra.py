@@ -185,6 +185,19 @@ def test_center_abelian_is_everything():
     assert center(alg).dim == 3
 
 
+@pytest.mark.parametrize("factor, center_dim, derived_dims, abelian_", [
+    (1e-11, 3, [3, 0], True), (1e-12, 3, [3, 0], True), (1e-200, 3, [3, 0], True),
+    (1e-9, 0, [3, 2, 0], False), (1.0, 0, [3, 2, 0], False)])
+def test_structure_predicates_share_one_noise_floor(factor, center_dim, derived_dims, abelian_):
+    # brackets below 1e-10 * max(1, max |c|) are rounding noise to the center,
+    # the series and the abelian test alike
+    base = lm.build_G3(1.0, 0.5)[0]
+    alg = LieAlgebra(base.structure_constants * factor, base.gram)
+    assert center(alg).dim == center_dim
+    assert [s.dim for s in derived_series(alg)] == derived_dims
+    assert is_abelian(alg) == abelian_
+
+
 def test_so3_not_solvable():
     assert not is_solvable(so3())
     assert not is_nilpotent(so3())

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -133,6 +134,14 @@ def test_abelian_splitting_is_flat():
     dist = DistributionSpec(alg, Subspace(4, np.eye(4)[:2]))
     b_v, b_h = second_forms(dist)
     assert np.abs(b_v).max() == 0.0 and np.abs(b_h).max() == 0.0
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_splitting_with_an_empty_side(built, k):
+    alg, _ = built["G3"]
+    b_v, b_h = second_forms(DistributionSpec(alg, Subspace(3, np.eye(3)[:k])))
+    assert b_v.shape == (k, k, 3) and b_h.shape == (3 - k, 3 - k, 3)
+    assert not b_v.any() and not b_h.any()       # the empty side's projection is 0
 
 
 def test_generic_splitting_of_n3_not_conformal(built):
@@ -284,27 +293,93 @@ def test_certificate_does_not_see_the_sign_of_v(built):
     assert [c.residual for c in minus.checks] == [c.residual for c in plus.checks]
 
 
-def test_certificate_reads_solvability_off_its_one_derived_series(tmp_path, monkeypatch):
-    import liemorph.algebra as algebra_module
-    import liemorph.cli as cli_module
-    import liemorph.foliations as foliations_module
+def count_calls(monkeypatch, names):
+    """Record each call of the named functions, in every liemorph module that holds them."""
+    import sys
+
+    import liemorph.cli  # noqa: F401  (every module that binds the names is loaded)
     calls = []
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "liemorph"]
+    for name in names:
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
 
-    def counted(module, name):      # a name the module does not hold is added, and never called
-        original = getattr(module, name, None)
-        monkeypatch.setattr(module, name, lambda *args, **kwargs:
-                            calls.append(name) or original(*args, **kwargs), raising=False)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    counted(foliations_module, "derived_series")
-    for module in (algebra_module, foliations_module):
-        counted(module, "is_solvable")
-    counted(cli_module, "constant_curvature_certificate")
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+SCAN_JOB_CALLS = ("koszul", "classify", "derived_series", "center", "is_solvable",
+                  "constant_curvature_certificate")
+
+
+def test_certificate_reads_solvability_off_its_one_derived_series(tmp_path, monkeypatch):
+    # the scan builds its one hit's certificate from the hit's own data: one
+    # connection table, one classify, one derived series and one center per job
+    import liemorph.cli as cli_module
+    calls = count_calls(monkeypatch, SCAN_JOB_CALLS)
     config = Path(__file__).resolve().parents[1] / "configs/foliation_scan_G3.json"
+    out = tmp_path / "report.json"
+    assert cli_module.main(["foliation-scan", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert [hit["certificate_passed"] for hit in report["summary"]["hits"]] == [True]
+    assert {name: calls.count(name) for name in SCAN_JOB_CALLS} == {
+        "koszul": 1, "classify": 1, "derived_series": 1, "center": 1,
+        "is_solvable": 0, "constant_curvature_certificate": 0}
+
+
+def test_a_scan_without_hits_decides_no_structure(tmp_path, monkeypatch):
+    import liemorph.cli as cli_module
+    calls = count_calls(monkeypatch, SCAN_JOB_CALLS)
+    config = Path(__file__).resolve().parents[1] / "configs/foliation_scan_G_alpha.json"
     assert cli_module.main(["foliation-scan", "--config", str(config),
                             "--out", str(tmp_path / "report.json")]) == 0
-    certificates = calls.count("constant_curvature_certificate")
-    assert certificates >= 1
-    assert calls == ["constant_curvature_certificate", "derived_series"] * certificates
+    assert calls == ["koszul"]
+
+
+CERTIFIED_SCANS = {
+    "G3(1,0.5)": lambda: lm.build_G3(1.0, 0.5)[0],
+    "G3(0.5,0)": lambda: lm.build_G3(0.5, 0.0)[0],
+    "G3(0,1)": lambda: lm.build_G3(0.0, 1.0)[0],
+    "G3(2,-3)": lambda: lm.build_G3(2.0, -3.0)[0],
+    "G3(1,0.5), gram 4I": lambda: LieAlgebra(lm.build_G3(1.0, 0.5)[0].structure_constants,
+                                             4.0 * np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_SCANS))
+def test_scan_certificate_is_the_public_certificate(name):
+    alg = CERTIFIED_SCANS[name]()
+    hit_tol, curvature_tol = 1e-9, 1e-7
+    result = scan_3d(alg, hit_tol=hit_tol, curvature_tol=curvature_tol)
+    assert result.hits
+    for hit in result.hits:
+        public = constant_curvature_certificate(alg, hit.vector, hit_tol, curvature_tol)
+        scanned = hit.certificate
+        assert [(c.name, c.residual, c.tol) for c in scanned.checks] == \
+            [(c.name, c.residual, c.tol) for c in public.checks]
+        assert (scanned.alpha, scanned.beta, scanned.curvature_value) == \
+            (public.alpha, public.beta, public.curvature_value)
+
+
+@pytest.mark.parametrize("name", ["S2", "H1", "so3"])
+def test_scan_hits_of_a_centered_or_unsolvable_algebra_carry_no_certificate(built, name):
+    alg = so3() if name == "so3" else built[name][0]
+    hits = scan_3d(alg).hits
+    assert hits and all(hit.certificate is None for hit in hits)
+
+
+def test_an_algebra_of_rounding_noise_gets_no_certificate():
+    # every direction is a hit, and the algebra is abelian to the structure
+    # predicates, so it is its own center and nothing is certified
+    base = lm.build_G3(1.0, 0.5)[0]
+    alg = LieAlgebra(base.structure_constants * 1e-200, base.gram)
+    hits = scan_3d(alg).hits
+    assert hits and all(hit.certificate is None for hit in hits)
 
 
 def test_certificate_rejects_centered_algebra(built):
