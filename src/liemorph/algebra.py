@@ -32,7 +32,7 @@ def _readonly(a, dtype=float):
 
 def _scale(c: np.ndarray) -> float:
     """max(1, max |c|): the size structural tolerances and rank floors scale with."""
-    return max(1.0, float(np.abs(c).max()) if c.size else 0.0)
+    return max(1.0, float(np.abs(c).max()))
 
 
 def _coo_max_abs(terms, budget: float = math.inf) -> float | None:
@@ -140,8 +140,9 @@ class LieAlgebra:
 
     def __post_init__(self, validate):
         c = np.asarray(self.structure_constants, dtype=float)
-        if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[0] != c.shape[2]:
-            raise StructureError(f"structure constants must have shape (d, d, d), got {c.shape}")
+        if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[0] != c.shape[2] or not c.size:
+            raise StructureError(f"structure constants must have shape (d, d, d) with d >= 1, "
+                                 f"got {c.shape}")
         g = np.asarray(self.gram, dtype=float)
         if g.shape != c.shape[:2]:
             raise StructureError(f"gram must have shape {c.shape[:2]}, got {g.shape}")
@@ -168,7 +169,7 @@ class LieAlgebra:
     def _validation(self) -> tuple[Check, ...]:
         c, g = self.structure_constants, self.gram
         scale = _scale(c)
-        anti = float(np.abs(c + c.transpose(1, 0, 2)).max()) if c.size else 0.0
+        anti = float(np.abs(c + c.transpose(1, 0, 2)).max())
         jacobi = _jacobi_residual(c)
         gsym = float(np.abs(g - g.T).max())
         eig = np.linalg.eigvalsh(0.5 * (g + g.T))
@@ -376,7 +377,7 @@ def is_nilpotent(algebra: LieAlgebra) -> bool:
 
 def is_abelian(algebra: LieAlgebra) -> bool:
     g = np.eye(algebra.dim)       # [g, g] = 0 under the series' noise floor
-    return algebra.dim == 0 or _bracket_span(algebra, g, g).dim == 0
+    return _bracket_span(algebra, g, g).dim == 0
 
 
 def center(algebra: LieAlgebra) -> Subspace:

@@ -16,7 +16,6 @@ class BuiltinSpec:
     params: tuple            # of (param name, type name, constraint text, default or None)
     build: callable
     construction_kind: str | None = None   # first-construction kind, if any
-    three_dim: bool = False                # guaranteed 3-dimensional for the foliation scan
 
 
 BUILTINS = (
@@ -55,7 +54,6 @@ BUILTINS = (
         (("alpha", "float", "(alpha, beta) != (0, 0)", None),
          ("beta", "float", "", 0.0)),
         groups.build_G3,
-        three_dim=True,
     ),
     BuiltinSpec(
         "G_alpha",
@@ -63,7 +61,6 @@ BUILTINS = (
         "orthonormal declared basis",
         (("alpha", "float", "", None),),
         groups.build_Galpha,
-        three_dim=True,
     ),
     BuiltinSpec(
         "damek_ricci",
@@ -88,7 +85,6 @@ def list_builtins() -> list[dict]:
                         **({"default": p[3]} if p[3] is not None else {})}
                        for p in spec.params],
             "construction_kind": spec.construction_kind,
-            "three_dim": spec.three_dim,
         })
     return out
 

@@ -35,13 +35,12 @@ class IsotropicBasis:
 
     ambient: int
     vectors: np.ndarray  # (k, ambient) complex rows
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
+    def __post_init__(self):
         v = np.array(self.vectors, dtype=complex).reshape(-1, self.ambient)
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
-        if validate and v.shape[0]:
+        if v.shape[0]:
             scale = max(1.0, float(np.abs(v).max()) ** 2)
             prod = v @ v.T
             if float(np.abs(prod).max()) > ISOTROPY_TOL * scale:
@@ -154,31 +153,27 @@ class FirstConstruction:
 
 
 def _phi_and_horizontal(algebra, realization, kind):
-    from .groups import upper_entry_index
+    """Phi's components, and as rows the gram-duals of their differentials at the identity.
 
-    eye = np.eye(algebra.dim)
+    ``xi_vector`` checks that the rows are an orthonormal basis of [g, g]^perp.
+    """
     ambient = realization.ambient
     if kind == "N":
-        n = ambient
-        fields = [jets.matrix_entry(k, k + 1) for k in range(n - 1)]
-        horizontal = [eye[upper_entry_index(n, k, k + 1)] for k in range(n - 1)]
+        fields = [jets.matrix_entry(k, k + 1) for k in range(ambient - 1)]
     elif kind == "H":
         n = ambient - 2
         fields = [jets.matrix_entry(0, 1 + k) for k in range(n)]
         fields += [jets.matrix_entry(1 + k, n + 1) for k in range(n)]
-        horizontal = [eye[k] for k in range(2 * n)]
     elif kind == "K":
         n = ambient - 1
         fields = [jets.linear_combination([math.sqrt(n - 1)], [jets.matrix_entry(0, 1)]),
                   jets.matrix_entry(n - 1, n)]
-        horizontal = [eye[n], eye[n - 1]]   # X, then Y_n
     elif kind == "S":
-        n = ambient
-        fields = [jets.log_diag(t) for t in range(n)]
-        horizontal = [eye[t] for t in range(n)]
+        fields = [jets.log_diag(t) for t in range(ambient)]
     else:
         raise ValueError(f"unknown construction kind {kind!r}; expected N, H, K or S")
-    return tuple(fields), np.array(horizontal, dtype=float)
+    d1, _ = jets._jets(fields, np.eye(ambient)[None], realization.rep)   # (F, 1, d)
+    return tuple(fields), np.linalg.solve(algebra.gram, d1[:, 0].real.T).T
 
 
 def first_construction(algebra: LieAlgebra, realization: MatrixRealization,

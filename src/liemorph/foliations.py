@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +18,13 @@ CLASSIFY_TOL = DEFAULT_TOLERANCES["classify"]
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Orthogonal splitting vertical + horizontal of a left-invariant metric algebra."""
+    """Orthogonal splitting vertical + horizontal of a metric algebra, the vertical involutive."""
 
     algebra: LieAlgebra
     vertical: Subspace
     horizontal: Subspace = None
-    foliation: InitVar[bool] = True
 
-    def __post_init__(self, foliation):
+    def __post_init__(self):
         if self.horizontal is None:
             object.__setattr__(self, "horizontal", orthocomplement(self.algebra, self.vertical))
         g = self.algebra.gram
@@ -34,7 +33,7 @@ class DistributionSpec:
             raise StructureError("vertical and horizontal subspaces are not orthogonal")
         if self.vertical.dim + self.horizontal.dim != self.algebra.dim:
             raise StructureError("splitting dimensions do not fill the algebra")
-        if foliation and self.vertical.dim > 1:
+        if self.vertical.dim > 1:
             brackets = _bracket_span(self.algebra, self.vertical.basis, self.vertical.basis)
             if not self.vertical.contains_all(brackets, 1e-10):
                 raise StructureError("vertical distribution is not involutive")
@@ -143,6 +142,7 @@ def _tangent_pairs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _residual_kernel(gamma: np.ndarray):
     """The defect of ``residuals`` for one connection table, as a function of an (N, 3) stack.
 
+    The rows must be unit vectors; callers normalise each row once.
     Coefficients are precomputed once: with S_v = sym(Gamma . v), one
     (N, 9) @ (9, 6) product of v (x) v gives g = Gamma(v, v) and S_v v, and
     one (N, 3) @ (3, 10) product gives S_v and, in its last column, tr S_v.
@@ -158,7 +158,6 @@ def _residual_kernel(gamma: np.ndarray):
     eye = _EYE3.reshape(9)
 
     def kernel(v: np.ndarray) -> np.ndarray:
-        v = _unit_rows(v)
         vv = (v[:, :, None] * v[:, None, :]).reshape(-1, 9)
         gs = vv @ quad
         g, sv = gs[:, :3], gs[:, 3:]
@@ -189,7 +188,7 @@ def residuals(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
     vanish together exactly for a conformal foliation by geodesics.  No
     tangent frame is built; see ``_residual_kernel``.
     """
-    return _residual_kernel(gamma)(v)
+    return _residual_kernel(gamma)(_unit_rows(v))
 
 
 _DIAG = 1.0 / math.sqrt(2.0)
@@ -197,17 +196,18 @@ _DIAG = 1.0 / math.sqrt(2.0)
 _OFFSETS = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
                      (_DIAG, _DIAG), (_DIAG, -_DIAG), (-_DIAG, _DIAG), (-_DIAG, -_DIAG)])
 _OFFSET_X, _OFFSET_Y = _OFFSETS.T[:, :, None]
+_POLISH_ROUNDS = 3
 
 
-def _polish(gamma: np.ndarray, starts: np.ndarray, rounds: int = 3):
+def _polish(gamma: np.ndarray, starts: np.ndarray):
     """Pattern search on the sphere from every start at once, in lockstep.
 
     Each start moves to its first improving offset of step ``step`` along its
     tangent pair, or halves its own step when none improves; a round ends
-    when the step falls to 1e-13, and a start leaves after a round once its
-    residual is below 1e-13.  Every start follows the path it would follow
-    alone.  Returns the polished directions, their residuals and the number
-    of residual evaluations.
+    when the step falls to 1e-13, and a start leaves after ``_POLISH_ROUNDS``
+    rounds, or after any round once its residual is below 1e-13.  Every start
+    follows the path it would follow alone.  Returns the polished directions,
+    their residuals and the number of residual evaluations.
     """
     score = _residual_kernel(gamma)
     polished = _unit_rows(starts)
@@ -217,7 +217,7 @@ def _polish(gamma: np.ndarray, starts: np.ndarray, rounds: int = 3):
     rows = np.arange(len(polished))
     v, best = polished.copy(), polished_best.copy()
     step = np.full(len(v), 0.25)
-    rounds_left = np.full(len(v), rounds)
+    rounds_left = np.full(len(v), _POLISH_ROUNDS)
     while len(rows):
         x, y = _tangent_pairs(v)
         cand = _unit_rows(v[:, None] + step[:, None, None]

@@ -68,7 +68,7 @@ def gl_connection_term(realization: MatrixRealization, x) -> np.ndarray:
     of the result per row.  Only valid when the algebra's gram equals the
     trace inner product of the realization matrices; anything else raises.
     """
-    rep = np.stack(realization.rep)                          # (d, n, n)
+    rep = realization.rep                                    # (d, n, n)
     gram_rep = np.einsum("ajk,bjk->ab", rep, rep)
     if float(np.abs(gram_rep - realization.algebra.gram).max()) > 1e-10:
         raise StructureError("algebra gram is not the trace inner product of the realization")

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import LieAlgebra, _representation_residual
+from .algebra import LieAlgebra, _readonly, _representation_residual
 from .errors import StructureError
 
 HOMOMORPHISM_TOL = 1e-10
@@ -71,42 +71,42 @@ def exp_matrix(x, t=1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MatrixRealization:
-    """One ambient x ambient matrix per algebra basis vector."""
+    """One ambient x ambient matrix per basis vector, held as one read-only (d, n, n) copy."""
 
     algebra: LieAlgebra
-    rep: tuple
+    rep: np.ndarray
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate):
-        mats = tuple(np.array(m, dtype=float) for m in self.rep)
-        if len(mats) != self.algebra.dim:
-            raise StructureError(f"need {self.algebra.dim} matrices, got {len(mats)}")
-        n = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (n, n):
-                raise StructureError("realization matrices must share a square shape")
-            m.flags.writeable = False
-        object.__setattr__(self, "rep", mats)
+        if len(self.rep) != self.algebra.dim:
+            raise StructureError(f"need {self.algebra.dim} matrices, got {len(self.rep)}")
+        try:
+            rep = _readonly(self.rep)
+        except ValueError as exc:       # matrices of different shapes
+            raise StructureError("realization matrices must share a square shape") from exc
+        if rep.ndim != 3 or rep.shape[1] != rep.shape[2]:
+            raise StructureError("realization matrices must share a square shape")
+        object.__setattr__(self, "rep", rep)
         if validate:
             # the residual first: it is NaN on a non-finite entry, which the rank test
             # would misreport as dependence (inf) or fail to decompose (NaN)
             resid = self.homomorphism_residual()
             if not resid <= HOMOMORPHISM_TOL:     # a NaN residual fails too
                 raise StructureError(f"realization is not a homomorphism (residual {resid:.3e})")
-            flat = np.stack([m.reshape(-1) for m in mats])
+            flat = rep.reshape(len(rep), -1)
             scale = max(1.0, float(np.abs(flat).max()))
-            if np.linalg.matrix_rank(flat, tol=1e-10 * scale) < len(mats):
+            if np.linalg.matrix_rank(flat, tol=1e-10 * scale) < len(rep):
                 raise StructureError("realization matrices are linearly dependent")
 
     @property
     def ambient(self) -> int:
-        return self.rep[0].shape[0]
+        return self.rep.shape[1]
 
     def matrix_of(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.algebra.dim,):
             raise ValueError(f"coordinate vector must have length {self.algebra.dim}")
-        return np.einsum("i,ijk->jk", x, np.stack(self.rep))
+        return np.einsum("i,ijk->jk", x, self.rep)
 
     def homomorphism_residual(self) -> float:
         """max |[M_i, M_j] - sum_k c[i,j,k] M_k| over all pairs, computed once per instance."""
@@ -114,7 +114,7 @@ class MatrixRealization:
 
     @cached_property
     def _homomorphism_residual(self) -> float:
-        return _representation_residual(self.algebra.structure_constants, np.stack(self.rep))
+        return _representation_residual(self.algebra.structure_constants, self.rep)
 
 
 def sample_points(realization: MatrixRealization, count: int, seed: int,
@@ -156,7 +156,7 @@ def _algebra_from_matrices(mats, gram=None) -> tuple[LieAlgebra, MatrixRealizati
     Every commutator must stay in the span of the basis; that closure is what
     makes the realization a homomorphism by construction.
     """
-    mats = np.stack([np.asarray(m, dtype=float) for m in mats])     # (d, n, n)
+    mats = np.array(mats, dtype=float)     # (d, n, n)
     d = len(mats)
     flat = mats.reshape(d, -1).T
     i, j = np.triu_indices(d, 1)
@@ -173,7 +173,7 @@ def _algebra_from_matrices(mats, gram=None) -> tuple[LieAlgebra, MatrixRealizati
     if gram is None:
         gram = np.eye(d)
     algebra = LieAlgebra(c, gram)
-    return algebra, MatrixRealization(algebra, tuple(mats))
+    return algebra, MatrixRealization(algebra, mats)
 
 
 def build_N(n: int) -> tuple[LieAlgebra, MatrixRealization]:

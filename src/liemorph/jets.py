@@ -27,8 +27,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, orthonormal_basis
 from .checks import DEFAULT_TOLERANCES, Check
-from .errors import DomainError
-from .geometry import ConnectionTable, koszul
+from .errors import DomainError, StructureError
 from .groups import MatrixRealization, exp_matrix
 
 
@@ -442,17 +441,17 @@ def random_polynomial(n_vars: int, rng: np.random.Generator, max_degree: int = 3
 
 @dataclass(frozen=True)
 class Frame:
-    """Orthonormal left-invariant frame on a matrix group, with connection data.
+    """Orthonormal left-invariant frame on a matrix group, with its tension vector.
 
-    ``tension`` is sum_a nabla_{X_a} X_a in algebra coordinates; the laplacian
-    of a field is sum_a X_a^2(phi) minus the derivative along this vector.
+    ``tension`` is sum_a nabla_{X_a} X_a in algebra coordinates: by Koszul,
+    <tension, Z> = sum_a <[Z, X_a], X_a> = tr ad_Z (Milnor, Adv. Math. 21, 1976).
+    The laplacian of a field is sum_a X_a^2(phi) minus the derivative along it.
     """
 
     algebra: LieAlgebra
     realization: MatrixRealization
     onb: np.ndarray
     mats: tuple
-    connection: ConnectionTable
     tension: np.ndarray
     tension_mat: np.ndarray
 
@@ -462,12 +461,12 @@ class Frame:
         if onb is None:
             onb = orthonormal_basis(algebra)
         onb = np.asarray(onb, dtype=float)
-        table = koszul(algebra, onb)
-        mats = tuple(realization.matrix_of(v) for v in onb)
-        tension_frame = np.einsum("aac->c", table.gamma)
-        tension = tension_frame @ onb
-        return cls(algebra, realization, onb, mats, table, tension,
-                   realization.matrix_of(tension))
+        eye = np.eye(algebra.dim)
+        if onb.shape != eye.shape or float(np.abs(onb @ algebra.gram @ onb.T - eye).max()) > 1e-10:
+            raise StructureError("Frame.build requires an orthonormal frame of the algebra")
+        mats = tuple(np.tensordot(onb, realization.rep, axes=1))
+        tension = np.linalg.solve(algebra.gram, np.einsum("ijj->i", algebra.structure_constants))
+        return cls(algebra, realization, onb, mats, tension, realization.matrix_of(tension))
 
 
 def _jets(fields, points, mats) -> tuple:

@@ -287,3 +287,9 @@ def test_subspace_equality_tolerant():
     c = Subspace(3, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
     assert a.equals(b)
     assert not a.equals(c)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_zero_dimensional_algebra_is_a_structure_error(validate):
+    with pytest.raises(StructureError, match=r"d >= 1, got \(0, 0, 0\)"):
+        LieAlgebra(np.zeros((0, 0, 0)), np.zeros((0, 0)), validate=validate)

@@ -7,6 +7,7 @@ Gram matrix, so the residuals being compared are nonzero.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -263,8 +264,11 @@ def test_involutivity_matches_the_loop():
 def test_second_forms_match_the_loop(builder, k):
     rng = np.random.default_rng(k)
     alg = perturbed(builder()[0], rng)
-    dist = DistributionSpec(alg, Subspace(alg.dim, rng.normal(size=(k, alg.dim))),
-                            foliation=False)
+    # a random vertical plane (k = 2) is not involutive, so no DistributionSpec
+    # holds it; second_forms reads only these three fields
+    vertical = Subspace(alg.dim, rng.normal(size=(k, alg.dim)))
+    dist = SimpleNamespace(algebra=alg, vertical=vertical,
+                           horizontal=lm.algebra.orthocomplement(alg, vertical))
     table = koszul(alg)
     b_v, b_h = second_forms(dist, table)
 

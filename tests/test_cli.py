@@ -469,6 +469,32 @@ def test_check_algebra_computes_each_series_once(tmp_path, monkeypatch, name, n)
     assert summary["solvable"] is True and summary["nilpotent"] is (name == "N")
 
 
+@pytest.mark.parametrize("kind, builtin, tables", [
+    ("verify-family", {"name": "N", "params": {"n": 4}}, 0),
+    ("verify-family", {"name": "S", "params": {"n": 3}}, 0),
+    ("construct", {"name": "K", "params": {"n": 4}}, 0),
+    ("curvature", {"name": "S", "params": {"n": 3}}, 1),
+])
+def test_family_jobs_build_no_connection_table(tmp_path, monkeypatch, kind, builtin, tables):
+    # the frame's tension is the gram-dual of the trace form, read off the constants;
+    # the curvature job is the control that the count sees a table when one is built
+    import sys
+    import liemorph.geometry as geometry_module
+    calls = []
+    original = geometry_module.koszul
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].dim)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "liemorph" and getattr(module, "koszul", None) is original:
+            monkeypatch.setattr(module, "koszul", counted)
+    cfg, _ = base_config(tmp_path, kind, builtin=builtin)
+    assert main([kind, "--config", cfg]) == 0
+    assert len(calls) == tables
+
+
 @pytest.mark.parametrize("scale", [2.0, 0.0])
 @pytest.mark.parametrize("source", ["damek_ricci", "s3"])
 def test_a_samples_are_one_draw_of_the_per_sample_stream(tmp_path, source, scale):

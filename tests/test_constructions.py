@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import liemorph as lm
-from liemorph.constructions import (IsotropicBasis, bilinear,
+from liemorph.constructions import (IsotropicBasis, _phi_and_horizontal, bilinear,
                                     damek_ricci_root_graded,
                                     first_construction, max_isotropic,
                                     max_isotropic_orthogonal_to,
                                     restrict_to_xi_perp,
                                     second_construction_check, xi_vector)
 from liemorph.errors import ConstructionError, StructureError
-from liemorph.groups import sample_points
+from liemorph.groups import sample_points, upper_entry_index
 from liemorph.jets import verify_family
 
 
@@ -299,3 +299,34 @@ def test_second_construction_rank_one_iwasawa():
         (lm.RootSpace(np.array([1.0]), lm.Subspace(2, np.eye(2)[:1])),), 0)
     report = second_construction_check(graded, [np.array([0.0, s]) for s in (-1.0, 0.5)])
     assert all(c.passed for c in report)
+
+
+def hand_written_horizontal(algebra, realization, kind):
+    """The horizontal rows as they were listed per kind, before being read off d phi."""
+    eye = np.eye(algebra.dim)
+    ambient = realization.ambient
+    if kind == "N":
+        n = ambient
+        horizontal = [eye[upper_entry_index(n, k, k + 1)] for k in range(n - 1)]
+    elif kind == "H":
+        n = ambient - 2
+        horizontal = [eye[k] for k in range(2 * n)]
+    elif kind == "K":
+        n = ambient - 1
+        horizontal = [eye[n], eye[n - 1]]   # X, then Y_n
+    else:
+        horizontal = [eye[t] for t in range(ambient)]
+    return np.array(horizontal, dtype=float)
+
+
+FIRST_KINDS = ([("N", n) for n in range(2, 11)] + [("H", n) for n in range(1, 5)]
+               + [("K", n) for n in range(2, 10)] + [("S", n) for n in range(2, 9)])
+
+
+@pytest.mark.parametrize("kind, n", FIRST_KINDS)
+def test_horizontal_rows_from_dphi_are_the_hand_written_rows(kind, n):
+    alg, real = getattr(lm, f"build_{kind}")(n)
+    fields, horizontal = _phi_and_horizontal(alg, real, kind)
+    want = hand_written_horizontal(alg, real, kind)
+    assert len(fields) == len(horizontal)
+    assert horizontal.shape == want.shape and horizontal.tobytes() == want.tobytes()

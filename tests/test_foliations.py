@@ -69,7 +69,6 @@ def test_distribution_requires_involutive_vertical(built):
     # span{E12, E23} is not closed: [E12, E23] = E13
     with pytest.raises(StructureError, match="involutive"):
         DistributionSpec(alg, Subspace(3, np.eye(3)[[0, 2]]))
-    DistributionSpec(alg, Subspace(3, np.eye(3)[[0, 2]]), foliation=False)
 
 
 def test_center_foliation_has_vanishing_forms(built):
@@ -223,8 +222,8 @@ def test_a_nan_polish_residual_is_no_hit_and_stays_the_minimum(monkeypatch):
     import liemorph.foliations as foliations_module
     polish = foliations_module._polish
 
-    def nan_polish(gamma, starts, rounds=3):
-        v, best, evaluations = polish(gamma, starts, rounds)
+    def nan_polish(gamma, starts):
+        v, best, evaluations = polish(gamma, starts)
         return v, np.full_like(best, np.nan), evaluations
 
     monkeypatch.setattr(foliations_module, "_polish", nan_polish)

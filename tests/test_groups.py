@@ -4,7 +4,7 @@ import pytest
 import liemorph as lm
 from liemorph.algebra import derived_series, Subspace
 from liemorph.errors import StructureError
-from liemorph.groups import (build_damek_ricci, build_G3, build_K,
+from liemorph.groups import (MatrixRealization, build_damek_ricci, build_G3, build_K,
                              exp_matrix, sample_points)
 
 
@@ -218,3 +218,34 @@ def test_sampling_overflow_is_a_structure_error(built):
         sample_points(real, 3, seed=1, scale=1e120)
     with pytest.raises(StructureError, match="overflows"):
         sample_points(real, 3, seed=1, scale=1e308)
+
+
+def test_realization_is_one_read_only_stack(built):
+    alg, real = built["H2"]
+    assert real.rep.shape == (alg.dim, real.ambient, real.ambient)
+    assert not real.rep.flags.writeable
+    mats = [np.array(m) for m in real.rep]
+    again = MatrixRealization(alg, mats)
+    mats[0][0, 1] = 7.0                 # the realization holds its own copy
+    assert np.array_equal(again.rep, real.rep)
+    assert np.array_equal(again.matrix_of(np.arange(alg.dim)),
+                          sum(k * m for k, m in enumerate(real.rep)))
+
+
+BAD_SHAPES = {
+    "too few": (lambda mats: mats[:2], "need 3 matrices, got 2"),
+    "too many": (lambda mats: mats + mats[:1], "need 3 matrices, got 4"),
+    "non-square": (lambda mats: [m[:, :2] for m in mats], "share a square shape"),
+    "ragged": (lambda mats: mats[:2] + [np.eye(4)], "share a square shape"),
+    "vectors": (lambda mats: [m[0] for m in mats], "share a square shape"),
+    "stacks": (lambda mats: [m[None] for m in mats], "share a square shape"),
+}
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_realization_bad_shapes_are_structure_errors(built, case, validate):
+    alg, real = built["N3"]
+    reshape, message = BAD_SHAPES[case]
+    with pytest.raises(StructureError, match=message):
+        MatrixRealization(alg, reshape(list(real.rep)), validate=validate)

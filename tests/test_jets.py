@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import liemorph as lm
-from liemorph.errors import DomainError
-from liemorph.groups import sample_points
+from liemorph.errors import DomainError, StructureError
+from liemorph.geometry import koszul
+from liemorph.groups import MatrixRealization, sample_points
 from liemorph.jets import (Constant, CurveJet, FamilyReport, Frame, HolomorphicImage, Jet2,
                            LinearCombo, Polynomial, ScalarField, derivs, fd_check,
                            holomorphic_post, identity_polynomial, kappa, kappa_matrix,
@@ -212,6 +213,56 @@ def test_kappa_and_tau_basis_independence(built, rng):
             t1 = laplacian_values(fields, p, frame1)
             t2 = laplacian_values(fields, p, frame2)
             assert np.abs(t1 - t2).max() < 1e-10
+
+
+REALIZED = {
+    **{f"N{n}": (lm.build_N, (n,)) for n in range(2, 11)},
+    **{f"H{n}": (lm.build_H, (n,)) for n in range(1, 5)},
+    **{f"K{n}": (lm.build_K, (n,)) for n in range(2, 10)},
+    **{f"S{n}": (lm.build_S, (n,)) for n in range(2, 9)},
+    **{f"G3({a},{b})": (lm.build_G3, (a, b))
+       for a, b in ((1.0, 0.5), (0.5, 0.0), (0.0, 1.0), (2.0, -3.0))},
+    **{f"G_alpha({a})": (lm.build_Galpha, (a,)) for a in (-1.0, 0.0, 0.5, 1.0, 2.0)},
+}
+
+
+def koszul_tension(algebra, onb):
+    """sum_a nabla_{X_a} X_a from the full connection table: the reference."""
+    return np.einsum("aac->c", koszul(algebra, onb).gamma) @ onb
+
+
+@pytest.mark.parametrize("name", sorted(REALIZED))
+def test_trace_form_tension_is_the_koszul_trace_bit_for_bit(name):
+    build, args = REALIZED[name]
+    alg, real = build(*args)
+    frame = Frame.build(alg, real)
+    want = koszul_tension(alg, frame.onb)
+    assert frame.tension.tobytes() == want.tobytes()
+    assert frame.tension_mat.tobytes() == real.matrix_of(want).tobytes()
+    assert [m.tobytes() for m in frame.mats] == [real.matrix_of(v).tobytes() for v in frame.onb]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trace_form_tension_matches_koszul_under_random_grams_and_frames(seed):
+    rng = np.random.default_rng(seed)
+    for build, args in (REALIZED["S4"], REALIZED["G3(1.0,0.5)"], REALIZED["K5"],
+                        REALIZED["H2"]):
+        alg, real = build(*args)
+        a = rng.normal(size=(alg.dim, alg.dim))
+        alg = lm.LieAlgebra(alg.structure_constants, a @ a.T / alg.dim + np.eye(alg.dim))
+        real = MatrixRealization(alg, real.rep)
+        rotation = random_orthogonal(alg.dim, rng)
+        for onb in (None, rotation @ lm.orthonormal_basis(alg)):
+            frame = Frame.build(alg, real, onb)
+            want = koszul_tension(alg, frame.onb)
+            assert np.abs(frame.tension - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def test_frame_needs_an_orthonormal_frame_of_the_whole_algebra(built):
+    alg, real = built["S3"]
+    for onb in (2.0 * np.eye(alg.dim), np.eye(alg.dim)[:-1]):
+        with pytest.raises(StructureError, match="orthonormal frame"):
+            Frame.build(alg, real, onb)
 
 
 @pytest.mark.parametrize("n", [3, 4])
