@@ -326,45 +326,69 @@ def orthonormal_basis(algebra: LieAlgebra) -> np.ndarray:
     return np.linalg.inv(chol)
 
 
+def _orthonormal_frame(algebra: LieAlgebra, onb=None) -> np.ndarray:
+    """``onb``, by default the Cholesky frame, if it is d x d with onb g onb^T = I within 1e-10."""
+    onb = orthonormal_basis(algebra) if onb is None else np.asarray(onb, dtype=float)
+    eye = np.eye(algebra.dim)
+    if onb.shape != eye.shape or not Check(           # Check's rule: a NaN frame fails
+            "orthonormal_frame", np.abs(onb @ algebra.gram @ onb.T - eye).max(), 1e-10).passed:
+        raise StructureError("expected an orthonormal frame of the whole algebra")
+    return onb
+
+
 def orthocomplement(algebra: LieAlgebra, subspace: Subspace) -> Subspace:
     """Orthogonal complement with respect to the algebra's inner product."""
     rank, _, vh = _rank_decision(subspace.basis @ algebra.gram)
     return Subspace(algebra.dim, _fix_signs(vh[rank:]))
 
 
-def _bracket_span(algebra: LieAlgebra, left: np.ndarray, right: np.ndarray) -> Subspace:
-    """span{[x, y] : x a row of ``left``, y a row of ``right``}.
+def _brackets_with(algebra: LieAlgebra, left: np.ndarray):
+    """right -> span{[x, y] : x a row of ``left``, y a row of ``right``}, ``left`` contracted once.
 
-    All brackets are one contraction and the span one rank decision.  Its
-    floor is the algebra's scale, the one ``validation_report`` uses, so
-    brackets that are all rounding noise (such as [g, z(g)]) span nothing.
+    Each span is one product, ``right @ tensordot(left, c)``, and one rank
+    decision.  Its floor is the algebra's scale, the one ``validation_report``
+    uses, so brackets that are all rounding noise (such as [g, z(g)]) span nothing.
     """
     c = algebra.structure_constants
+    floor = RANK_TOL * _scale(c)
     with np.errstate(invalid="ignore", over="ignore"):      # inf * 0, overflow: raised below
-        brackets = right @ np.tensordot(left, c, axes=(1, 0))
-    return _span_above(brackets, algebra.dim, RANK_TOL * _scale(c))
+        contracted = np.tensordot(left, c, axes=(1, 0))
+
+    def bracket_span(right: np.ndarray) -> Subspace:
+        with np.errstate(invalid="ignore", over="ignore"):
+            brackets = right @ contracted
+        return _span_above(brackets, algebra.dim, floor)
+    return bracket_span
+
+
+def _bracket_span(algebra: LieAlgebra, left: np.ndarray, right: np.ndarray) -> Subspace:
+    return _brackets_with(algebra, left)(right)
+
+
+def _descending_series(algebra: LieAlgebra, first: Subspace, left=None) -> list[Subspace]:
+    """first, [L, first], [L, [L, first]], ... until the dimension stabilizes (or d + 1 steps).
+
+    L is ``left``, contracted with c once per series, or else each term itself.
+    """
+    fixed = None if left is None else _brackets_with(algebra, left)
+    series = [first]
+    while series[-1].dim > 0 and len(series) <= algebra.dim + 1:
+        basis = series[-1].basis
+        nxt = (fixed or _brackets_with(algebra, basis))(basis)
+        if nxt.dim == len(basis):
+            break
+        series.append(nxt)
+    return series
 
 
 def derived_series(algebra: LieAlgebra) -> list[Subspace]:
     """g, [g,g], [[g,g],[g,g]], ... until the dimension stabilizes."""
-    series = [full_space(algebra)]
-    while series[-1].dim > 0:
-        nxt = _bracket_span(algebra, series[-1].basis, series[-1].basis)
-        if nxt.dim == series[-1].dim:
-            break
-        series.append(nxt)
-    return series
+    return _descending_series(algebra, full_space(algebra))
 
 
 def lower_central_series(algebra: LieAlgebra) -> list[Subspace]:
     """g, [g,g], [g,[g,g]], ... until the dimension stabilizes."""
-    series = [full_space(algebra)]
-    while series[-1].dim > 0:
-        nxt = _bracket_span(algebra, series[0].basis, series[-1].basis)
-        if nxt.dim == series[-1].dim:
-            break
-        series.append(nxt)
-    return series
+    return _descending_series(algebra, full_space(algebra), np.eye(algebra.dim))
 
 
 def is_solvable(algebra: LieAlgebra) -> bool:

@@ -14,7 +14,8 @@ from dataclasses import InitVar, dataclass, replace
 import numpy as np
 
 from . import jets
-from .algebra import LieAlgebra, Subspace, _bracket_span, orthonormalize, span
+from .algebra import (LieAlgebra, Subspace, _bracket_span, _descending_series, orthonormalize,
+                      span)
 from .checks import DEFAULT_TOLERANCES, Check, max_residual
 from .errors import ConstructionError, StructureError
 from .groups import MatrixRealization, exp_matrix
@@ -38,6 +39,8 @@ class IsotropicBasis:
 
     def __post_init__(self):
         v = np.array(self.vectors, dtype=complex).reshape(-1, self.ambient)
+        if not np.isfinite(v).all():
+            raise StructureError("isotropic basis has non-finite entries")
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
         if v.shape[0]:
@@ -66,22 +69,28 @@ def max_isotropic(n: int) -> IsotropicBasis:
     return IsotropicBasis(n, np.array(vecs))
 
 
+def _xi_vanishes(xi) -> bool:
+    """The one floor for xi = 0: norm <= 1e-12.  A non-finite xi raises StructureError."""
+    if not np.isfinite(xi).all():
+        raise StructureError("xi has non-finite entries")
+    return float(np.linalg.norm(xi)) <= 1e-12
+
+
 def max_isotropic_orthogonal_to(xi) -> IsotropicBasis:
-    """A maximal isotropic subspace of C^n adapted to a nonzero real vector xi.
+    """A maximal isotropic subspace of C^n adapted to a real vector xi.
 
     The first floor((n-1)/2) vectors are built from a real orthonormal basis of
     the hyperplane xi-perp, so they survive the xi-orthogonality restriction;
     for even n a final vector involving xi itself tops the dimension up to the
-    maximal floor(n/2).
+    maximal floor(n/2).  A xi that counts as zero gives ``max_isotropic(n)``.
     """
     xi = np.asarray(xi, dtype=float)
     n = xi.shape[0]
     if n < 2:
         raise ValueError("ambient dimension must be >= 2")
-    norm = np.linalg.norm(xi)
-    if norm == 0.0:
+    if _xi_vanishes(xi):
         return max_isotropic(n)
-    cols = np.concatenate([xi.reshape(-1, 1) / norm, np.eye(n)], axis=1)
+    cols = np.concatenate([xi.reshape(-1, 1) / np.linalg.norm(xi), np.eye(n)], axis=1)
     q, _ = np.linalg.qr(cols)
     u = q.T  # u[0] is +-xi/|xi|, the rest an orthonormal basis of the complement
     vecs = []
@@ -97,20 +106,15 @@ def restrict_to_xi_perp(w: IsotropicBasis, xi) -> IsotropicBasis:
     xi = np.asarray(xi, dtype=complex)
     if xi.shape != (w.ambient,):
         raise ValueError(f"xi must have length {w.ambient}")
-    if w.dim == 0 or float(np.abs(xi).max()) <= 1e-14:
+    if _xi_vanishes(xi) or w.dim == 0:
         return w
     pairings = w.vectors @ xi  # (k,)
     if float(np.abs(pairings).max()) <= 1e-12 * max(1.0, float(np.abs(xi).max())):
         return w
-    _, s, vh = np.linalg.svd(pairings.reshape(1, -1))
-    rank = int(np.sum(s > 1e-12 * s[0]))
-    kernel = vh[rank:].conj()  # rows c with sum_j c_j (w_j, xi) = 0
-    vectors = kernel @ w.vectors
+    _, _, vh = np.linalg.svd(pairings.reshape(1, -1))      # rank 1: the pairings are nonzero
+    vectors = vh[1:].conj() @ w.vectors     # sum_j c_j w_j for each c with sum_j c_j (w_j, xi) = 0
     # deterministic normalization: largest component becomes 1
-    normed = []
-    for v in vectors:
-        pivot = v[np.argmax(np.abs(v))]
-        normed.append(v / pivot)
+    normed = [v / v[np.argmax(np.abs(v))] for v in vectors]
     return IsotropicBasis(w.ambient, np.array(normed).reshape(-1, w.ambient))
 
 
@@ -182,17 +186,17 @@ def first_construction(algebra: LieAlgebra, realization: MatrixRealization,
 
     Phi's components are coordinate reads of the group (matrix entries for the
     nilpotent kinds, logs of the diagonal for S).  The family pairs Phi with a
-    maximal isotropic basis restricted to the xi-orthogonal subspace; when xi
-    is nonzero the isotropic subspace is chosen adapted to xi so the
-    restriction keeps as many directions as the geometry allows.
+    maximal isotropic basis restricted to the xi-orthogonal subspace; unless xi
+    counts as zero the isotropic subspace is chosen adapted to xi so the
+    restriction keeps as many directions as the geometry allows.  A Phi of
+    fewer than 2 components, or an empty restriction, raises ConstructionError.
     """
     fields, horizontal = _phi_and_horizontal(algebra, realization, kind)
+    if len(fields) < 2:
+        raise ConstructionError(f"kind {kind}: Phi has {len(fields)} component(s); "
+                                "an isotropic family needs at least 2")
     xi = xi_vector(algebra, horizontal)
-    m = len(fields)
-    if np.linalg.norm(xi) <= 1e-12:
-        w = max_isotropic(m)
-    else:
-        w = max_isotropic_orthogonal_to(xi)
+    w = max_isotropic_orthogonal_to(xi)
     restricted = restrict_to_xi_perp(w, xi)
     if restricted.dim == 0:
         raise ConstructionError(
@@ -321,15 +325,8 @@ class RootGradedAlgebra:
         sub_n = span(n_basis, alg.dim)
         out.append(Check("n_closed", 0.0 if sub_n.contains_all(nn) else 1.0, 0.0))
 
-        current = sub_n
-        for _ in range(alg.dim + 1):
-            if current.dim == 0:
-                break
-            nxt = _bracket_span(alg, n_basis, current.basis)
-            if nxt.dim == current.dim:
-                break
-            current = nxt
-        out.append(Check("n_nilpotent", float(current.dim), 0.0))
+        lower_central = _descending_series(alg, sub_n, n_basis)     # n, [n, n], [n, [n, n]], ...
+        out.append(Check("n_nilpotent", float(lower_central[-1].dim), 0.0))
         return out
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,19 +18,14 @@ CLASSIFY_TOL = DEFAULT_TOLERANCES["classify"]
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Orthogonal splitting vertical + horizontal of a metric algebra, the vertical involutive."""
+    """Splitting vertical + orthocomplement(vertical) of a metric algebra, vertical involutive."""
 
     algebra: LieAlgebra
     vertical: Subspace
-    horizontal: Subspace = None
+    horizontal: Subspace = field(init=False)
 
     def __post_init__(self):
-        if self.horizontal is None:
-            object.__setattr__(self, "horizontal", orthocomplement(self.algebra, self.vertical))
-        g = self.algebra.gram
-        block = self.vertical.basis @ g @ self.horizontal.basis.T
-        if block.size and float(np.abs(block).max()) > 1e-12 * max(1.0, float(np.abs(g).max())):
-            raise StructureError("vertical and horizontal subspaces are not orthogonal")
+        object.__setattr__(self, "horizontal", orthocomplement(self.algebra, self.vertical))
         if self.vertical.dim + self.horizontal.dim != self.algebra.dim:
             raise StructureError("splitting dimensions do not fill the algebra")
         if self.vertical.dim > 1:
@@ -94,10 +89,10 @@ def classify(dist: DistributionSpec, table: ConnectionTable | None = None,
         mean_vec = np.zeros(alg.dim)
         resid_conf = 0.0
     v_norm = float(np.linalg.norm(mean_vec))
-    conformal = resid_conf < tol
+    conformal = Check("conformal", resid_conf, tol).passed
     return ClassifyResult(
-        totally_geodesic=resid_tg < tol,
-        riemannian=conformal and v_norm < tol,
+        totally_geodesic=Check("totally_geodesic", resid_tg, tol).passed,
+        riemannian=conformal and Check("conformal_vector_norm", v_norm, tol).passed,
         conformal=conformal,
         conformal_vector=table.to_algebra_coords(mean_vec),
         residuals={"totally_geodesic": resid_tg, "conformal": resid_conf,
@@ -275,16 +270,18 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     well-separated candidates are polished together by a deterministic
     pattern search, and ``ScanResult.evaluations`` counts the residuals
     evaluated in both stages.
-    Hits are merged within 1e-3 radians (antipodes identified: a line field
-    does not see the sign) and reported with the recovered rotation-scaling
-    data (alpha, beta) of ad_V on the horizontal plane plus the algebra's
-    exact constant-curvature verdict, computed once per scan.  ``hit_tol`` is
+    A polished direction is a hit when its residual passes ``hit_tol`` by
+    ``Check``'s rule, as the CLI's ``hit[i]:residual`` check does.  Hits are
+    merged within 1e-3 radians (antipodes identified: a line field does not
+    see the sign) and reported with the recovered rotation-scaling data
+    (alpha, beta) of ad_V on the horizontal plane plus the algebra's exact
+    constant-curvature verdict, computed once per scan.  ``hit_tol`` is
     also the tolerance of each hit's classify flags, and ``curvature_tol``
     that of the constant-curvature verdict.
 
     On a centerless solvable algebra each hit carries its direction's certificate
     (classify tolerance ``hit_tol``, met by the hit), from the hit's own data; the
-    center and derived series are computed once, if a polished residual is below it.
+    center and derived series are computed once, if there is a hit.
     """
     if algebra.dim != 3:
         raise ValueError("scan_3d requires a 3-dimensional algebra")
@@ -307,17 +304,17 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     min_residual = float(np.minimum(coarse.min(), polished_resid.min()))     # a NaN stays NaN
 
     curvature_verdict = is_constant_curvature(algebra, curvature_tol, table)
+    passed = [(v, r) for v, r in zip(polished, polished_resid.tolist())
+              if Check("residual", r, hit_tol).passed]
     derived = None          # [g, g] when the hits are certified
-    if (polished_resid < hit_tol).any():
+    if passed:
         series = derived_series(algebra)
         if series[-1].dim == 0 and center(algebra).dim == 0:
             derived = series[1]
     hits = []
     kept_frames = []
     merge_cos = math.cos(1e-3)
-    for v, resid in zip(polished, polished_resid.tolist()):
-        if not resid < hit_tol:         # a NaN residual is no hit
-            continue
+    for v, resid in passed:
         if any(min(1.0, abs(float(v @ k))) > merge_cos for k in kept_frames):
             continue
         v = _fix_signs(v[None] / np.linalg.norm(v))[0]     # first significant component > 0

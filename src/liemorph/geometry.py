@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, orthonormal_basis
+from .algebra import LieAlgebra, _orthonormal_frame
 from .checks import DEFAULT_TOLERANCES, Check
 from .errors import StructureError
 from .groups import MatrixRealization
@@ -44,18 +44,12 @@ class ConnectionTable:
 def koszul(algebra: LieAlgebra, onb=None) -> ConnectionTable:
     """Connection table from the Koszul formula for left-invariant fields.
 
-    2 <nabla_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y>.
+    2 <nabla_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y>, over ``onb``, an
+    orthonormal frame of the whole algebra (by default the Cholesky one).
     """
-    if onb is None:
-        onb = orthonormal_basis(algebra)
-    onb = np.asarray(onb, dtype=float)
-    g = algebra.gram
-    gram_check = onb @ g @ onb.T
-    if float(np.abs(gram_check - np.eye(onb.shape[0])).max()) > 1e-10:
-        raise StructureError("koszul requires an orthonormal frame")
-    c = algebra.structure_constants
-    br = np.einsum("ai,bj,ijk->abk", onb, onb, c, optimize=True)
-    f = np.einsum("abk,kl,cl->abc", br, g, onb, optimize=True)
+    onb = _orthonormal_frame(algebra, onb)
+    br = np.einsum("ai,bj,ijk->abk", onb, onb, algebra.structure_constants, optimize=True)
+    f = np.einsum("abk,kl,cl->abc", br, algebra.gram, onb, optimize=True)
     # transpose(2,0,1)[a,b,c] = f[b,c,a] and transpose(1,2,0)[a,b,c] = f[c,a,b]
     gamma = 0.5 * (f - f.transpose(2, 0, 1) + f.transpose(1, 2, 0))
     return ConnectionTable(algebra, onb, gamma, f)

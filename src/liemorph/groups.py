@@ -184,13 +184,6 @@ def build_N(n: int) -> tuple[LieAlgebra, MatrixRealization]:
     return _algebra_from_matrices(mats)
 
 
-def upper_entry_index(n: int, r: int, s: int) -> int:
-    """Position of E_rs (r < s, zero-based) in the build_N / build_S off-diagonal order."""
-    if not 0 <= r < s < n:
-        raise ValueError("need 0 <= r < s < n")
-    return sum(n - 1 - k for k in range(r)) + (s - r - 1)
-
-
 def build_H(n: int) -> tuple[LieAlgebra, MatrixRealization]:
     """Heisenberg group of dimension 2n + 1, realized inside (n+2) x (n+2) matrices.
 

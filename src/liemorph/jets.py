@@ -25,9 +25,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .algebra import LieAlgebra, orthonormal_basis
+from .algebra import LieAlgebra, _orthonormal_frame
 from .checks import DEFAULT_TOLERANCES, Check
-from .errors import DomainError, StructureError
+from .errors import DomainError
 from .groups import MatrixRealization, exp_matrix
 
 
@@ -456,14 +456,8 @@ class Frame:
     tension_mat: np.ndarray
 
     @classmethod
-    def build(cls, algebra: LieAlgebra, realization: MatrixRealization,
-              onb=None) -> "Frame":
-        if onb is None:
-            onb = orthonormal_basis(algebra)
-        onb = np.asarray(onb, dtype=float)
-        eye = np.eye(algebra.dim)
-        if onb.shape != eye.shape or float(np.abs(onb @ algebra.gram @ onb.T - eye).max()) > 1e-10:
-            raise StructureError("Frame.build requires an orthonormal frame of the algebra")
+    def build(cls, algebra: LieAlgebra, realization: MatrixRealization, onb=None) -> "Frame":
+        onb = _orthonormal_frame(algebra, onb)
         mats = tuple(np.tensordot(onb, realization.rep, axes=1))
         tension = np.linalg.solve(algebra.gram, np.einsum("ijj->i", algebra.structure_constants))
         return cls(algebra, realization, onb, mats, tension, realization.matrix_of(tension))

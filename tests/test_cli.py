@@ -75,6 +75,16 @@ def test_construct_s2_reports_empty_family(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["verify-family", "construct"])
+def test_n2_reports_an_empty_family(tmp_path, kind):
+    # phi has one component, and C^1 holds no nonzero isotropic vector
+    cfg, out = base_config(tmp_path, kind, builtin={"name": "N", "params": {"n": 2}})
+    assert main([kind, "--config", cfg]) == 1
+    report = read_report(out)
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("family_nonempty", False)]
+    assert "1 component" in report["summary"]["error"]
+
+
+@pytest.mark.parametrize("kind", ["verify-family", "construct"])
 def test_sampling_overflow_is_a_failing_check(tmp_path, kind):
     cfg, out = base_config(tmp_path, kind, builtin={"name": "N", "params": {"n": 6}},
                            sampling={"count": 5, "seed": 1, "scale": 1e80})

@@ -11,7 +11,7 @@ from liemorph.constructions import (IsotropicBasis, _phi_and_horizontal, bilinea
                                     restrict_to_xi_perp,
                                     second_construction_check, xi_vector)
 from liemorph.errors import ConstructionError, StructureError
-from liemorph.groups import sample_points, upper_entry_index
+from liemorph.groups import sample_points
 from liemorph.jets import verify_family
 
 
@@ -63,6 +63,32 @@ def test_restrict_zero_xi_is_identity():
     w = max_isotropic(4)
     v = restrict_to_xi_perp(w, np.zeros(4))
     assert v is w
+
+
+def test_a_xi_at_or_below_the_floor_counts_as_zero():
+    xi = np.array([3e-13, 4e-13, 0.0, 0.0])           # norm 5e-13 <= 1e-12
+    w = max_isotropic_orthogonal_to(xi)
+    assert np.array_equal(w.vectors, max_isotropic(4).vectors)
+    assert restrict_to_xi_perp(w, xi) is w
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_isotropic_input_raises_before_lapack(bad, monkeypatch):
+    w = max_isotropic(4)
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("non-finite input reached LAPACK")
+
+    for name in ("svd", "qr", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    with pytest.raises(StructureError, match="non-finite"):
+        IsotropicBasis(3, [[bad, 1j, 0.0]])
+    with pytest.raises(StructureError, match="non-finite"):
+        IsotropicBasis(2, [[1.0, complex(0.0, bad)]])
+    with pytest.raises(StructureError, match="non-finite"):
+        max_isotropic_orthogonal_to([bad, 1.0, 0.0, 0.0])
+    with pytest.raises(StructureError, match="non-finite"):
+        restrict_to_xi_perp(w, [bad, 1.0, 0.0, 0.0])
 
 
 def test_restrict_consecutive_pairs_n4():
@@ -186,6 +212,12 @@ def test_first_construction_s2_fails_with_diagnostic(built):
         first_construction(alg, real, "S")
 
 
+def test_first_construction_of_a_one_component_phi_fails_with_diagnostic():
+    alg, real = lm.build_N(2)
+    with pytest.raises(ConstructionError, match="1 component"):
+        first_construction(alg, real, "N")
+
+
 def test_first_construction_unknown_kind(built):
     alg, real = built["N3"]
     with pytest.raises(ValueError):
@@ -307,7 +339,8 @@ def hand_written_horizontal(algebra, realization, kind):
     ambient = realization.ambient
     if kind == "N":
         n = ambient
-        horizontal = [eye[upper_entry_index(n, k, k + 1)] for k in range(n - 1)]
+        entries = [(r, s) for r in range(n) for s in range(r + 1, n)]     # build_N's order
+        horizontal = [eye[entries.index((k, k + 1))] for k in range(n - 1)]
     elif kind == "H":
         n = ambient - 2
         horizontal = [eye[k] for k in range(2 * n)]

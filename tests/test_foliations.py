@@ -1,12 +1,13 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import liemorph as lm
-from liemorph.algebra import LieAlgebra, Subspace, span
+from liemorph.algebra import LieAlgebra, Subspace, orthocomplement, span
 from liemorph.errors import StructureError
 from liemorph.foliations import (DistributionSpec, _polish, _tangent_pairs, classify,
                                  constant_curvature_certificate,
@@ -126,6 +127,45 @@ def test_scan_hits_use_the_scan_tolerances(built):
     assert hit.curvature_spread == 1.0 and not hit.constant_curvature
     assert hit.flags == classify(line(alg, hit.vector), tol=1e-6).flags()
     assert scan_3d(alg, hit_tol=1e-6, curvature_tol=2.0).hits[0].constant_curvature
+
+
+def test_the_horizontal_side_is_the_orthocomplement_and_not_an_argument(built):
+    alg, _ = built["G3"]
+    vertical = span([[1.0, 2.0, 0.0]], 3)
+    with pytest.raises(TypeError):
+        DistributionSpec(alg, vertical, horizontal=orthocomplement(alg, vertical))
+    horizontal = DistributionSpec(alg, vertical).horizontal
+    assert np.array_equal(horizontal.basis, orthocomplement(alg, vertical).basis)
+
+
+def test_classify_passes_a_residual_exactly_at_tol_and_fails_nan(built):
+    alg, _ = built["G3"]
+    dist, table = line(alg, [0.3, 1.0, -0.5]), koszul(alg)
+    r = classify(dist, table).residuals
+    assert min(r.values()) > 0.0
+    assert classify(dist, table, r["totally_geodesic"]).totally_geodesic
+    assert classify(dist, table, r["conformal"]).conformal
+    assert classify(dist, table, max(r["conformal"], r["conformal_vector_norm"])).riemannian
+    nan_table = replace(table, gamma=np.full_like(table.gamma, np.nan))
+    assert not any(classify(dist, nan_table, math.inf).flags().values())
+
+
+def test_a_polished_residual_exactly_at_hit_tol_is_a_hit(monkeypatch):
+    import liemorph.foliations as foliations_module
+    polish, seen = foliations_module._polish, []
+
+    def recording_polish(gamma, starts):
+        out = polish(gamma, starts)
+        seen.append(out[1])
+        return out
+
+    monkeypatch.setattr(foliations_module, "_polish", recording_polish)
+    alg = lm.build_Galpha(2.0)[0]
+    assert scan_3d(alg).hits == []
+    tol = float(seen[0].min())
+    assert 0.0 < tol < math.inf
+    hits = scan_3d(alg, hit_tol=tol).hits
+    assert hits and all(h.residual == tol for h in hits)     # the hit[i]:residual checks pass
 
 
 def test_abelian_splitting_is_flat():

@@ -52,6 +52,14 @@ def test_koszul_requires_orthonormal_frame(built):
         koszul(alg, 2.0 * np.eye(3))
 
 
+def test_koszul_refuses_a_partial_or_nan_frame(built):
+    alg, _ = built["S3"]
+    onb = lm.orthonormal_basis(alg)
+    for frame in (onb[:-1], np.full_like(onb, np.nan)):
+        with pytest.raises(StructureError, match="orthonormal frame"):
+            koszul(alg, frame)
+
+
 def test_gl_connection_term_nn_vanishes(built):
     alg, real = built["N4"]
     for a in range(alg.dim):

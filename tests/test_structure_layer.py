@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import liemorph as lm
-from liemorph.algebra import (LieAlgebra, _bracket_span, derived_series,
+from liemorph.algebra import (LieAlgebra, Subspace, _bracket_span, derived_series, full_space,
                               lower_central_series, span)
 from liemorph.errors import StructureError
 from liemorph.groups import MatrixRealization, _algebra_from_matrices
@@ -132,3 +132,116 @@ def test_series_of_n12_fit_in_less_than_one_d4_tensor():
     d = alg.dim
     assert d == 66
     assert peak < d ** 4 * 8      # one d^4 float64 tensor is 152 MB
+
+
+# ---------------------------------------------------------------------------
+# one descending-series loop against the three loops it replaced
+# ---------------------------------------------------------------------------
+
+SERIES_BUILDS = {
+    **{f"N{n}": (lm.build_N, (n,)) for n in range(2, 15)},
+    **{f"H{n}": (lm.build_H, (n,)) for n in range(1, 8)},
+    **{f"K{n}": (lm.build_K, (n,)) for n in range(2, 10)},
+    **{f"S{n}": (lm.build_S, (n,)) for n in range(2, 13)},
+    "G3": (lm.build_G3, (1.0, 0.5)),
+    "G_alpha": (lm.build_Galpha, (-0.3,)),
+    "DR(2,1)": (lm.build_damek_ricci, (2, 1)),
+}
+
+
+def loop_derived_series(alg):
+    """Each term bracketed with itself, one contraction per term."""
+    series = [full_space(alg)]
+    while series[-1].dim > 0:
+        nxt = _bracket_span(alg, series[-1].basis, series[-1].basis)
+        if nxt.dim == series[-1].dim:
+            break
+        series.append(nxt)
+    return series
+
+
+def loop_lower_central_series(alg):
+    """Each term bracketed with g, one contraction of g per term."""
+    series = [full_space(alg)]
+    while series[-1].dim > 0:
+        nxt = _bracket_span(alg, series[0].basis, series[-1].basis)
+        if nxt.dim == series[-1].dim:
+            break
+        series.append(nxt)
+    return series
+
+
+def loop_n_nilpotent(alg, n_basis):
+    """The last term of n, [n, n], [n, [n, n]], ..., at most d + 1 steps."""
+    current = span(n_basis, alg.dim)
+    for _ in range(alg.dim + 1):
+        if current.dim == 0:
+            break
+        nxt = _bracket_span(alg, n_basis, current.basis)
+        if nxt.dim == current.dim:
+            break
+        current = nxt
+    return float(current.dim)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_BUILDS))
+def test_one_series_loop_matches_the_per_series_loops_bit_for_bit(name):
+    build, args = SERIES_BUILDS[name]
+    alg = build(*args)[0]
+    for got, want in ((derived_series(alg), loop_derived_series(alg)),
+                      (lower_central_series(alg), loop_lower_central_series(alg))):
+        assert len(got) == len(want), name
+        assert all(np.array_equal(a.basis, b.basis) for a, b in zip(got, want)), name
+
+
+def test_a_fixed_left_operand_is_contracted_once_per_series(monkeypatch):
+    alg = lm.build_N(6)[0]
+    calls = []
+    tensordot = np.tensordot
+
+    def counting_tensordot(*args, **kwargs):
+        calls.append(1)
+        return tensordot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "tensordot", counting_tensordot)
+    lower = lower_central_series(alg)
+    assert len(lower) == 6 and len(calls) == 1
+    calls.clear()
+    derived = derived_series(alg)
+    assert len(calls) == sum(t.dim > 0 for t in derived)      # one per nonzero term
+
+
+def s_n_diagonal_grading(n):
+    """S_n = n + a with a the diagonal, one root e_r - e_s per entry E_rs."""
+    alg = lm.build_S(n)[0]
+    eye = np.eye(alg.dim)
+    entries = [(r, s) for r in range(n) for s in range(r + 1, n)]     # build_S's order
+    roots = tuple(lm.RootSpace(eye[r, :n] - eye[s, :n], Subspace(alg.dim, eye[n + k:n + k + 1]))
+                  for k, (r, s) in enumerate(entries))
+    return lm.RootGradedAlgebra(alg, Subspace(alg.dim, eye[:n]), roots, 0, validate=False)
+
+
+def not_nilpotent_n():
+    """n = span(x_1, x_2) with [x_1, x_2] = x_1, which is not nilpotent; a = span(f), f central."""
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 0], c[1, 0, 0] = 1.0, -1.0
+    alg = LieAlgebra(c, np.eye(3))
+    return lm.RootGradedAlgebra(alg, Subspace(3, np.eye(3)[2:]),
+                                (lm.RootSpace(np.zeros(1), Subspace(3, np.eye(3)[:2])),), 0,
+                                validate=False)
+
+
+GRADED = {
+    "DR(2,1) v": lambda: lm.damek_ricci_root_graded(2, 1, beta_root="v", validate=False),
+    "DR(2,1) z": lambda: lm.damek_ricci_root_graded(2, 1, beta_root="z", validate=False),
+    **{f"S{n} diagonal": (lambda n=n: s_n_diagonal_grading(n)) for n in range(2, 8)},
+    "not nilpotent": not_nilpotent_n,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADED))
+def test_n_nilpotent_is_the_loop_verdict(name):
+    graded = GRADED[name]()
+    check = next(c for c in graded.validation_report() if c.name == "n_nilpotent")
+    assert check.residual == loop_n_nilpotent(graded.algebra, graded.nilradical_basis())
+    assert check.passed == (name != "not nilpotent")
