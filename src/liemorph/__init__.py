@@ -13,9 +13,8 @@ from .checks import DEFAULT_TOLERANCES, Check
 from .constructions import (FirstConstruction, IsotropicBasis,
                             RootGradedAlgebra, RootSpace,
                             damek_ricci_root_graded, first_construction,
-                            max_isotropic, max_isotropic_orthogonal_to,
-                            restrict_to_xi_perp, second_construction_check,
-                            xi_vector)
+                            max_isotropic_orthogonal_to,
+                            second_construction_check, xi_vector)
 from .errors import ConstructionError, DomainError, StructureError
 from .foliations import (ClassifyResult, DistributionSpec, ScanHit, ScanResult,
                          classify, constant_curvature_certificate, scan_3d,

@@ -342,53 +342,63 @@ def orthocomplement(algebra: LieAlgebra, subspace: Subspace) -> Subspace:
     return Subspace(algebra.dim, _fix_signs(vh[rank:]))
 
 
-def _brackets_with(algebra: LieAlgebra, left: np.ndarray):
-    """right -> span{[x, y] : x a row of ``left``, y a row of ``right``}, ``left`` contracted once.
+def _contract(algebra: LieAlgebra, left: np.ndarray) -> np.ndarray:
+    """tensordot(left, c), whose slice a maps a row y to y @ out[a] = [left_a, y]."""
+    with np.errstate(invalid="ignore", over="ignore"):      # inf * 0, overflow: raised at the span
+        return np.tensordot(left, algebra.structure_constants, axes=(1, 0))
 
-    Each span is one product, ``right @ tensordot(left, c)``, and one rank
-    decision.  Its floor is the algebra's scale, the one ``validation_report``
-    uses, so brackets that are all rounding noise (such as [g, z(g)]) span nothing.
+
+def _products_span(algebra: LieAlgebra, right: np.ndarray, contracted: np.ndarray) -> Subspace:
+    """span{[x, y] : x a left row, y a row of ``right``}, given the left rows' ``_contract``.
+
+    One product, ``right @ contracted``, and one rank decision.  Its floor is
+    the algebra's scale, the one ``validation_report`` uses, so brackets that
+    are all rounding noise (such as [g, z(g)]) span nothing.
     """
     c = algebra.structure_constants
-    floor = RANK_TOL * _scale(c)
-    with np.errstate(invalid="ignore", over="ignore"):      # inf * 0, overflow: raised below
-        contracted = np.tensordot(left, c, axes=(1, 0))
-
-    def bracket_span(right: np.ndarray) -> Subspace:
-        with np.errstate(invalid="ignore", over="ignore"):
-            brackets = right @ contracted
-        return _span_above(brackets, algebra.dim, floor)
-    return bracket_span
+    with np.errstate(invalid="ignore", over="ignore"):
+        brackets = right @ contracted
+    return _span_above(brackets, algebra.dim, RANK_TOL * _scale(c))
 
 
 def _bracket_span(algebra: LieAlgebra, left: np.ndarray, right: np.ndarray) -> Subspace:
-    return _brackets_with(algebra, left)(right)
+    return _products_span(algebra, right, _contract(algebra, left))
 
 
-def _descending_series(algebra: LieAlgebra, first: Subspace, left=None) -> list[Subspace]:
-    """first, [L, first], [L, [L, first]], ... until the dimension stabilizes (or d + 1 steps).
+def _derived_algebra(algebra: LieAlgebra) -> Subspace:
+    """[g, g]: the row space of c reshaped to (d^2, d), under the series' noise floor."""
+    c = algebra.structure_constants
+    return _span_above(c.reshape(-1, algebra.dim), algebra.dim, RANK_TOL * _scale(c))
 
-    L is ``left``, contracted with c once per series, or else each term itself.
+
+def _descending_series(algebra: LieAlgebra, first: Subspace, second: Subspace,
+                       contracted=None) -> list[Subspace]:
+    """first, second, [L, second], [L, [L, second]], ... until the dimension stabilizes.
+
+    Each term after ``second`` brackets the last with L: a fixed left operand
+    whose ``_contract`` is ``contracted``, or else the last term itself.  At
+    most d + 2 terms.
     """
-    fixed = None if left is None else _brackets_with(algebra, left)
     series = [first]
-    while series[-1].dim > 0 and len(series) <= algebra.dim + 1:
-        basis = series[-1].basis
-        nxt = (fixed or _brackets_with(algebra, basis))(basis)
-        if nxt.dim == len(basis):
+    while second.dim != series[-1].dim:
+        series.append(second)
+        if second.dim == 0 or len(series) > algebra.dim + 1:
             break
-        series.append(nxt)
+        basis = second.basis
+        second = _products_span(algebra, basis,
+                                _contract(algebra, basis) if contracted is None else contracted)
     return series
 
 
 def derived_series(algebra: LieAlgebra) -> list[Subspace]:
     """g, [g,g], [[g,g],[g,g]], ... until the dimension stabilizes."""
-    return _descending_series(algebra, full_space(algebra))
+    return _descending_series(algebra, full_space(algebra), _derived_algebra(algebra))
 
 
 def lower_central_series(algebra: LieAlgebra) -> list[Subspace]:
-    """g, [g,g], [g,[g,g]], ... until the dimension stabilizes."""
-    return _descending_series(algebra, full_space(algebra), np.eye(algebra.dim))
+    """g, [g,g], [g,[g,g]], ... until the dimension stabilizes; c itself brackets with g."""
+    return _descending_series(algebra, full_space(algebra), _derived_algebra(algebra),
+                              algebra.structure_constants)
 
 
 def is_solvable(algebra: LieAlgebra) -> bool:
@@ -400,8 +410,7 @@ def is_nilpotent(algebra: LieAlgebra) -> bool:
 
 
 def is_abelian(algebra: LieAlgebra) -> bool:
-    g = np.eye(algebra.dim)       # [g, g] = 0 under the series' noise floor
-    return _bracket_span(algebra, g, g).dim == 0
+    return _derived_algebra(algebra).dim == 0       # under the series' noise floor
 
 
 def center(algebra: LieAlgebra) -> Subspace:

@@ -3,7 +3,8 @@
 Reports serialize every floating-point quantity as a decimal string with 17
 significant digits so identical runs produce identical bytes; the wall-time
 field is the single non-deterministic entry.  Exit status: 0 all checks pass,
-1 some check failed (report still written), 2 the config did not validate.
+1 some check failed (report still written), 2 the config did not validate,
+3 an unexpected exception (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -236,7 +238,7 @@ def _family_summary(construction):
         "kind": construction.kind,
         "xi": [fmt(x) for x in construction.xi],
         "phi_components": [repr(f) for f in construction.phi],
-        "isotropic_dim": construction.isotropic.dim,
+        "isotropic_dim": len(construction.xi) // 2,     # of C^dim h, before the xi-perp cut
         "family_complex_dim": construction.complex_dim,
         "family_real_dim": construction.real_dim,
         "family_vectors": [[_fmt_complex(z) for z in v]
@@ -516,11 +518,14 @@ def main(argv=None) -> int:
         config = load_config(args.command, args.config, args.seed, args.out,
                              _parse_tol_overrides(args.tol))
         report = run(config)
+        with open(config.out, "w", encoding="utf-8") as fh:
+            fh.write(render_report(report))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    with open(config.out, "w", encoding="utf-8") as fh:
-        fh.write(render_report(report))
+    except Exception:       # a crash is not a failing check: status 3, not 1
+        traceback.print_exc()
+        return 3
     n_pass = sum(1 for c in report["checks"] if c["pass"])
     status = "PASS" if report["overall_pass"] else "FAIL"
     print(f"{config.kind}: {status} ({n_pass}/{len(report['checks'])} checks passed)")

@@ -14,8 +14,8 @@ from dataclasses import InitVar, dataclass, replace
 import numpy as np
 
 from . import jets
-from .algebra import (LieAlgebra, Subspace, _bracket_span, _descending_series, orthonormalize,
-                      span)
+from .algebra import (LieAlgebra, Subspace, _contract, _derived_algebra, _descending_series,
+                      _products_span, orthonormalize, span)
 from .checks import DEFAULT_TOLERANCES, Check, max_residual
 from .errors import ConstructionError, StructureError
 from .groups import MatrixRealization, exp_matrix
@@ -23,11 +23,6 @@ from .groups import MatrixRealization, exp_matrix
 ISOTROPY_TOL = 1e-12
 ROOT_GRADED_TOL = 1e-10     # structural, for the root-graded conditions
 DILATION_BLOCK = 256        # samples per stacked exponential in second_construction_check
-
-
-def bilinear(u, v) -> complex:
-    """Standard symmetric bilinear form sum_k u_k v_k on C^n (no conjugation)."""
-    return complex(np.sum(np.asarray(u) * np.asarray(v)))
 
 
 @dataclass(frozen=True)
@@ -56,19 +51,6 @@ class IsotropicBasis:
         return self.vectors.shape[0]
 
 
-def max_isotropic(n: int) -> IsotropicBasis:
-    """floor(n/2) vectors e_1 + i e_2, e_3 + i e_4, ... (consecutive-pair convention)."""
-    if n < 2:
-        raise ValueError("max_isotropic requires n >= 2")
-    vecs = []
-    for k in range(n // 2):
-        w = np.zeros(n, dtype=complex)
-        w[2 * k] = 1.0
-        w[2 * k + 1] = 1.0j
-        vecs.append(w)
-    return IsotropicBasis(n, np.array(vecs))
-
-
 def _xi_vanishes(xi) -> bool:
     """The one floor for xi = 0: norm <= 1e-12.  A non-finite xi raises StructureError."""
     if not np.isfinite(xi).all():
@@ -77,52 +59,30 @@ def _xi_vanishes(xi) -> bool:
 
 
 def max_isotropic_orthogonal_to(xi) -> IsotropicBasis:
-    """A maximal isotropic subspace of C^n adapted to a real vector xi.
+    """A maximal isotropic basis of xi-perp in C^n, for a real vector xi.
 
-    The first floor((n-1)/2) vectors are built from a real orthonormal basis of
-    the hyperplane xi-perp, so they survive the xi-orthogonality restriction;
-    for even n a final vector involving xi itself tops the dimension up to the
-    maximal floor(n/2).  A xi that counts as zero gives ``max_isotropic(n)``.
+    Consecutive pairs u_1 + i u_2, u_3 + i u_4, ... of a real orthonormal basis
+    u_1, ..., u_{n-1} of xi-perp, read off the QR of [xi / |xi|, I]: floor((n-1)/2)
+    vectors.  A xi that counts as zero leaves all of C^n: e_1 + i e_2,
+    e_3 + i e_4, ... (floor(n/2) vectors).
     """
     xi = np.asarray(xi, dtype=float)
     n = xi.shape[0]
     if n < 2:
         raise ValueError("ambient dimension must be >= 2")
     if _xi_vanishes(xi):
-        return max_isotropic(n)
-    cols = np.concatenate([xi.reshape(-1, 1) / np.linalg.norm(xi), np.eye(n)], axis=1)
-    q, _ = np.linalg.qr(cols)
-    u = q.T  # u[0] is +-xi/|xi|, the rest an orthonormal basis of the complement
-    vecs = []
-    for k in range((n - 1) // 2):
-        vecs.append(u[1 + 2 * k] + 1.0j * u[2 + 2 * k])
-    if n % 2 == 0:
-        vecs.append(u[0] + 1.0j * u[n - 1])
-    return IsotropicBasis(n, np.array(vecs))
-
-
-def restrict_to_xi_perp(w: IsotropicBasis, xi) -> IsotropicBasis:
-    """Basis of {v in span(W) : (v, xi) = 0}; any subspace of W stays isotropic."""
-    xi = np.asarray(xi, dtype=complex)
-    if xi.shape != (w.ambient,):
-        raise ValueError(f"xi must have length {w.ambient}")
-    if _xi_vanishes(xi) or w.dim == 0:
-        return w
-    pairings = w.vectors @ xi  # (k,)
-    if float(np.abs(pairings).max()) <= 1e-12 * max(1.0, float(np.abs(xi).max())):
-        return w
-    _, _, vh = np.linalg.svd(pairings.reshape(1, -1))      # rank 1: the pairings are nonzero
-    vectors = vh[1:].conj() @ w.vectors     # sum_j c_j w_j for each c with sum_j c_j (w_j, xi) = 0
-    # deterministic normalization: largest component becomes 1
-    normed = [v / v[np.argmax(np.abs(v))] for v in vectors]
-    return IsotropicBasis(w.ambient, np.array(normed).reshape(-1, w.ambient))
+        u = np.eye(n)
+    else:
+        cols = np.concatenate([xi.reshape(-1, 1) / np.linalg.norm(xi), np.eye(n)], axis=1)
+        u = np.linalg.qr(cols)[0].T[1:]    # the QR's row 0 is +-xi/|xi|
+    pairs = len(u) // 2
+    return IsotropicBasis(n, u[0:2 * pairs:2] + 1.0j * u[1:2 * pairs:2])
 
 
 def xi_vector(algebra: LieAlgebra, horizontal_onb) -> np.ndarray:
     """(trace ad_X) over an orthonormal basis of the orthocomplement of [g, g]."""
     horizontal_onb = np.asarray(horizontal_onb, dtype=float).reshape(-1, algebra.dim)
-    eye = np.eye(algebra.dim)
-    derived = _bracket_span(algebra, eye, eye)     # [g, g], all of g for a perfect algebra
+    derived = _derived_algebra(algebra)     # [g, g], all of g for a perfect algebra
     g = algebra.gram
     scales = np.outer(np.abs(horizontal_onb).max(axis=1), np.abs(derived.basis).max(axis=1))
     if np.any(np.abs(horizontal_onb @ g @ derived.basis.T) > 1e-10 * np.maximum(1.0, scales)):
@@ -143,8 +103,7 @@ class FirstConstruction:
     phi: tuple                   # real scalar fields, the R^n components
     horizontal: np.ndarray       # orthonormal horizontal basis, rows
     xi: np.ndarray
-    isotropic: IsotropicBasis    # the maximal isotropic subspace used
-    restricted: IsotropicBasis   # after the xi-orthogonality cut
+    restricted: IsotropicBasis   # a maximal isotropic basis of xi-perp
     family: tuple                # complex scalar fields <Phi, v>
 
     @property
@@ -186,10 +145,9 @@ def first_construction(algebra: LieAlgebra, realization: MatrixRealization,
 
     Phi's components are coordinate reads of the group (matrix entries for the
     nilpotent kinds, logs of the diagonal for S).  The family pairs Phi with a
-    maximal isotropic basis restricted to the xi-orthogonal subspace; unless xi
-    counts as zero the isotropic subspace is chosen adapted to xi so the
-    restriction keeps as many directions as the geometry allows.  A Phi of
-    fewer than 2 components, or an empty restriction, raises ConstructionError.
+    maximal isotropic basis of xi-perp.  A Phi of fewer than 2 components, or a
+    xi-perp with no isotropic direction (xi != 0 and 2 components), raises
+    ConstructionError.
     """
     fields, horizontal = _phi_and_horizontal(algebra, realization, kind)
     if len(fields) < 2:
@@ -197,13 +155,11 @@ def first_construction(algebra: LieAlgebra, realization: MatrixRealization,
                                 "an isotropic family needs at least 2")
     xi = xi_vector(algebra, horizontal)
     w = max_isotropic_orthogonal_to(xi)
-    restricted = restrict_to_xi_perp(w, xi)
-    if restricted.dim == 0:
-        raise ConstructionError(
-            f"kind {kind}: no isotropic directions survive the xi restriction "
-            f"(xi = {xi.tolist()}, isotropic dim {w.dim})")
-    family = tuple(jets.pairing(v, fields) for v in restricted.vectors)
-    return FirstConstruction(kind, fields, horizontal, xi, w, restricted, family)
+    if w.dim == 0:
+        raise ConstructionError(f"kind {kind}: xi-perp holds no isotropic direction "
+                                f"(xi = {xi.tolist()}, {len(xi)} components)")
+    family = tuple(jets.pairing(v, fields) for v in w.vectors)
+    return FirstConstruction(kind, fields, horizontal, xi, w, family)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +274,16 @@ class RootGradedAlgebra:
     def _nilradical_checks(self, n_basis) -> list[Check]:
         """beta orthogonal to [n, n], n closed, n nilpotent: rank decisions on brackets."""
         alg = self.algebra
-        nn = _bracket_span(alg, n_basis, n_basis)
+        contracted = _contract(alg, n_basis)
+        nn = _products_span(alg, n_basis, contracted)
         r = max_residual(np.abs(self.beta.space.basis @ alg.gram @ nn.basis.T).ravel())
         out = [Check("beta_orthogonal_to_derived_n", r, ROOT_GRADED_TOL)]
 
         sub_n = span(n_basis, alg.dim)
         out.append(Check("n_closed", 0.0 if sub_n.contains_all(nn) else 1.0, 0.0))
 
-        lower_central = _descending_series(alg, sub_n, n_basis)     # n, [n, n], [n, [n, n]], ...
+        # n, [n, n], [n, [n, n]], ...
+        lower_central = _descending_series(alg, sub_n, nn, contracted)
         out.append(Check("n_nilpotent", float(lower_central[-1].dim), 0.0))
         return out
 

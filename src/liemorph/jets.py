@@ -72,28 +72,6 @@ class Jet2:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if np.any(o.v == 0):
-            raise ZeroDivisionError("division by a jet with zero value")
-        w = self.v / o.v
-        w1 = (self.d1 - w * o.d1) / o.v
-        w2 = (self.d2 - 2.0 * w1 * o.d1 - w * o.d2) / o.v
-        return Jet2(w, w1, w2)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("jet powers must be non-negative integers")
-        out = Jet2(1.0, 0.0, 0.0)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def log(self):
         v = np.asarray(self.v)
         if not np.iscomplexobj(v):
@@ -102,10 +80,6 @@ class Jet2:
                 raise DomainError(f"log of non-positive value {v[bad].flat[0]}")
         u1 = self.d1 / self.v
         return Jet2(np.log(self.v), u1, self.d2 / self.v - u1 * u1)
-
-    def exp(self):
-        ev = np.exp(self.v)
-        return Jet2(ev, ev * self.d1, ev * (self.d2 + self.d1 * self.d1))
 
 
 @dataclass(frozen=True)

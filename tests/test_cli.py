@@ -288,6 +288,21 @@ def test_a_nan_scan_residual_fails_the_nonexistence_floor(tmp_path, monkeypatch,
     assert "FAIL min_residual_exceeds_floor" in capsys.readouterr().out
 
 
+def test_an_unexpected_exception_exits_3_with_its_traceback(tmp_path, monkeypatch, capsys):
+    import liemorph.cli as cli_module
+
+    def crash(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli_module._JOBS, "curvature", crash)
+    cfg, out = base_config(tmp_path, "curvature",
+                           builtin={"name": "G3", "params": {"alpha": 1.0, "beta": 0.5}})
+    assert main(["curvature", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+    assert not Path(out).exists()
+
+
 def test_config_validation_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import liemorph as lm
-from liemorph.constructions import (IsotropicBasis, _phi_and_horizontal, bilinear,
+from liemorph.constructions import (IsotropicBasis, _phi_and_horizontal,
                                     damek_ricci_root_graded,
-                                    first_construction, max_isotropic,
+                                    first_construction,
                                     max_isotropic_orthogonal_to,
-                                    restrict_to_xi_perp,
                                     second_construction_check, xi_vector)
 from liemorph.errors import ConstructionError, StructureError
 from liemorph.groups import sample_points
@@ -20,62 +19,73 @@ from liemorph.jets import verify_family
 # ---------------------------------------------------------------------------
 
 def test_max_isotropic_n2():
-    w = max_isotropic(2)
+    w = max_isotropic_orthogonal_to(np.zeros(2))
     assert w.dim == 1
     np.testing.assert_array_equal(w.vectors[0], [1.0, 1.0j])
-    assert bilinear(w.vectors[0], w.vectors[0]) == 0.0
+    assert w.vectors[0] @ w.vectors[0] == 0.0
 
 
 def test_max_isotropic_n4_pairwise():
-    w = max_isotropic(4)
+    w = max_isotropic_orthogonal_to(np.zeros(4))
     assert w.dim == 2
     for u in w.vectors:
         for v in w.vectors:
-            assert abs(bilinear(u, v)) < 1e-14
+            assert abs(u @ v) < 1e-14
 
 
 def test_max_isotropic_n3_single():
-    w = max_isotropic(3)
+    w = max_isotropic_orthogonal_to(np.zeros(3))
     assert w.dim == 1
     np.testing.assert_array_equal(w.vectors[0], [1.0, 1.0j, 0.0])
 
 
 def test_max_isotropic_input_validation():
     with pytest.raises(ValueError):
-        max_isotropic(1)
+        max_isotropic_orthogonal_to(np.zeros(1))
     with pytest.raises(StructureError):
         IsotropicBasis(2, np.array([[1.0, 0.0]]))  # (e1, e1) = 1 != 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_adapted_isotropic_is_maximal_and_survives_restriction(n, rng):
+    # maximal in xi-perp: floor((n-1)/2) vectors, each already orthogonal to xi
     xi = rng.standard_normal(n)
-    w = max_isotropic_orthogonal_to(xi)
-    assert w.dim == n // 2
-    v = restrict_to_xi_perp(w, xi)
+    v = max_isotropic_orthogonal_to(xi)
     assert v.dim == (n - 1) // 2
     for vec in v.vectors:
-        assert abs(bilinear(vec, vec)) < 1e-10
-        assert abs(bilinear(vec, xi)) < 1e-10
+        assert abs(vec @ vec) < 1e-10
+        assert abs(vec @ xi) < 1e-10
 
 
 def test_restrict_zero_xi_is_identity():
-    w = max_isotropic(4)
-    v = restrict_to_xi_perp(w, np.zeros(4))
-    assert v is w
+    # a zero xi cuts nothing: the basis spans a maximal isotropic subspace of all of C^n
+    for n in (2, 3, 4, 5):
+        v = max_isotropic_orthogonal_to(np.zeros(n))
+        want = np.zeros((n // 2, n), dtype=complex)
+        want[range(n // 2), range(0, n - 1, 2)] = 1.0
+        want[range(n // 2), range(1, n, 2)] = 1.0j
+        assert v.vectors.tobytes() == want.tobytes()
 
 
 def test_a_xi_at_or_below_the_floor_counts_as_zero():
     xi = np.array([3e-13, 4e-13, 0.0, 0.0])           # norm 5e-13 <= 1e-12
     w = max_isotropic_orthogonal_to(xi)
-    assert np.array_equal(w.vectors, max_isotropic(4).vectors)
-    assert restrict_to_xi_perp(w, xi) is w
+    assert np.array_equal(w.vectors, max_isotropic_orthogonal_to(np.zeros(4)).vectors)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_xi_of_norm_1e_6_counts_as_nonzero(n):
+    # a norm far above the 1e-12 floor: xi counts as nonzero and cuts C^n to xi-perp
+    xi = 1e-6 * np.arange(1.0, n + 1) / np.linalg.norm(np.arange(1.0, n + 1))
+    w = max_isotropic_orthogonal_to(xi)
+    assert w.dim == (n - 1) // 2
+    for vec in w.vectors:
+        assert abs(vec @ vec) < 1e-14
+        assert abs(vec @ xi) < 1e-14 * np.linalg.norm(xi)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nonfinite_isotropic_input_raises_before_lapack(bad, monkeypatch):
-    w = max_isotropic(4)
-
     def no_lapack(*args, **kwargs):
         raise AssertionError("non-finite input reached LAPACK")
 
@@ -85,31 +95,27 @@ def test_nonfinite_isotropic_input_raises_before_lapack(bad, monkeypatch):
         IsotropicBasis(3, [[bad, 1j, 0.0]])
     with pytest.raises(StructureError, match="non-finite"):
         IsotropicBasis(2, [[1.0, complex(0.0, bad)]])
-    with pytest.raises(StructureError, match="non-finite"):
-        max_isotropic_orthogonal_to([bad, 1.0, 0.0, 0.0])
-    with pytest.raises(StructureError, match="non-finite"):
-        restrict_to_xi_perp(w, [bad, 1.0, 0.0, 0.0])
+    for xi in ([bad, 1.0, 0.0, 0.0], [bad, 0.0, 0.0]):
+        with pytest.raises(StructureError, match="non-finite"):
+            max_isotropic_orthogonal_to(xi)
 
 
 def test_restrict_consecutive_pairs_n4():
-    # the pairing values (w_j, xi) are nonzero for both vectors, but one
-    # combination vanishes: the kernel is exactly 1-dimensional
-    w = max_isotropic(4)
+    # S_4's xi: xi-perp is 3-dimensional, so one isotropic vector u_1 + i u_2
     xi = np.array([3.0, 1.0, -1.0, -3.0])
-    v = restrict_to_xi_perp(w, xi)
+    v = max_isotropic_orthogonal_to(xi)
     assert v.dim == 1
     vec = v.vectors[0]
-    assert abs(bilinear(vec, vec)) < 1e-12
-    assert abs(bilinear(vec, xi)) < 1e-12
+    assert abs(vec @ vec) < 1e-12
+    assert abs(vec @ xi) < 1e-12
 
 
 def test_restrict_drops_exactly_one_dimension(rng):
-    for n in (4, 6, 8):
-        w = max_isotropic(n)
+    # for even n a nonzero xi costs exactly one isotropic direction; for odd n none
+    for n in (3, 4, 5, 6, 7, 8):
         xi = rng.standard_normal(n)
-        if min(abs(w.vectors @ xi)) < 1e-3:
-            continue
-        assert restrict_to_xi_perp(w, xi).dim == w.dim - 1
+        drop = max_isotropic_orthogonal_to(np.zeros(n)).dim - max_isotropic_orthogonal_to(xi).dim
+        assert drop == 1 - n % 2
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +222,65 @@ def test_first_construction_of_a_one_component_phi_fails_with_diagnostic():
     alg, real = lm.build_N(2)
     with pytest.raises(ConstructionError, match="1 component"):
         first_construction(alg, real, "N")
+
+
+FAMILY_BUILDS = {
+    **{f"S{n}": (lm.build_S, n, "S") for n in range(2, 13)},
+    **{f"N{n}": (lm.build_N, n, "N") for n in range(3, 11)},
+    **{f"H{n}": (lm.build_H, n, "H") for n in range(1, 5)},
+    **{f"K{n}": (lm.build_K, n, "K") for n in range(3, 10)},
+}
+
+
+def w_then_restrict(xi):
+    """The family basis by the older two-step recipe, kept here as a reference.
+
+    A maximal isotropic W of C^n adapted to xi (for even n its last vector,
+    u_0 + i u_{n-1}, pairs with xi to +-|xi|), then the combinations of W that
+    pair with xi to zero, from an SVD of the pairing row, each scaled to a
+    largest entry of 1.
+    """
+    n = len(xi)
+    if np.linalg.norm(xi) <= 1e-12:
+        w = np.zeros((n // 2, n), dtype=complex)
+        w[range(n // 2), range(0, n - 1, 2)] = 1.0
+        w[range(n // 2), range(1, n, 2)] = 1.0j
+        return w
+    q, _ = np.linalg.qr(np.concatenate([xi.reshape(-1, 1) / np.linalg.norm(xi), np.eye(n)],
+                                       axis=1))
+    u = q.T
+    w = [u[1 + 2 * k] + 1.0j * u[2 + 2 * k] for k in range((n - 1) // 2)]
+    if n % 2 == 0:
+        w.append(u[0] + 1.0j * u[n - 1])
+    w = np.array(w)
+    pairings = w @ xi.astype(complex)
+    if np.abs(pairings).max() <= 1e-12 * max(1.0, np.abs(xi).max()):
+        return w
+    _, _, vh = np.linalg.svd(pairings.reshape(1, -1))
+    return np.array([v / v[np.argmax(np.abs(v))] for v in vh[1:].conj() @ w]).reshape(-1, n)
+
+
+def complex_projector(rows):
+    q, _ = np.linalg.qr(rows.T)
+    return q @ q.conj().T
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_BUILDS))
+def test_the_family_matches_the_w_then_restrict_recipe(name):
+    build, n, kind = FAMILY_BUILDS[name]
+    alg, real = build(n)
+    if name == "S2":    # xi != 0 and dim h = 2: both recipes are empty
+        with pytest.raises(ConstructionError, match="xi"):
+            first_construction(alg, real, kind)
+        xi = xi_vector(alg, _phi_and_horizontal(alg, real, kind)[1])
+        assert w_then_restrict(xi).shape == (0, 2)
+        return
+    fc = first_construction(alg, real, kind)
+    got, want = fc.restricted.vectors, w_then_restrict(fc.xi)
+    assert got.shape == want.shape and len(got) >= 1, name
+    if not np.linalg.norm(fc.xi) or len(fc.xi) % 2:
+        assert got.tobytes() == want.tobytes(), name
+    assert np.abs(complex_projector(got) - complex_projector(want)).max() <= 1e-12, name
 
 
 def test_first_construction_unknown_kind(built):

@@ -296,6 +296,19 @@ def test_scan_counts_its_residual_evaluations():
     assert scan_3d(alg, grid=120, refine_starts=5).evaluations == result.evaluations
 
 
+def test_scan_keeps_round_su2_hits_that_lie_apart(built):
+    # on round su(2) every direction is a hit: each of the 16 refine starts,
+    # at least 0.3 rad apart, survives the 1e-3 rad merge
+    c = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        c[i, j, k], c[j, i, k] = 1.0, -1.0
+    result = scan_3d(LieAlgebra(c, np.eye(3)))
+    assert len(result.hits) == 16
+    v = np.array([h.vector for h in result.hits])
+    cos = np.abs(v @ v.T)[np.triu_indices(16, 1)]        # lines: antipodes identified
+    assert np.arccos(np.minimum(1.0, cos)).min() >= 0.3
+
+
 def test_scan_s2_center_hit(built):
     alg, _ = built["S2"]
     result = scan_3d(alg)

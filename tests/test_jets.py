@@ -41,15 +41,10 @@ def test_jet_product_rule(rng):
         assert abs(got.d2 - want.d2) < 1e-12
 
 
-def test_jet_quotient_and_log_against_fd(rng):
+def test_jet_log_against_fd(rng):
     h = 1e-5
     for _ in range(10):
         a = rng.uniform(0.5, 2.0, 3)
-        b = rng.uniform(0.5, 2.0, 3)
-        f = lambda s: np.polyval(a[::-1], s) / np.polyval(b[::-1], s)
-        got = poly_jet(a) / poly_jet(b)
-        assert rel_err(got.d1, (f(h) - f(-h)) / (2 * h)) < 1e-8
-        assert rel_err(got.d2, (f(h) - 2 * f(0) + f(-h)) / h ** 2) < 1e-4
         g = lambda s: np.log(np.polyval(a[::-1], s))
         got = poly_jet(a).log()
         assert rel_err(got.d1, (g(h) - g(-h)) / (2 * h)) < 1e-8
@@ -59,13 +54,6 @@ def test_jet_quotient_and_log_against_fd(rng):
 def test_jet_log_domain():
     with pytest.raises(DomainError):
         Jet2(-1.0, 0.0, 0.0).log()
-
-
-def test_jet_integer_powers():
-    j = poly_jet([2.0, 3.0, 0.5])
-    want = j * j * j
-    got = j ** 3
-    assert abs(got.v - want.v) < 1e-12 and abs(got.d2 - want.d2) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +381,6 @@ def test_log_diag_batch_with_one_bad_point_raises(built, frames):
     with pytest.raises(DomainError):
         verify_family([log_diag(1)], pts, frames["S3"])
     verify_family([log_diag(0), log_diag(2)], pts, frames["S3"])  # column 1 only
-
-
-def test_jet_division_by_array_with_a_zero_raises():
-    num = Jet2(np.ones(3), np.ones(3), np.ones(3))
-    with pytest.raises(ZeroDivisionError):
-        num / Jet2(np.array([1.0, 0.0, 2.0]), np.zeros(3), np.zeros(3))
-    got = num / Jet2(np.array([1.0, 4.0, 2.0]), np.zeros(3), np.zeros(3))
-    np.testing.assert_array_equal(got.v, [1.0, 0.25, 0.5])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -11,7 +11,7 @@ import pytest
 import liemorph as lm
 from liemorph import constructions
 from liemorph.algebra import (RANK_TOL, SUBSPACE_TOL, LieAlgebra, Subspace, _bracket_span,
-                              _fix_signs, _rank_decision, _scale, _span_above, center,
+                              _derived_algebra, _fix_signs, _rank_decision, _scale, _span_above, center,
                               derived_series,
                               full_space, lower_central_series, orthocomplement,
                               orthonormalize, span)
@@ -167,14 +167,14 @@ def test_fix_signs_is_bit_identical_to_the_row_loop(rng):
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-def recording_bracket_span(monkeypatch):
+def recording_derived_algebra(monkeypatch):
     seen = []
 
-    def record(algebra, left, right):
-        seen.append(_bracket_span(algebra, left, right))
+    def record(algebra):
+        seen.append(_derived_algebra(algebra))
         return seen[-1]
 
-    monkeypatch.setattr(constructions, "_bracket_span", record)
+    monkeypatch.setattr(constructions, "_derived_algebra", record)
     return seen
 
 
@@ -184,16 +184,19 @@ def test_xi_vector_brackets_g_with_g_once(name, algebras, monkeypatch):
     series = derived_series(alg)
     assert len(series) > 1
     horizontal = orthonormalize(alg, orthocomplement(alg, series[1])).basis
-    seen = recording_bracket_span(monkeypatch)
+    seen = recording_derived_algebra(monkeypatch)
     xi = constructions.xi_vector(alg, horizontal)
     (derived,) = seen
     assert np.array_equal(derived.basis, series[1].basis), name
+    # [g, g] read off c as (d^2, d) rows: the bits of contracting the identity with c twice
+    eye = np.eye(alg.dim)
+    assert np.array_equal(derived.basis, _bracket_span(alg, eye, eye).basis), name
     assert np.array_equal(xi, np.einsum("hi,ijj->h", horizontal, alg.structure_constants))
 
 
 def test_xi_vector_of_a_perfect_algebra_uses_g(monkeypatch):
     alg = so3()
-    seen = recording_bracket_span(monkeypatch)
+    seen = recording_derived_algebra(monkeypatch)
     assert constructions.xi_vector(alg, np.zeros((0, 3))).shape == (0,)
     assert seen[0].equals(full_space(alg))
     with pytest.raises(StructureError, match="not orthogonal to the derived algebra"):

@@ -11,7 +11,7 @@ import pytest
 
 import liemorph as lm
 from liemorph.algebra import (LieAlgebra, Subspace, _bracket_span, derived_series, full_space,
-                              lower_central_series, span)
+                              is_abelian, lower_central_series, span)
 from liemorph.errors import StructureError
 from liemorph.groups import MatrixRealization, _algebra_from_matrices
 
@@ -194,7 +194,9 @@ def test_one_series_loop_matches_the_per_series_loops_bit_for_bit(name):
         assert all(np.array_equal(a.basis, b.basis) for a, b in zip(got, want)), name
 
 
-def test_a_fixed_left_operand_is_contracted_once_per_series(monkeypatch):
+def test_no_series_contracts_the_identity_with_c(monkeypatch):
+    # [g, g] is c's rows and g's contraction is c itself: only the derived series'
+    # later terms, each bracketed with itself, are contracted
     alg = lm.build_N(6)[0]
     calls = []
     tensordot = np.tensordot
@@ -205,10 +207,10 @@ def test_a_fixed_left_operand_is_contracted_once_per_series(monkeypatch):
 
     monkeypatch.setattr(np, "tensordot", counting_tensordot)
     lower = lower_central_series(alg)
-    assert len(lower) == 6 and len(calls) == 1
-    calls.clear()
+    assert len(lower) == 6 and len(calls) == 0
+    assert not is_abelian(alg) and len(calls) == 0
     derived = derived_series(alg)
-    assert len(calls) == sum(t.dim > 0 for t in derived)      # one per nonzero term
+    assert len(calls) == sum(t.dim > 0 for t in derived[1:])     # one per nonzero term after g
 
 
 def s_n_diagonal_grading(n):
