@@ -182,6 +182,12 @@ class LieAlgebra:
             Check("gram_positive_definite", posdef, 0.0),
         )
 
+    @cached_property
+    def _derived(self) -> "Subspace":
+        """[g, g]: the row space of c reshaped to (d^2, d), under the series' noise floor."""
+        c = self.structure_constants
+        return _span_above(c.reshape(-1, self.dim), self.dim, RANK_TOL * _scale(c))
+
     def bracket(self, x, y) -> np.ndarray:
         """[x, y] for coordinate vectors x, y."""
         x = np.asarray(x, dtype=float)
@@ -366,9 +372,8 @@ def _bracket_span(algebra: LieAlgebra, left: np.ndarray, right: np.ndarray) -> S
 
 
 def _derived_algebra(algebra: LieAlgebra) -> Subspace:
-    """[g, g]: the row space of c reshaped to (d^2, d), under the series' noise floor."""
-    c = algebra.structure_constants
-    return _span_above(c.reshape(-1, algebra.dim), algebra.dim, RANK_TOL * _scale(c))
+    """[g, g], decided once per algebra."""
+    return algebra._derived
 
 
 def _descending_series(algebra: LieAlgebra, first: Subspace, second: Subspace,

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from . import groups
@@ -89,13 +89,15 @@ def list_builtins() -> list[dict]:
     return out
 
 
-def _has_type(value, type_name: str) -> bool:
-    """An ``int`` is an integer and a ``float`` a finite number; a boolean is neither."""
-    if isinstance(value, bool):
-        return False
-    if type_name == "int":
-        return isinstance(value, numbers.Integral)
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+def _is_int(value) -> bool:
+    """A JSON integer; ``true``/``false`` are not numbers even though bool is an int."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A JSON number that is a finite float; ``true``/``false`` are not numbers."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def build(name: str, params: dict):
@@ -117,7 +119,7 @@ def build(name: str, params: dict):
     args = {}
     for param, type_name, _, default in spec.params:
         value = params.get(param, default)
-        if not _has_type(value, type_name):
+        if not (_is_int if type_name == "int" else _is_finite)(value):
             raise TypeError(f"builtin {name}: parameter {param} must be "
                             f"{'an integer' if type_name == 'int' else 'a finite number'}, "
                             f"got {value!r}")

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__, catalog
 from .algebra import LieAlgebra, Subspace, center, derived_series, lower_central_series
+from .catalog import _is_finite, _is_int
 from .checks import DEFAULT_TOLERANCES, Check, max_residual
 from .constructions import (RootGradedAlgebra, RootSpace, damek_ricci_grading,
                             first_construction, second_construction_check)
@@ -83,13 +84,52 @@ def _stringify(obj):
     return obj
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; ``true``/``false`` are not numbers even though bool is an int."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# Each config object's fields, by name: a (test, wanted) pair, the table of a
+# nested object, a one-table list for a list of objects, or None for a value
+# that the job checks where it reads it.
+_INLINE = {"structure_constants": None, "gram": None}
+_CONFIG_FIELDS = {
+    "builtin": {"name": (lambda v: isinstance(v, str), "a string"),
+                "params": (lambda v: isinstance(v, dict), "an object")},
+    "inline": _INLINE,
+    "inline_root_graded": {**_INLINE, "a_indices": None, "roots": [{"values": None, "indices": None}],
+                           "beta": (_is_int, "an integer")},
+    "sampling": {"count": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+                 "scale": (lambda v: _is_finite(v) and v >= 0, "a finite non-negative number"),
+                 "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer")},
+    "tolerances": {name: (lambda v: _is_finite(v) and v > 0, "a finite positive number")
+                   for name in DEFAULT_TOLERANCES},
+    "out": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+}
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+_OPTION_FIELDS = {
+    "foliation-scan": {"grid": (lambda v: _is_int(v) and v >= 10, "an integer >= 10"),
+                       "expect_hits": _FLAG},
+    "curvature": {"planes": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+                  "expect_constant": _FLAG, "expect_value": (_is_finite, "a finite number")},
+    "second-construction": {"beta_root": (lambda v: v in ("v", "z"), '"v" or "z"')},
+}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _check_fields(section: str, value, table: dict) -> None:
+    """Raise ConfigError naming ``section.field`` unless ``value`` is an object that
+    holds only fields of ``table``, each one passing its rule."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{section or 'top level'}: must be an object")
+    for name, v in value.items():
+        where = f"{section}.{name}" if section else name
+        if name not in table:
+            raise ConfigError(f"{where}: unknown field (known: {sorted(table) or 'none'})")
+        rule = table[name]
+        if isinstance(rule, dict):
+            _check_fields(where, v, rule)
+        elif isinstance(rule, list):
+            if not isinstance(v, list):
+                raise ConfigError(f"{where}: must be a list")
+            for i, item in enumerate(v):
+                _check_fields(f"{where}[{i}]", item, rule[0])
+        elif rule is not None and not rule[0](v):
+            raise ConfigError(f"{where}: must be {rule[1]}")
 
 
 def load_config(kind: str, path: str, seed_override=None, out_override=None,
@@ -101,77 +141,32 @@ def load_config(kind: str, path: str, seed_override=None, out_override=None,
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    cfg_kind = raw.get("kind", kind)
-    if cfg_kind != kind:
-        raise ConfigError(f"kind: config says {cfg_kind!r} but the subcommand is {kind!r}")
     if kind not in JOB_KINDS:
         raise ConfigError(f"kind: unknown job kind {kind!r}")
+    fields = {"kind": (lambda v: v == kind, f"{kind!r}, the subcommand"), **_CONFIG_FIELDS,
+              "options": _OPTION_FIELDS.get(kind, {})}
+    _check_fields("", raw, fields)
+    # --seed, --tol and --out values pass the same tables as the config's own
+    _check_fields("", {"sampling": {} if seed_override is None else {"seed": seed_override},
+                       "tolerances": tol_overrides or {},
+                       **({} if out_override is None else {"out": out_override})}, fields)
 
     sources = [k for k in ("builtin", "inline", "inline_root_graded") if k in raw]
     if len(sources) != 1:
         raise ConfigError("algebra: exactly one of 'builtin', 'inline', "
                           "'inline_root_graded' is required")
-    source_key = sources[0]
-    algebra_source = {source_key: raw[source_key]}
-
     sampling = raw.get("sampling", {})
-    if not isinstance(sampling, dict):
-        raise ConfigError("sampling: must be an object")
-    count = sampling.get("count", 100)
-    if not _is_int(count) or count < 1:
-        raise ConfigError("sampling.count: must be a positive integer")
-    scale = sampling.get("scale", 1.0)
-    if not _is_number(scale) or not math.isfinite(scale) or scale < 0:
-        raise ConfigError("sampling.scale: must be a finite non-negative number")
     seed = seed_override if seed_override is not None else sampling.get("seed")
     if seed is None:
         raise ConfigError("sampling.seed: required (determinism is part of the contract); "
                           "set it in the config or pass --seed")
-    if not _is_int(seed):
-        raise ConfigError("sampling.seed: must be an integer")
-
-    tolerances = dict(raw.get("tolerances", {}))
-    for name, value in (tol_overrides or {}).items():
-        tolerances[name] = value
-    for name, value in tolerances.items():
-        if name not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"tolerances.{name}: unknown tolerance "
-                              f"(known: {sorted(DEFAULT_TOLERANCES)})")
-        if not _is_number(value) or not math.isfinite(value) or value <= 0:
-            raise ConfigError(f"tolerances.{name}: must be a finite positive number")
-
     options = raw.get("options", {})
-    if not isinstance(options, dict):
-        raise ConfigError("options: must be an object")
-    _check_options(kind, options)
-    out = out_override if out_override is not None else raw.get("out", "liemorph_report.json")
-    return JobConfig(kind, algebra_source, count, seed, float(scale),
-                     tolerances, options, out)
-
-
-def _check_options(kind: str, options: dict):
-    """Each option a job kind takes, by name: its test and what the test asks for."""
-    flag = (lambda v: isinstance(v, bool), "true or false")
-    known = {
-        "foliation-scan": {"grid": (lambda v: _is_int(v) and v >= 10, "an integer >= 10"),
-                           "expect_hits": flag},
-        "curvature": {"planes": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-                      "expect_constant": flag,
-                      "expect_value": (lambda v: _is_number(v) and math.isfinite(v),
-                                       "a finite number")},
-        "second-construction": {"beta_root": (lambda v: v in ("v", "z"), '"v" or "z"')},
-    }.get(kind, {})
-    for name, value in options.items():
-        if name not in known:
-            raise ConfigError(f"options.{name}: not an option of {kind} "
-                              f"(options: {sorted(known) or 'none'})")
-        test, wanted = known[name]
-        if not test(value):
-            raise ConfigError(f"options.{name}: must be {wanted}")
     if "expect_value" in options and options.get("expect_constant") is not True:
         raise ConfigError("options.expect_value: needs expect_constant true")
+    out = out_override if out_override is not None else raw.get("out", "liemorph_report.json")
+    return JobConfig(kind, {sources[0]: raw[sources[0]]}, sampling.get("count", 100), seed,
+                     float(sampling.get("scale", 1.0)),
+                     {**raw.get("tolerances", {}), **(tol_overrides or {})}, options, out)
 
 
 def _load_algebra(config: JobConfig, need_realization: bool = False,
@@ -180,8 +175,6 @@ def _load_algebra(config: JobConfig, need_realization: bool = False,
     src = config.algebra_source
     if "builtin" in src:
         entry = src["builtin"]
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ConfigError("builtin: expected {'name': ..., 'params': {...}}")
         try:
             algebra, realization = catalog.build(entry["name"], entry.get("params", {}))
         except (KeyError, ValueError, TypeError) as exc:
@@ -196,8 +189,6 @@ def _load_algebra(config: JobConfig, need_realization: bool = False,
     if need_realization:
         raise ConfigError(f"inline algebras have no matrix realization; "
                           f"job kind {config.kind} needs one")
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{key}: expected an object with 'structure_constants'")
     try:
         c = np.asarray(entry["structure_constants"], dtype=float)
         gram = np.asarray(entry.get("gram", np.eye(c.shape[0])), dtype=float)
@@ -296,8 +287,6 @@ def _root_graded_from_config(config: JobConfig) -> RootGradedAlgebra:
                           "an inline_root_graded source names its distinguished root "
                           "by inline_root_graded.beta")
     entry = config.algebra_source[name]
-    if not _is_int(entry.get("beta")):
-        raise ConfigError("inline_root_graded.beta: must be an integer")
     try:
         d = algebra.dim
         eye = np.eye(d)

@@ -150,7 +150,7 @@ def _unit(n, i, j):
     return m
 
 
-def _algebra_from_matrices(mats, gram=None) -> tuple[LieAlgebra, MatrixRealization]:
+def _algebra_from_matrices(mats) -> tuple[LieAlgebra, MatrixRealization]:
     """Read structure constants off the matrices themselves.
 
     Every commutator must stay in the span of the basis; that closure is what
@@ -170,9 +170,7 @@ def _algebra_from_matrices(mats, gram=None) -> tuple[LieAlgebra, MatrixRealizati
     c = np.zeros((d, d, d))
     c[i, j] = coeff.T
     c[j, i] = -coeff.T
-    if gram is None:
-        gram = np.eye(d)
-    algebra = LieAlgebra(c, gram)
+    algebra = LieAlgebra(c, np.eye(d))
     return algebra, MatrixRealization(algebra, mats)
 
 
@@ -235,7 +233,7 @@ def build_G3(alpha: float, beta: float) -> tuple[LieAlgebra, MatrixRealization]:
     e1 = np.array([[alpha, -beta, 0.0], [beta, alpha, 0.0], [0.0, 0.0, 0.0]])
     e2 = _unit(3, 0, 2)
     e3 = _unit(3, 1, 2)
-    return _algebra_from_matrices([e1, e2, e3], gram=np.eye(3))
+    return _algebra_from_matrices([e1, e2, e3])
 
 
 def build_Galpha(alpha: float) -> tuple[LieAlgebra, MatrixRealization]:
@@ -243,7 +241,7 @@ def build_Galpha(alpha: float) -> tuple[LieAlgebra, MatrixRealization]:
     e1 = np.diag([alpha, -1.0, 0.0])
     e2 = _unit(3, 0, 2)
     e3 = -_unit(3, 1, 2)
-    return _algebra_from_matrices([e1, e2, e3], gram=np.eye(3))
+    return _algebra_from_matrices([e1, e2, e3])
 
 
 DEFAULT_J = (np.array([[0.0, -1.0], [1.0, 0.0]]),)

@@ -54,15 +54,6 @@ class Jet2:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Jet2(-self.v, -self.d1, -self.d2)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         if not isinstance(other, Jet2):     # a scalar or array factor: three products
             return Jet2(self.v * other, self.d1 * other, self.d2 * other)
@@ -87,17 +78,13 @@ class CurveJet:
     """Entrywise 2-jets of s -> p exp(sM) for P stacked points and D directions.
 
     ``points`` is (P, n, n), ``mats`` the direction matrices M and ``squares``
-    their squares M^2, both (D, n, n).  ``entry(i, j)`` is the jet of x[i, j]
-    on all P x D curves: value p[i, j], velocity (pM)[i, j] and acceleration
-    (pM^2)[i, j], each a (P, D) array (the value is (P, 1) and broadcasts).
-    Only the requested entries are formed, and each one once; ``jet(f)``
-    likewise evaluates each hashable field once per curve.
+    their squares M^2, both (D, n, n).  ``jet(f)``, the one memo, evaluates
+    each hashable field once per curve, a matrix entry included.
     """
 
     points: np.ndarray
     mats: np.ndarray
     squares: np.ndarray
-    _entries: dict = field(default_factory=dict, compare=False, repr=False)
     _fields: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
@@ -105,15 +92,6 @@ class CurveJet:
         points = np.asarray(points, dtype=float)
         mats = np.asarray(mats, dtype=float)
         return cls(points, mats, mats @ mats)
-
-    def entry(self, i: int, j: int) -> Jet2:
-        jet = self._entries.get((i, j))
-        if jet is None:
-            row = self.points[:, i, :]
-            jet = Jet2(self.points[:, i, j:j + 1], row @ self.mats[:, :, j].T,
-                       row @ self.squares[:, :, j].T)
-            self._entries[(i, j)] = jet
-        return jet
 
     def jet(self, f: "ScalarField") -> Jet2:
         """``f.eval_jet(self)``, memoised per field; an unhashable field is not memoised."""
@@ -153,7 +131,11 @@ class MatrixEntry(ScalarField):
         return float(point[self.i, self.j])
 
     def eval_jet(self, curve):
-        return curve.entry(self.i, self.j)
+        """Value p[i, j], velocity (pM)[i, j] and acceleration (pM^2)[i, j] on all
+        P x D curves, each a (P, D) array (the value is (P, 1) and broadcasts)."""
+        row = curve.points[:, self.i, :]
+        return Jet2(curve.points[:, self.i, self.j:self.j + 1],
+                    row @ curve.mats[:, :, self.j].T, row @ curve.squares[:, :, self.j].T)
 
     def __repr__(self):
         return f"entry[{self.i},{self.j}]"
@@ -172,7 +154,7 @@ class LogDiag(ScalarField):
         return math.log(v)
 
     def eval_jet(self, curve):
-        return curve.entry(self.i, self.i).log()
+        return curve.jet(MatrixEntry(self.i, self.i)).log()
 
     def __repr__(self):
         return f"log_diag[{self.i}]"

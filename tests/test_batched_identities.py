@@ -308,7 +308,8 @@ def mixed_realization(rng):
     _, s3 = lm.build_S(3)
     mats = np.einsum("ab,bjk->ajk", np.eye(6) + 0.3 * rng.normal(size=(6, 6)), np.stack(s3.rep))
     gram = np.einsum("ajk,bjk->ab", mats, mats)
-    return lm.groups._algebra_from_matrices(mats, gram)[1]
+    c = lm.groups._algebra_from_matrices(mats)[0].structure_constants
+    return lm.MatrixRealization(LieAlgebra(c, gram), mats)
 
 
 def test_gl_connection_term_stack_matches_the_loop():

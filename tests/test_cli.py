@@ -426,6 +426,56 @@ def test_config_validation_errors(tmp_path):
     assert main(["curvature", "--config", str(tmp_path / "nan.json")]) == 2
 
 
+N4 = {"name": "N", "params": {"n": 4}}
+PLANE = [[[0.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]     # [e_1, e_0] = e_0
+
+
+@pytest.mark.parametrize("kind, changes, argv, field", [
+    # each of these ran, on a default or a dropped value, or ended in a traceback
+    ("verify-family", {"tolerance": {"family": 1e-30}}, [], "tolerance"),
+    ("verify-family", {"sampling": {"seed": 1, "cont": 3}}, [], "sampling.cont"),
+    ("check-algebra", {"builtin": None, "inline": {"structure_constants": PLANE,
+                                                   "grm": [[2.0, 0.0], [0.0, 1.0]]}},
+     [], "inline.grm"),
+    ("check-algebra", {"builtin": {**N4, "extra": 1}}, [], "builtin.extra"),
+    ("verify-family", {"tolerances": [1, 2]}, [], "tolerances"),
+    ("verify-family", {"tolerances": "ab"}, [], "tolerances"),
+    ("verify-family", {"out": ["a"]}, [], "out"),
+    ("verify-family", {"sampling": {"seed": -1}}, [], "sampling.seed"),
+    ("verify-family", {}, ["--seed", "-3"], "sampling.seed"),
+    ("verify-family", {}, ["--out", ""], "out"),
+    ("check-algebra", {"sampling": {"seed": -1}}, [], "sampling.seed"),
+    ("second-construction", {"builtin": None, "inline_root_graded": {
+        "structure_constants": PLANE, "a_indices": [1],
+        "roots": [{"values": [1.0], "indices": [0], "valus": [1.0]}], "beta": 0}},
+     [], "inline_root_graded.roots[0].valus"),
+], ids=["misspelled_tolerances", "misspelled_sampling_field", "misspelled_gram",
+        "builtin_extra_field", "tolerances_list", "tolerances_string", "out_list",
+        "negative_config_seed", "negative_seed_flag", "empty_out_flag",
+        "negative_seed_check_algebra",
+        "unknown_root_field"])
+def test_a_field_that_fails_its_table_is_a_config_error(tmp_path, capsys, kind, changes,
+                                                        argv, field):
+    payload = {"kind": kind, "builtin": N4, "sampling": {"seed": 1},
+               "out": str(tmp_path / "unwritten.json"), **changes}
+    cfg = write_config(tmp_path / "job.json",
+                       {k: v for k, v in payload.items() if v is not None})
+    assert main([kind, "--config", cfg, *argv]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "unwritten.json").exists()
+
+
+def test_a_numeric_out_is_a_config_error_not_a_descriptor(tmp_path):
+    # in a subprocess: "out": 7 used to open descriptor 7 for the report
+    cfg = write_config(tmp_path / "job.json", {"kind": "check-algebra", "builtin": N4,
+                                               "sampling": {"seed": 1}, "out": 7})
+    proc = subprocess.run([sys.executable, "-m", "liemorph.cli", "check-algebra",
+                           "--config", cfg], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "config error: out: " in proc.stderr and "report written" not in proc.stdout
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+
+
 def test_foliation_scan_summary_follows_curvature_tol(tmp_path):
     # H_1's centre line is a hit, and the exact spread of its curvature operator is 1
     cfg, out = base_config(tmp_path, "foliation-scan",
@@ -539,6 +589,18 @@ def test_a_samples_are_one_draw_of_the_per_sample_stream(tmp_path, source, scale
     loop = [rng.uniform(-scale, scale, graded.a_space.dim) @ graded.a_space.basis
             for _ in range(config.count)]
     assert np.array_equal(_a_samples(graded, config), loop)
+
+
+def test_check_algebra_decides_the_derived_algebra_once(tmp_path, monkeypatch):
+    # both series start from the algebra's one [g, g]: 13 rank decisions on N_10, not 14
+    import liemorph.algebra as algebra_module
+    shapes = []
+    decide = algebra_module._rank_decision
+    monkeypatch.setattr(algebra_module, "_rank_decision",
+                        lambda stack, floor=0.0: shapes.append(stack.shape) or decide(stack, floor))
+    cfg, _ = base_config(tmp_path, "check-algebra", builtin={"name": "N", "params": {"n": 10}})
+    assert main(["check-algebra", "--config", cfg]) == 0
+    assert len(shapes) == 13
 
 
 def test_check_algebra_n10_series(tmp_path):

@@ -121,6 +121,26 @@ def test_fd_check_matches_derivs_log_diag(built, rng):
             assert rel_err(jet[1], fd[1]) < 1e-6
 
 
+def test_a_curve_forms_each_entry_jet_once(built, monkeypatch):
+    from liemorph.jets import MatrixEntry, pairing
+    _, real = built["S3"]
+    formed = []
+    original = MatrixEntry.eval_jet
+
+    def counted(self, curve):
+        formed.append((self.i, self.j))
+        return original(self, curve)
+
+    monkeypatch.setattr(MatrixEntry, "eval_jet", counted)
+    curve = CurveJet.along(np.stack(sample_points(real, 5, seed=1)), real.rep)
+    log, entry = log_diag(0), matrix_entry(0, 0)
+    curve.jet(log)
+    assert entry in curve._fields        # the log reads its entry through the curve's one memo
+    for f in (entry, pairing([1.0, 2.0j], [log, entry])):
+        curve.jet(f)
+    assert formed == [(0, 0)]
+
+
 def test_fd_check_constant_field(built):
     alg, real = built["N3"]
     fd = fd_check(Constant(4.2), np.eye(3), np.ones(3), real)
