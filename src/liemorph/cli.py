@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 import traceback
@@ -84,16 +85,26 @@ def _stringify(obj):
     return obj
 
 
+@dataclass(frozen=True)
+class _Required:
+    """A field its object must hold, checked by ``rule`` like any other field."""
+
+    rule: object
+
+
 # Each config object's fields, by name: a (test, wanted) pair, the table of a
 # nested object, a one-table list for a list of objects, or None for a value
-# that the job checks where it reads it.
-_INLINE = {"structure_constants": None, "gram": None}
+# that the job checks where it reads it; any of these wrapped in _Required
+# when the field must be present.
+_INLINE = {"structure_constants": _Required(None), "gram": None}
 _CONFIG_FIELDS = {
-    "builtin": {"name": (lambda v: isinstance(v, str), "a string"),
+    "builtin": {"name": _Required((lambda v: isinstance(v, str), "a string")),
                 "params": (lambda v: isinstance(v, dict), "an object")},
     "inline": _INLINE,
-    "inline_root_graded": {**_INLINE, "a_indices": None, "roots": [{"values": None, "indices": None}],
-                           "beta": (_is_int, "an integer")},
+    "inline_root_graded": {**_INLINE, "a_indices": _Required(None),
+                           "roots": _Required([{"values": _Required(None),
+                                                "indices": _Required(None)}]),
+                           "beta": _Required((_is_int, "an integer"))},
     "sampling": {"count": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
                  "scale": (lambda v: _is_finite(v) and v >= 0, "a finite non-negative number"),
                  "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer")},
@@ -113,14 +124,21 @@ _OPTION_FIELDS = {
 
 def _check_fields(section: str, value, table: dict) -> None:
     """Raise ConfigError naming ``section.field`` unless ``value`` is an object that
-    holds only fields of ``table``, each one passing its rule."""
+    holds every required field of ``table`` and only fields of ``table``, each one
+    passing its rule."""
     if not isinstance(value, dict):
         raise ConfigError(f"{section or 'top level'}: must be an object")
+    prefix = f"{section}." if section else ""
+    for name, rule in table.items():
+        if isinstance(rule, _Required) and name not in value:
+            raise ConfigError(f"{prefix}{name}: required field missing")
     for name, v in value.items():
-        where = f"{section}.{name}" if section else name
+        where = prefix + name
         if name not in table:
             raise ConfigError(f"{where}: unknown field (known: {sorted(table) or 'none'})")
         rule = table[name]
+        if isinstance(rule, _Required):
+            rule = rule.rule
         if isinstance(rule, dict):
             _check_fields(where, v, rule)
         elif isinstance(rule, list):
@@ -488,6 +506,21 @@ def _parse_tol_overrides(pairs) -> dict:
     return out
 
 
+def _check_writable(path: str) -> None:
+    """Raise ConfigError, before any work is done, when the report could not be
+    written to ``path``.  It only looks: no file is created or opened."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(parent):
+        problem = f"{parent!r} is not a directory"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise ConfigError(f"out: cannot write the report to {path!r}: {problem}")
+
+
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
@@ -506,6 +539,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.command, args.config, args.seed, args.out,
                              _parse_tol_overrides(args.tol))
+        _check_writable(config.out)
         report = run(config)
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(render_report(report))

@@ -198,11 +198,20 @@ def _polish(gamma: np.ndarray, starts: np.ndarray):
     """Pattern search on the sphere from every start at once, in lockstep.
 
     Each start moves to its first improving offset of step ``step`` along its
-    tangent pair, or halves its own step when none improves; a round ends
-    when the step falls to 1e-13, and a start leaves after ``_POLISH_ROUNDS``
-    rounds, or after any round once its residual is below 1e-13.  Every start
-    follows the path it would follow alone.  Returns the polished directions,
-    their residuals and the number of residual evaluations.
+    tangent pair, or halves its own step when none improves; a round starts
+    at step 0.25 and ends when the step falls to 1e-13, and a start leaves
+    after ``_POLISH_ROUNDS`` rounds, or after any round once its residual is
+    below 1e-13.  No start scores a step twice from one direction: a round
+    that reached its last direction at step ``entered`` has seen every step
+    <= ``entered`` fail from it, so the next round ends as its step halves
+    down to that ``known`` step, and a start leaves once a round reached its
+    direction at 0.25, as a round without a move does (every later round
+    would only repeat it).  This changes no result, bit for bit: halving is
+    exact, the tangent pair depends on v alone and the kernel scores each row
+    alone, so a repeated step scores the same candidates against the same
+    best and fails again.  Every start follows the path it would follow
+    alone.  Returns the polished directions, their residuals and the number
+    of residual evaluations.
     """
     score = _residual_kernel(gamma)
     polished = _unit_rows(starts)
@@ -211,7 +220,8 @@ def _polish(gamma: np.ndarray, starts: np.ndarray):
     # the active starts, compacted: their rows of ``polished`` and their state
     rows = np.arange(len(polished))
     v, best = polished.copy(), polished_best.copy()
-    step = np.full(len(v), 0.25)
+    step, entered = np.full(len(v), 0.25), np.full(len(v), 0.25)
+    known = np.zeros(len(v))      # every step <= known already failed from v against best
     rounds_left = np.full(len(v), _POLISH_ROUNDS)
     while len(rows):
         x, y = _tangent_pairs(v)
@@ -224,17 +234,19 @@ def _polish(gamma: np.ndarray, starts: np.ndarray):
         first = improving.argmax(axis=1)[moved]
         v[moved] = cand[moved, first]
         best[moved] = r[moved, first]
+        entered[moved], known[moved] = step[moved], 0.0
         step[~moved] *= 0.5
-        ended = ~(step > 1e-13)
+        ended = ~(step > np.maximum(known, 1e-13))
         if ended.any():
             rounds_left[ended] -= 1
-            step[ended] = 0.25
-            done = ended & ((rounds_left == 0) | (best < 1e-13))
+            known[ended] = entered[ended]
+            step[ended] = entered[ended] = 0.25
+            done = ended & ((rounds_left == 0) | (best < 1e-13) | (known == 0.25))
             if done.any():
                 polished[rows[done]], polished_best[rows[done]] = v[done], best[done]
                 keep = ~done
-                rows, v, best, step, rounds_left = (
-                    rows[keep], v[keep], best[keep], step[keep], rounds_left[keep])
+                rows, v, best, step, entered, known, rounds_left = (
+                    a[keep] for a in (rows, v, best, step, entered, known, rounds_left))
     return polished, polished_best, evaluations
 
 
@@ -257,7 +269,7 @@ class ScanResult:
     hits: list
     min_residual: float
     grid: int
-    evaluations: int            # residual evaluations, coarse grid plus polish
+    evaluations: int            # residuals actually evaluated, coarse grid plus polish
     note: str = "numeric scan over left-invariant line fields; not a proof"
 
 
@@ -269,7 +281,8 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     Coarse residuals come from a Fibonacci sphere grid; the most promising
     well-separated candidates are polished together by a deterministic
     pattern search, and ``ScanResult.evaluations`` counts the residuals
-    evaluated in both stages.
+    evaluated in both stages (the polish skips a candidate set it already
+    scored from the same direction, so those are not counted).
     A polished direction is a hit when its residual passes ``hit_tol`` by
     ``Check``'s rule, as the CLI's ``hit[i]:residual`` check does.  Hits are
     merged within 1e-3 radians (antipodes identified: a line field does not

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liemorph.cli import load_config, main
+from liemorph.cli import ConfigError, load_config, main
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 # shipped configs whose job is expected to fail a check
@@ -463,6 +464,53 @@ def test_a_field_that_fails_its_table_is_a_config_error(tmp_path, capsys, kind, 
     assert main([kind, "--config", cfg, *argv]) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
     assert not (tmp_path / "unwritten.json").exists()
+
+
+ROOT_GRADED = {"structure_constants": PLANE, "a_indices": [1],
+               "roots": [{"values": [1.0], "indices": [0]}], "beta": 0}
+
+
+@pytest.mark.parametrize("kind, source, field", [
+    ("check-algebra", {"builtin": {"params": {"n": 4}}}, "builtin.name"),
+    ("check-algebra", {"inline": {"gram": [[1.0, 0.0], [0.0, 1.0]]}},
+     "inline.structure_constants"),
+    *(("second-construction",
+       {"inline_root_graded": {k: v for k, v in ROOT_GRADED.items() if k != name}},
+       f"inline_root_graded.{name}") for name in ROOT_GRADED),
+    *(("second-construction",
+       {"inline_root_graded": {**ROOT_GRADED, "roots": [
+           {k: v for k, v in ROOT_GRADED["roots"][0].items() if k != name}]}},
+       f"inline_root_graded.roots[0].{name}") for name in ("values", "indices")),
+])
+def test_a_missing_required_field_is_decided_at_load_time(tmp_path, capsys, kind, source,
+                                                          field):
+    cfg = write_config(tmp_path / "job.json", {"kind": kind, **source, "sampling": {"seed": 1},
+                                               "out": str(tmp_path / "unwritten.json")})
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: required field missing$"):
+        load_config(kind, cfg)
+    assert main([kind, "--config", cfg]) == 2
+    assert f"config error: {field}: required field missing" in capsys.readouterr().err
+    assert not (tmp_path / "unwritten.json").exists()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_parent", "file_parent"])
+def test_an_unwritable_out_fails_before_the_job_runs(tmp_path, monkeypatch, capsys, where):
+    import liemorph.cli as cli_module
+
+    def crash(config):
+        raise RuntimeError("the job ran")
+
+    monkeypatch.setitem(cli_module._JOBS, "verify-family", crash)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = {"directory": tmp_path, "missing_parent": tmp_path / "missing" / "report.json",
+           "file_parent": tmp_path / "file" / "report.json"}[where]
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "verify_family_N4.json")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["verify-family", "--config", config, "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out: cannot write the report to ")
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_a_numeric_out_is_a_config_error_not_a_descriptor(tmp_path):

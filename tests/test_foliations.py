@@ -9,8 +9,9 @@ import pytest
 import liemorph as lm
 from liemorph.algebra import LieAlgebra, Subspace, orthocomplement, span
 from liemorph.errors import StructureError
-from liemorph.foliations import (DistributionSpec, _polish, _tangent_pairs, classify,
-                                 constant_curvature_certificate,
+from liemorph.foliations import (_OFFSET_X, _OFFSET_Y, _OFFSETS, _POLISH_ROUNDS,
+                                 DistributionSpec, _polish, _residual_kernel, _tangent_pairs,
+                                 _unit_rows, classify, constant_curvature_certificate,
                                  fibonacci_sphere, residuals, scan_3d, second_forms)
 from liemorph.geometry import koszul
 
@@ -55,6 +56,54 @@ def einsum_residuals(gamma, v):
                    + np.einsum("nab,nab->n", free, free))
 
 
+def three_round_polish(gamma, starts):
+    """Reference: the pattern search that runs every round in full, verbatim.
+
+    Each start scores its candidates down to step 1e-13 in every one of its
+    ``_POLISH_ROUNDS`` rounds, also when an earlier round already tried them.
+    """
+    score = _residual_kernel(gamma)
+    polished = _unit_rows(starts)
+    polished_best = score(polished)
+    evaluations = len(polished)
+    # the active starts, compacted: their rows of ``polished`` and their state
+    rows = np.arange(len(polished))
+    v, best = polished.copy(), polished_best.copy()
+    step = np.full(len(v), 0.25)
+    rounds_left = np.full(len(v), _POLISH_ROUNDS)
+    while len(rows):
+        x, y = _tangent_pairs(v)
+        cand = _unit_rows(v[:, None] + step[:, None, None]
+                          * (_OFFSET_X * x[:, None] + _OFFSET_Y * y[:, None]))
+        r = score(cand.reshape(-1, 3)).reshape(len(v), len(_OFFSETS))
+        evaluations += r.size
+        improving = r < best[:, None]
+        moved = improving.any(axis=1)
+        first = improving.argmax(axis=1)[moved]
+        v[moved] = cand[moved, first]
+        best[moved] = r[moved, first]
+        step[~moved] *= 0.5
+        ended = ~(step > 1e-13)
+        if ended.any():
+            rounds_left[ended] -= 1
+            step[ended] = 0.25
+            done = ended & ((rounds_left == 0) | (best < 1e-13))
+            if done.any():
+                polished[rows[done]], polished_best[rows[done]] = v[done], best[done]
+                keep = ~done
+                rows, v, best, step, rounds_left = (
+                    rows[keep], v[keep], best[keep], step[keep], rounds_left[keep])
+    return polished, polished_best, evaluations
+
+
+def semidirect(a, gram):
+    """R x_A R^2 with [e_0, e_j] = sum_i a[i - 1, j - 1] e_i and the metric ``gram``."""
+    c = np.zeros((3, 3, 3))
+    c[0, 1:, 1:] = np.asarray(a, float).T
+    c[1:, 0] = -c[0, 1:]
+    return LieAlgebra(c, np.asarray(gram, float))
+
+
 SCAN_ALGEBRAS = {
     "G3(1,0.5)": lambda: lm.build_G3(1.0, 0.5)[0],
     "G3(0,1)": lambda: lm.build_G3(0.0, 1.0)[0],
@@ -62,6 +111,9 @@ SCAN_ALGEBRAS = {
     "G_alpha(1)": lambda: lm.build_Galpha(1.0)[0],
     "G_alpha(2)": lambda: lm.build_Galpha(2.0)[0],
     "S2": lambda: lm.build_S(2)[0],
+    # a generic metric: some starts move again in their second round
+    "R_A(R^2)": lambda: semidirect([[1.0, 0.5], [-2.0, 0.3]],
+                                   [[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 1.5]]),
 }
 
 
@@ -289,11 +341,85 @@ def test_scan_counts_its_residual_evaluations():
     alg, _ = lm.build_Galpha(1.0)
     result = scan_3d(alg, grid=120, refine_starts=5)
     # the grid, one evaluation per start, then eight offsets per start and step;
-    # no start gets below 1e-13, so each runs three rounds of at least 41
-    # halvings from 0.25 down to 1e-13
+    # no start gets below 1e-13, and each stops once a round has only re-tried
+    # steps that already failed (three full rounds per start took 6677)
     assert (result.evaluations - 120 - 5) % 8 == 0
-    assert result.evaluations > 120 + 5 + 8 * 5 * 3 * 40
+    assert result.evaluations == 4285
     assert scan_3d(alg, grid=120, refine_starts=5).evaluations == result.evaluations
+
+
+def scan_starts(algebra, monkeypatch):
+    """The starts ``scan_3d`` hands to ``_polish`` on ``algebra``."""
+    import liemorph.foliations as foliations_module
+    seen = []
+
+    def recording_polish(gamma, starts):
+        seen.append(starts.copy())
+        return _polish(gamma, starts)
+
+    monkeypatch.setattr(foliations_module, "_polish", recording_polish)
+    scan_3d(algebra)
+    return seen[0]
+
+
+@pytest.mark.parametrize("starts", ["scan", "normal", "nan"])
+@pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS))
+def test_polish_equals_the_three_round_reference(name, starts, monkeypatch):
+    algebra = SCAN_ALGEBRAS[name]()
+    gamma = koszul(algebra).gamma
+    v = {"scan": lambda: scan_starts(algebra, monkeypatch),
+         "normal": lambda: np.random.default_rng(11).standard_normal((16, 3)),
+         "nan": lambda: np.full((4, 3), np.nan)}[starts]()
+    got, got_best, n = _polish(gamma, v)
+    want, want_best, n_want = three_round_polish(gamma, v)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_best, want_best)
+    assert (n - len(v)) % 8 == 0 and n <= n_want
+
+
+def scored_candidate_sets(polish, module, gamma, start, monkeypatch):
+    """The (8, 3) candidate sets ``polish`` scores from one start, in order, as bytes."""
+    kernel, seen = module._residual_kernel, []
+
+    def recording_kernel(g):
+        score = kernel(g)
+
+        def recording_score(v):
+            seen.append(v.tobytes())
+            return score(v)
+        return recording_score
+
+    monkeypatch.setattr(module, "_residual_kernel", recording_kernel)
+    polish(gamma, start[None])
+    monkeypatch.undo()
+    return seen[1:]     # the first call scores the start itself
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS))
+def test_polish_scores_each_candidate_set_of_the_reference_once(name, monkeypatch):
+    import sys
+
+    import liemorph.foliations as foliations_module
+    gamma = koszul(SCAN_ALGEBRAS[name]()).gamma
+    for start in np.random.default_rng(11).standard_normal((16, 3)):
+        got = scored_candidate_sets(_polish, foliations_module, gamma, start, monkeypatch)
+        want = scored_candidate_sets(three_round_polish, sys.modules[__name__], gamma, start,
+                                     monkeypatch)
+        assert len(got) == len(set(got)) and set(got) == set(want)
+
+
+def test_a_round_without_a_move_is_the_last():
+    # 0.25 halves 42 times to reach 1e-13: a start that never moves scores 42 x 8
+    # candidates once, not once per round
+    gamma = koszul(lm.build_Galpha(1.0)[0]).gamma
+    assert _polish(gamma, np.full((1, 3), np.nan))[2] == 1 + 42 * 8
+    assert three_round_polish(gamma, np.full((1, 3), np.nan))[2] == 1 + 3 * 42 * 8
+    # a polished direction that a new polish cannot move costs the same
+    polished = _polish(gamma, fibonacci_sphere(40)[::5])[0]
+    still = [v for v in polished if np.array_equal(_polish(gamma, v[None])[0][0], v)]
+    assert still
+    for v in still:
+        assert _polish(gamma, v[None])[2] == 1 + 42 * 8
 
 
 def test_scan_keeps_round_su2_hits_that_lie_apart(built):
