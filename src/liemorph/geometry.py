@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,17 @@ class ConnectionTable:
         compat = float(np.abs(self.gamma + self.gamma.transpose(0, 2, 1)).max())
         return {"torsion_free": torsion, "metric_compatible": compat}
 
+    @cached_property
+    def _curvature(self) -> np.ndarray:
+        """``curvature(table)``: computed once per table, one read-only array for every call."""
+        gamma, f = self.gamma, self.frame_brackets
+        term1 = np.einsum("bce,aed->abcd", gamma, gamma)
+        term2 = np.einsum("ace,bed->abcd", gamma, gamma)
+        term3 = np.einsum("abe,ecd->abcd", f, gamma)
+        r = term1 - term2 - term3
+        r.flags.writeable = False
+        return r
+
 
 def koszul(algebra: LieAlgebra, onb=None) -> ConnectionTable:
     """Connection table from the Koszul formula for left-invariant fields.
@@ -52,6 +64,7 @@ def koszul(algebra: LieAlgebra, onb=None) -> ConnectionTable:
     f = np.einsum("abk,kl,cl->abc", br, algebra.gram, onb, optimize=True)
     # transpose(2,0,1)[a,b,c] = f[b,c,a] and transpose(1,2,0)[a,b,c] = f[c,a,b]
     gamma = 0.5 * (f - f.transpose(2, 0, 1) + f.transpose(1, 2, 0))
+    gamma.flags.writeable = f.flags.writeable = False     # the table caches its curvature
     return ConnectionTable(algebra, onb, gamma, f)
 
 
@@ -74,11 +87,7 @@ def gl_connection_term(realization: MatrixRealization, x) -> np.ndarray:
 
 def curvature(table: ConnectionTable) -> np.ndarray:
     """R[a,b,c,d] = <R(X_a, X_b) X_c, X_d> with R(X,Y)Z = [nabla_X, nabla_Y]Z - nabla_{[X,Y]}Z."""
-    gamma, f = table.gamma, table.frame_brackets
-    term1 = np.einsum("bce,aed->abcd", gamma, gamma)
-    term2 = np.einsum("ace,bed->abcd", gamma, gamma)
-    term3 = np.einsum("abe,ecd->abcd", f, gamma)
-    return term1 - term2 - term3
+    return table._curvature
 
 
 def curvature_symmetry_residuals(r: np.ndarray) -> dict[str, float]:

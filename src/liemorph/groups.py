@@ -153,23 +153,22 @@ def _unit(n, i, j):
 def _algebra_from_matrices(mats) -> tuple[LieAlgebra, MatrixRealization]:
     """Read structure constants off the matrices themselves.
 
-    Every commutator must stay in the span of the basis; that closure is what
-    makes the realization a homomorphism by construction.
+    Each commutator [M_i, M_j], i < j, is projected onto the span of the basis;
+    whether it lies in that span is decided by the realization's residual alone.
     """
     mats = np.array(mats, dtype=float)     # (d, n, n)
-    d = len(mats)
-    flat = mats.reshape(d, -1).T
+    if not np.isfinite(mats).all():
+        raise StructureError("realization matrices have non-finite entries")
+    d, n = mats.shape[:2]
     i, j = np.triu_indices(d, 1)
-    # one solve with every commutator [M_i, M_j], i < j, as a right-hand side
-    comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(len(i), flat.shape[0]).T
-    coeff, *_ = np.linalg.lstsq(flat, comm, rcond=None)
-    resid = np.linalg.norm(flat @ coeff - comm, axis=0)
-    if np.any(resid > 1e-10 * np.maximum(1.0, np.linalg.norm(comm, axis=0))):
-        raise StructureError("basis is not closed under the commutator")
-    coeff[np.abs(coeff) < 1e-13] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):   # the realization's residual fails them
+        # every M_i M_j (at [i, :, j]) in one product; rebinding frees them before validation
+        comm = (mats.reshape(-1, n) @ mats.transpose(1, 0, 2).reshape(n, -1)).reshape(d, n, d, n)
+        comm = (comm[i, :, j] - comm[j, :, i]).reshape(len(i), n * n)
+        coeff = comm @ np.linalg.pinv(mats.reshape(d, -1))
     c = np.zeros((d, d, d))
-    c[i, j] = coeff.T
-    c[j, i] = -coeff.T
+    c[i, j] = coeff
+    c[j, i] = -coeff
     algebra = LieAlgebra(c, np.eye(d))
     return algebra, MatrixRealization(algebra, mats)
 

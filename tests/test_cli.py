@@ -559,6 +559,23 @@ def test_curvature_checks_read_the_exact_operator(tmp_path):
     assert float(report["summary"]["sectional_spread"]) < 1.0
 
 
+def test_curvature_job_evaluates_the_tensor_once(tmp_path, monkeypatch):
+    # curvature_G3 runs the symmetry checks, the sampled profile and the
+    # exact constant-curvature verdict on one connection table
+    from functools import cached_property
+
+    from liemorph.geometry import ConnectionTable
+    calls = []
+    tensor = ConnectionTable._curvature.func
+    counted = cached_property(lambda table: calls.append(table) or tensor(table))
+    counted.__set_name__(ConnectionTable, "_curvature")
+    monkeypatch.setattr(ConnectionTable, "_curvature", counted)
+    config = next(p for p in SHIPPED_CONFIGS if p.name == "curvature_G3.json")
+    assert main(["curvature", "--config", str(config),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_check_algebra_validates_once(tmp_path, monkeypatch):
     import liemorph.algebra as algebra_module
     calls = []

@@ -289,6 +289,13 @@ def test_sampled_planes_stay_inside_the_spectrum(built):
         assert eig[0] - 1e-12 <= mean <= eig[-1] + 1e-12, name
 
 
+def test_curvature_is_computed_once_per_table(built):
+    table = koszul(built["G3"][0])
+    r = curvature(table)
+    assert curvature(table) is r
+    assert not r.flags.writeable
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_curvature_fails_the_spread(built, bad):
     alg, _ = built["G3"]

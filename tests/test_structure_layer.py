@@ -4,6 +4,8 @@ Each oracle is the straightforward loop over basis pairs: one ``lstsq`` per
 commutator, one residual per pair, one ``LieAlgebra.bracket`` per vector.
 """
 
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,6 +22,8 @@ SMALL_BUILDS = {
     **{f"H{n}": (lm.build_H, (n,)) for n in range(1, 4)},
     **{f"K{n}": (lm.build_K, (n,)) for n in range(2, 6)},
     **{f"S{n}": (lm.build_S, (n,)) for n in range(2, 6)},
+    "N10": (lm.build_N, (10,)),     # the structure_dims algebras
+    "S8": (lm.build_S, (8,)),
     "G3": (lm.build_G3, (1.0, 0.5)),
     "G3_beta0": (lm.build_G3, (0.5, 0.0)),
     "G_alpha1": (lm.build_Galpha, (1.0,)),
@@ -59,7 +63,42 @@ def per_pair_residual(realization):
 def test_one_solve_matches_per_pair_lstsq_exactly(name):
     build, args = SMALL_BUILDS[name]
     alg, real = build(*args)
-    assert np.array_equal(alg.structure_constants, per_pair_constants(list(real.rep))), name
+    # uint64 views, so that signed zeros count
+    assert np.array_equal(alg.structure_constants.view(np.uint64),
+                          per_pair_constants(list(real.rep)).view(np.uint64)), name
+
+
+def test_projection_keeps_a_genuine_constant_below_1e_13():
+    alg, _ = lm.build_G3(1e-14, 1.0)
+    assert list(alg.structure_constants[0, 1]) == [0.0, 1e-14, 1.0]
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.5), (1e-3, 1e3), (-1.7, 1.0), (-7.0, -1e7),
+                                         (1e-13, 7.0), (1.7, None), (-0.3, None)])
+def test_g3_and_g_alpha_constants_are_the_closed_form(alpha, beta):
+    # [e1, e2] = alpha e2 + beta e3, [e1, e3] = -beta e2 + alpha e3 for G3;
+    # [e1, e2] = alpha e2, [e1, e3] = -e3 for G_alpha
+    if beta is None:
+        alg, _ = lm.build_Galpha(alpha)
+        rows = [[0.0, alpha, 0.0], [0.0, 0.0, -1.0]]
+    else:
+        alg, _ = lm.build_G3(alpha, beta)
+        rows = [[0.0, alpha, beta], [0.0, -beta, alpha]]
+    exact = np.zeros((3, 3, 3))
+    exact[0, 1:] = rows
+    exact[1:, 0] = -exact[0, 1:]
+    assert np.array_equal(alg.structure_constants, exact)
+
+
+def test_projection_on_a_non_orthogonal_basis_matches_per_pair_lstsq():
+    # the random basis of upper triangular 3 x 3 matrices that
+    # test_batched_identities.mixed_realization uses
+    rng = np.random.default_rng(11)
+    _, s3 = lm.build_S(3)
+    mats = np.einsum("ab,bjk->ajk", np.eye(6) + 0.3 * rng.normal(size=(6, 6)), s3.rep)
+    c = _algebra_from_matrices(mats)[0].structure_constants
+    oracle = per_pair_constants(list(mats))
+    assert np.abs(c - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("name", ["N4", "H2", "K4", "S3", "G3"])
@@ -99,13 +138,46 @@ def test_nonfinite_matrix_entry_is_not_a_homomorphism(built, bad):
 def test_non_closed_basis_is_rejected():
     e12, e23 = np.zeros((3, 3)), np.zeros((3, 3))
     e12[0, 1] = e23[1, 2] = 1.0
-    with pytest.raises(StructureError, match="not closed under the commutator"):
+    with pytest.raises(StructureError,
+                       match=r"realization is not a homomorphism \(residual 1\.000e\+00\)"):
         _algebra_from_matrices([e12, e23])
     # closed once [E12, E23] = E13 is in the basis
     e13 = np.zeros((3, 3))
     e13[0, 2] = 1.0
     alg, _ = _algebra_from_matrices([e12, e23, e13])
     assert alg.dim == 3
+
+
+NONFINITE_BUILDS = """
+import liemorph as lm
+from liemorph.errors import StructureError
+inf, nan = float("inf"), float("nan")
+for build, args in [(lm.build_G3, (inf, 0.0)), (lm.build_G3, (1.0, inf)),
+                    (lm.build_Galpha, (inf,)), (lm.build_G3, (nan, 0.0)),
+                    (lm.build_Galpha, (nan,))]:
+    try:
+        build(*args)
+        print("built")
+    except StructureError:
+        print("StructureError")
+"""
+
+
+def test_nonfinite_builder_input_raises_before_lapack():
+    # in a subprocess with a timeout, so that a hang inside LAPACK fails this test
+    proc = subprocess.run([sys.executable, "-c", NONFINITE_BUILDS],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["StructureError"] * 5
+    assert proc.stderr == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha, beta", [(1e300, 1e300), (1e150, 0.0),
+                                         (1.7976931348623157e308, 0.0)])
+def test_overflowing_builder_raises_without_a_warning(alpha, beta):
+    with pytest.raises(StructureError):
+        lm.build_G3(alpha, beta)
 
 
 @pytest.mark.parametrize("name", ["N4", "H2", "K4", "S3", "G3", "DR"])
