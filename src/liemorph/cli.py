@@ -288,7 +288,7 @@ def _family_job(config: JobConfig, per_residual: bool):
     if not per_residual:
         return checks + [Check("family_verification", report.worst, tol)], summary
     summary["points"] = report.n_points
-    return checks + report.checks(), summary
+    return checks + list(report.checks), summary
 
 
 def _root_graded_from_config(config: JobConfig) -> RootGradedAlgebra:

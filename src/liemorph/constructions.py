@@ -289,8 +289,7 @@ class RootGradedAlgebra:
 
 
 def damek_ricci_root_graded(dim_v: int, dim_z: int, j_maps=None,
-                            beta_root: str = "v",
-                            validate: bool = True) -> RootGradedAlgebra:
+                            beta_root: str = "v") -> RootGradedAlgebra:
     """Root-graded view of the Damek-Ricci builder.
 
     The roots of ad_A on the nilradical are 1/2 (on v) and 1 (on z); the
@@ -300,7 +299,7 @@ def damek_ricci_root_graded(dim_v: int, dim_z: int, j_maps=None,
     from .groups import build_damek_ricci
 
     algebra, _ = build_damek_ricci(dim_v, dim_z, j_maps)
-    return damek_ricci_grading(algebra, dim_v, dim_z, beta_root, validate)
+    return damek_ricci_grading(algebra, dim_v, dim_z, beta_root)
 
 
 def damek_ricci_grading(algebra: LieAlgebra, dim_v: int, dim_z: int,
@@ -330,10 +329,13 @@ def second_construction_check(graded: RootGradedAlgebra, a_samples,
     sum_i <[X, f_i], f_i> + sum_{alpha != beta, k} <[X, e_k^alpha], e_k^alpha> = 0.
 
     The checks of ``graded.validation_report()`` come first, named
-    ``structure:<name>``; when one fails they are returned alone and the
-    samples are not read.  A sample that is not finite, or whose e^{2 beta(V)}
+    ``structure:<name>``; when one fails they are returned alone.  No samples
+    raise ``ValueError``.  A sample that is not finite, or whose e^{2 beta(V)}
     or e^{ad V} overflows, makes the dilation residual inf or NaN.
     """
+    samples = [np.asarray(v, dtype=float) for v in a_samples]
+    if not samples:
+        raise ValueError("second_construction_check needs at least one sample of a")
     checks = [replace(c, name=f"structure:{c.name}") for c in graded.validation_report()]
     if not all(c.passed for c in checks):
         return checks
@@ -345,8 +347,7 @@ def second_construction_check(graded: RootGradedAlgebra, a_samples,
     other_onbs = [orthonormalize(alg, r.space).basis
                   for i, r in enumerate(graded.roots) if i != graded.beta_index]
 
-    samples = [np.asarray(v, dtype=float) for v in a_samples]
-    samples = np.stack(samples) if samples else np.zeros((0, alg.dim))
+    samples = np.stack(samples)
     finite = np.all(np.isfinite(samples), axis=1)
     # a non-finite sample's defect is NaN, an overflowing e^{2 beta(V)} one's inf
     defects = np.full((len(samples), len(beta_onb)), np.inf)

@@ -268,7 +268,6 @@ class ScanHit:
 class ScanResult:
     hits: list
     min_residual: float
-    grid: int
     evaluations: int            # residuals actually evaluated, coarse grid plus polish
     note: str = "numeric scan over left-invariant line fields; not a proof"
 
@@ -288,13 +287,14 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     merged within 1e-3 radians (antipodes identified: a line field does not
     see the sign) and reported with the recovered rotation-scaling data
     (alpha, beta) of ad_V on the horizontal plane plus the algebra's exact
-    constant-curvature verdict, computed once per scan.  ``hit_tol`` is
-    also the tolerance of each hit's classify flags, and ``curvature_tol``
-    that of the constant-curvature verdict.
+    constant-curvature verdict.  ``hit_tol`` is also the tolerance of each
+    hit's classify flags, and ``curvature_tol`` that of the constant-curvature
+    verdict.
 
     On a centerless solvable algebra each hit carries its direction's certificate
-    (classify tolerance ``hit_tol``, met by the hit), from the hit's own data; the
-    center and derived series are computed once, if there is a hit.
+    (classify tolerance ``hit_tol``, met by the hit), from the hit's own data.  The
+    curvature verdict, the center and the derived series are computed once, if
+    there is a hit.
     """
     if algebra.dim != 3:
         raise ValueError("scan_3d requires a 3-dimensional algebra")
@@ -316,11 +316,11 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     polished, polished_resid, evaluations = _polish(table.gamma, np.array(starts))
     min_residual = float(np.minimum(coarse.min(), polished_resid.min()))     # a NaN stays NaN
 
-    curvature_verdict = is_constant_curvature(algebra, curvature_tol, table)
     passed = [(v, r) for v, r in zip(polished, polished_resid.tolist())
               if Check("residual", r, hit_tol).passed]
     derived = None          # [g, g] when the hits are certified
     if passed:
+        curvature_verdict = is_constant_curvature(algebra, curvature_tol, table)
         series = derived_series(algebra)
         if series[-1].dim == 0 and center(algebra).dim == 0:
             derived = series[1]
@@ -339,7 +339,7 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
             algebra, derived, rotation, curvature_verdict, hit_tol, curvature_tol)
         hits.append(ScanHit(v_alg, resid, flags, alpha, beta, adj_resid, *curvature_verdict,
                             certificate))
-    return ScanResult(hits, min_residual, grid, grid + evaluations)
+    return ScanResult(hits, min_residual, grid + evaluations)
 
 
 def _rotation_scaling(algebra, table, v_frame):

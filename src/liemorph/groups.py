@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -71,13 +71,15 @@ def exp_matrix(x, t=1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MatrixRealization:
-    """One ambient x ambient matrix per basis vector, held as one read-only (d, n, n) copy."""
+    """One ambient x ambient matrix per basis vector, held as one read-only (d, n, n) copy.
+
+    Construction checks that the matrices are independent and realize the brackets.
+    """
 
     algebra: LieAlgebra
     rep: np.ndarray
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
+    def __post_init__(self):
         if len(self.rep) != self.algebra.dim:
             raise StructureError(f"need {self.algebra.dim} matrices, got {len(self.rep)}")
         try:
@@ -87,16 +89,15 @@ class MatrixRealization:
         if rep.ndim != 3 or rep.shape[1] != rep.shape[2]:
             raise StructureError("realization matrices must share a square shape")
         object.__setattr__(self, "rep", rep)
-        if validate:
-            # the residual first: it is NaN on a non-finite entry, which the rank test
-            # would misreport as dependence (inf) or fail to decompose (NaN)
-            resid = self.homomorphism_residual()
-            if not resid <= HOMOMORPHISM_TOL:     # a NaN residual fails too
-                raise StructureError(f"realization is not a homomorphism (residual {resid:.3e})")
-            flat = rep.reshape(len(rep), -1)
-            scale = max(1.0, float(np.abs(flat).max()))
-            if np.linalg.matrix_rank(flat, tol=1e-10 * scale) < len(rep):
-                raise StructureError("realization matrices are linearly dependent")
+        # the residual first: it is NaN on a non-finite entry, which the rank test
+        # would misreport as dependence (inf) or fail to decompose (NaN)
+        resid = self.homomorphism_residual()
+        if not resid <= HOMOMORPHISM_TOL:     # a NaN residual fails too
+            raise StructureError(f"realization is not a homomorphism (residual {resid:.3e})")
+        flat = rep.reshape(len(rep), -1)
+        scale = max(1.0, float(np.abs(flat).max()))
+        if np.linalg.matrix_rank(flat, tol=1e-10 * scale) < len(rep):
+            raise StructureError("realization matrices are linearly dependent")
 
     @property
     def ambient(self) -> int:

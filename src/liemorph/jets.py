@@ -26,7 +26,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .algebra import LieAlgebra, _orthonormal_frame
-from .checks import DEFAULT_TOLERANCES, Check
+from .checks import DEFAULT_TOLERANCES, Check, max_residual
 from .errors import DomainError
 from .groups import MatrixRealization, exp_matrix
 
@@ -496,43 +496,24 @@ def laplacian_values(fields, point, frame: Frame) -> np.ndarray:
     return _frame_operators(tuple(fields), _one_point(point), frame)[1][0]
 
 
-@cache
-def _upper_triangle(n: int) -> tuple:
-    return np.triu_indices(n)
-
-
-@dataclass
+@dataclass(frozen=True)
 class FamilyReport:
-    """Worst-case residuals of the orthogonal-harmonic-family conditions."""
+    """The family's checks: tau[k] per field, then kappa[k,l] per pair k <= l.
 
-    n_fields: int
+    Each residual is the worst over the ``n_points`` sample points.
+    """
+
     n_points: int
-    tol: float
-    tau_max: np.ndarray     # per field
-    kappa_max: np.ndarray   # per ordered pair (k, l), k <= l, upper triangle
-    warnings: list = field(default_factory=list)
+    checks: tuple       # of Check
 
     @property
     def worst(self) -> float:
-        """Largest residual; a NaN or inf residual is returned as it is.
-
-        Only the upper triangle of ``kappa_max`` (k <= l) is read.
-        """
-        upper = self.kappa_max[_upper_triangle(len(self.kappa_max))]
-        return float(np.maximum(self.tau_max.max(initial=0.0), upper.max(initial=0.0)))
+        """Largest residual; a NaN or inf residual is returned as it is."""
+        return max_residual(c.residual for c in self.checks)
 
     @property
     def passed(self) -> bool:
-        """Every residual is finite and at most ``tol`` (the rule of ``Check``)."""
-        return Check("family", self.worst, self.tol).passed
-
-    def checks(self) -> list[Check]:
-        """One check per tau[k] and per kappa[k,l] with k <= l."""
-        n = self.n_fields
-        out = [Check(f"tau[{k}]", self.tau_max[k], self.tol) for k in range(n)]
-        out += [Check(f"kappa[{k},{l}]", self.kappa_max[k, l], self.tol)
-                for k in range(n) for l in range(k, n)]
-        return out
+        return all(c.passed for c in self.checks)
 
 
 def verify_family(fields, points, frame: Frame,
@@ -541,16 +522,18 @@ def verify_family(fields, points, frame: Frame,
 
     kappa(phi, phi) = 0 for a complex field is exactly horizontal weak
     conformality, so a passing family is a family of harmonic morphisms.
-    All points are evaluated together (see ``CurveJet``).
+    All points are evaluated together (see ``CurveJet``); no points or no
+    fields raise ``ValueError``.
     """
     fields = tuple(fields)
     if not fields:
         raise ValueError("verify_family needs at least one field")
-    n = len(fields)
     points = np.asarray(list(points), dtype=float)
     if not len(points):
-        return FamilyReport(n, 0, tol, np.zeros(n), np.zeros((n, n)),
-                            ["no sample points supplied; the check is vacuous"])
+        raise ValueError("verify_family needs at least one point")
     kap, tau = _frame_operators(fields, points, frame)
-    return FamilyReport(n, len(points), tol, np.abs(tau).max(axis=0),
-                        np.abs(kap).max(axis=0))
+    tau, kap = np.abs(tau).max(axis=0), np.abs(kap).max(axis=0)
+    n = len(fields)
+    checks = [Check(f"tau[{k}]", tau[k], tol) for k in range(n)]
+    checks += [Check(f"kappa[{k},{l}]", kap[k, l], tol) for k in range(n) for l in range(k, n)]
+    return FamilyReport(len(points), tuple(checks))

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import liemorph as lm
+from liemorph import jets
 from liemorph.jets import Frame
 
 
@@ -29,3 +32,17 @@ def frames(built):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def family_report():
+    """verify_family's report on given worst residuals: tau (F,) and kappa (F, F).
+
+    The residuals stand in for one point's operators, so the report is built
+    by the same code as on a sampled family.
+    """
+    def report(tau, kappa, tol=1e-8):
+        tau, kappa = np.asarray(tau, dtype=float), np.asarray(kappa, dtype=float)
+        with mock.patch.object(jets, "_frame_operators", lambda *_: (kappa[None], tau[None])):
+            return jets.verify_family([jets.Constant(0.0)] * len(tau), [np.eye(2)], None, tol)
+    return report

@@ -13,7 +13,7 @@ from liemorph.checks import DEFAULT_TOLERANCES, Check, max_residual
 from liemorph.constructions import (RootGradedAlgebra, damek_ricci_root_graded,
                                     second_construction_check)
 from liemorph.foliations import constant_curvature_certificate, scan_3d
-from liemorph.jets import FamilyReport, verify_family
+from liemorph.jets import verify_family
 
 NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
@@ -131,23 +131,23 @@ def test_overflowing_sample_fails_dilation():
 
 @SETTINGS
 @given(n=st.integers(1, 3), data=st.data(), bad=st.sampled_from([math.nan, math.inf]))
-def test_nonfinite_family_residual_fails(n, data, bad):
+def test_nonfinite_family_residual_fails(n, data, bad, family_report):
     tau, kappa = np.zeros(n), np.zeros((n, n))
     if data.draw(st.booleans(), label="in tau"):
         tau[data.draw(st.integers(0, n - 1), label="k")] = bad
     else:
         k = data.draw(st.integers(0, n - 1), label="k")
         kappa[k, data.draw(st.integers(k, n - 1), label="l")] = bad
-    report = FamilyReport(n, 1, 1e-8, tau, kappa)
+    report = family_report(tau, kappa)
     assert not report.passed
-    assert not all(c.passed for c in report.checks())
+    assert not all(c.passed for c in report.checks)
 
 
-def test_family_report_passes_at_the_tolerance():
+def test_family_report_passes_at_the_tolerance(family_report):
     tau = np.array([1e-8, 0.0])
     kappa = np.array([[0.0, 1e-8], [0.0, 1e-8]])
-    report = FamilyReport(2, 1, 1e-8, tau, kappa)
+    report = family_report(tau, kappa)
     assert report.passed
-    assert [c.name for c in report.checks()] == ["tau[0]", "tau[1]", "kappa[0,0]",
-                                                 "kappa[0,1]", "kappa[1,1]"]
-    assert not FamilyReport(2, 1, 1e-8, 2 * tau, kappa).passed
+    assert [c.name for c in report.checks] == ["tau[0]", "tau[1]", "kappa[0,0]",
+                                               "kappa[0,1]", "kappa[1,1]"]
+    assert not family_report(2 * tau, kappa).passed

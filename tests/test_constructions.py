@@ -5,7 +5,7 @@ import pytest
 
 import liemorph as lm
 from liemorph.constructions import (IsotropicBasis, _phi_and_horizontal,
-                                    damek_ricci_root_graded,
+                                    damek_ricci_grading, damek_ricci_root_graded,
                                     first_construction,
                                     max_isotropic_orthogonal_to,
                                     second_construction_check, xi_vector)
@@ -313,9 +313,16 @@ def test_beta_value_of_a_stack_matches_each_vector():
 def test_damek_ricci_z_root_rejected():
     with pytest.raises(StructureError, match="beta_orthogonal_to_derived_n"):
         damek_ricci_root_graded(2, 1, beta_root="z")
-    graded = damek_ricci_root_graded(2, 1, beta_root="z", validate=False)
+    graded = damek_ricci_grading(lm.build_damek_ricci(2, 1)[0], 2, 1, "z", validate=False)
     report = {c.name: c for c in graded.validation_report()}
     assert report["beta_orthogonal_to_derived_n"].residual > 0.5
+
+
+def test_second_construction_needs_a_sample():
+    with pytest.raises(ValueError, match="at least one sample"):
+        second_construction_check(damek_ricci_root_graded(2, 1), [])
+    with pytest.raises(ValueError, match="at least one sample"):
+        second_construction_check(damek_ricci_root_graded(2, 1), iter(()))
 
 
 def test_second_construction_dilation_and_minimality(rng):

@@ -519,6 +519,15 @@ def test_a_scan_without_hits_decides_no_structure(tmp_path, monkeypatch):
     assert calls == ["koszul"]
 
 
+@pytest.mark.parametrize("name, verdicts", [("G_alpha(0.5)", 0), ("G3(1,0.5)", 1)])
+def test_the_scan_decides_curvature_only_when_a_hit_reads_it(name, verdicts, monkeypatch):
+    algebra = SCAN_ALGEBRAS[name]()
+    calls = count_calls(monkeypatch, ["is_constant_curvature"])
+    result = scan_3d(algebra)
+    assert bool(result.hits) == bool(verdicts)
+    assert len(calls) == verdicts
+
+
 CERTIFIED_SCANS = {
     "G3(1,0.5)": lambda: lm.build_G3(1.0, 0.5)[0],
     "G3(0.5,0)": lambda: lm.build_G3(0.5, 0.0)[0],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -325,13 +326,19 @@ def test_verify_family_detects_conformality_failure(built, frames):
     bad = [lm.pairing([1.0, 1.0j], [matrix_entry(0, 1), matrix_entry(0, 1)])]
     rep = verify_family(bad, [np.eye(3)], frames["N3"], tol=1e-8)
     assert not rep.passed
-    assert abs(rep.kappa_max[0, 0] - 2.0) < 1e-12  # kappa(phi, phi) = 2i at e
+    assert [c.name for c in rep.checks] == ["tau[0]", "kappa[0,0]"]
+    assert abs(rep.checks[1].residual - 2.0) < 1e-12  # kappa(phi, phi) = 2i at e
 
 
-def test_verify_family_empty_points_is_vacuous(built, frames):
-    rep = verify_family(n3_family(frames["N3"]), [], frames["N3"], tol=1e-8)
-    assert rep.passed
-    assert rep.warnings
+def test_verify_family_needs_points_and_fields(frames):
+    with pytest.raises(ValueError, match="at least one point"):
+        verify_family(n3_family(frames["N3"]), [], frames["N3"], tol=1e-8)
+    with pytest.raises(ValueError, match="at least one field"):
+        verify_family([], [np.eye(3)], frames["N3"], tol=1e-8)
+
+
+def test_family_report_is_its_checks():
+    assert [f.name for f in dataclasses.fields(FamilyReport)] == ["n_points", "checks"]
 
 
 def test_holomorphic_identity_is_noop(built, frames):
@@ -386,10 +393,11 @@ def test_verify_family_equals_max_of_single_point_calls(built, frames, rng):
     pts = sample_points(real, 30, seed=17, scale=1.0)
     rep = verify_family(fam, pts, frames["H2"], tol=1e-7)
     singles = [verify_family(fam, [p], frames["H2"], tol=1e-7) for p in pts]
+    names = [c.name for c in rep.checks]
+    assert all([c.name for c in s.checks] == names for s in singles)
     # equal up to the BLAS kernel choice for one row versus many
-    np.testing.assert_allclose(rep.tau_max, np.max([s.tau_max for s in singles], axis=0),
-                               rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(rep.kappa_max, np.max([s.kappa_max for s in singles], axis=0),
+    np.testing.assert_allclose([c.residual for c in rep.checks],
+                               np.max([[c.residual for c in s.checks] for s in singles], axis=0),
                                rtol=1e-12, atol=1e-15)
     assert rep.n_points == 30
 
@@ -404,20 +412,22 @@ def test_log_diag_batch_with_one_bad_point_raises(built, frames):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_family_report_nonfinite_residuals_fail(bad):
-    rep = FamilyReport(1, 1, 1e-8, np.array([bad]), np.zeros((1, 1)))
-    assert not rep.passed
-    assert not np.isfinite(rep.worst)
-    rep = FamilyReport(2, 1, 1e-8, np.zeros(2), np.array([[0.0, bad], [0.0, 0.0]]))
-    assert not rep.passed
-    assert not np.isfinite(rep.worst)
-    assert FamilyReport(1, 1, 1e-8, np.zeros(1), np.zeros((1, 1))).passed
+def test_family_report_nonfinite_residuals_fail(bad, family_report):
+    positions = [("tau", k) for k in range(2)] + [("kappa", (0, 0)), ("kappa", (0, 1)),
+                                                   ("kappa", (1, 1))]
+    for which, at in positions:
+        residuals = {"tau": np.zeros(2), "kappa": np.zeros((2, 2))}
+        residuals[which][at] = bad
+        rep = family_report(residuals["tau"], residuals["kappa"])
+        assert not rep.passed, (which, at)
+        assert not np.isfinite(rep.worst), (which, at)
+    assert family_report(np.zeros(2), np.zeros((2, 2))).passed
 
 
-def test_family_report_reads_only_the_upper_triangle():
-    upper = FamilyReport(2, 1, 1e-8, np.zeros(2), np.array([[0.0, np.nan], [0.0, 0.0]]))
+def test_family_report_reads_only_the_upper_triangle(family_report):
+    upper = family_report(np.zeros(2), np.array([[0.0, np.nan], [0.0, 0.0]]))
     assert not upper.passed and math.isnan(upper.worst)
-    lower = FamilyReport(2, 1, 1e-8, np.zeros(2), np.array([[1e-9, 0.0], [np.nan, 2e-9]]))
+    lower = family_report(np.zeros(2), np.array([[1e-9, 0.0], [np.nan, 2e-9]]))
     assert lower.passed and lower.worst == 2e-9
 
 
@@ -621,8 +631,7 @@ def test_unhashable_fields_still_verify(built, frames, rng):
     want = verify_family([holomorphic_post(poly, fc.family), fc.family[0]], pts,
                          frames["H2"], tol=1e-7)
     assert got.passed
-    np.testing.assert_array_equal(got.kappa_max, want.kappa_max)
-    np.testing.assert_array_equal(got.tau_max, want.tau_max)
+    assert got.checks == want.checks
 
 
 def test_scalar_times_jet_matches_the_jet_product(rng):

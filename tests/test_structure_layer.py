@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import liemorph as lm
-from liemorph.algebra import (LieAlgebra, Subspace, _bracket_span, derived_series, full_space,
-                              is_abelian, lower_central_series, span)
+from liemorph.algebra import (LieAlgebra, Subspace, _bracket_span, _representation_residual,
+                              derived_series, full_space, is_abelian, lower_central_series, span)
+from liemorph.constructions import damek_ricci_grading
 from liemorph.errors import StructureError
 from liemorph.groups import MatrixRealization, _algebra_from_matrices
 
@@ -48,9 +49,7 @@ def per_pair_constants(mats):
     return c
 
 
-def per_pair_residual(realization):
-    c = realization.algebra.structure_constants
-    rep = realization.rep
+def per_pair_residual(c, rep):
     worst = 0.0
     for i, mi in enumerate(rep):
         for j, mj in enumerate(rep):
@@ -106,10 +105,10 @@ def test_homomorphism_residual_matches_per_pair_oracle(name, rng):
     build, args = SMALL_BUILDS[name]
     alg, real = build(*args)
     perturbed = tuple(m + 1e-3 * rng.standard_normal(m.shape) for m in real.rep)
-    broken = MatrixRealization(alg, perturbed, validate=False)
-    resid = broken.homomorphism_residual()
+    c = alg.structure_constants
+    resid = _representation_residual(c, np.stack(perturbed))
     assert resid > 1e-6
-    assert resid == pytest.approx(per_pair_residual(broken), rel=1e-12, abs=0.0)
+    assert resid == pytest.approx(per_pair_residual(c, perturbed), rel=1e-12, abs=0.0)
     with pytest.raises(StructureError, match="not a homomorphism"):
         MatrixRealization(alg, perturbed)
 
@@ -119,7 +118,7 @@ def test_nan_homomorphism_residual_fails_validation(built):
     c = np.array(alg.structure_constants)
     c[0, 1, 2] = np.nan
     nan_alg = LieAlgebra(c, alg.gram, validate=False)
-    assert np.isnan(MatrixRealization(nan_alg, real.rep, validate=False).homomorphism_residual())
+    assert np.isnan(_representation_residual(c, real.rep))
     with pytest.raises(StructureError, match="not a homomorphism"):
         MatrixRealization(nan_alg, real.rep)
 
@@ -306,8 +305,8 @@ def not_nilpotent_n():
 
 
 GRADED = {
-    "DR(2,1) v": lambda: lm.damek_ricci_root_graded(2, 1, beta_root="v", validate=False),
-    "DR(2,1) z": lambda: lm.damek_ricci_root_graded(2, 1, beta_root="z", validate=False),
+    **{f"DR(2,1) {root}": (lambda root=root: damek_ricci_grading(
+        lm.build_damek_ricci(2, 1)[0], 2, 1, root, validate=False)) for root in "vz"},
     **{f"S{n} diagonal": (lambda n=n: s_n_diagonal_grading(n)) for n in range(2, 8)},
     "not nilpotent": not_nilpotent_n,
 }
