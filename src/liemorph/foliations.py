@@ -11,7 +11,7 @@ from .algebra import (LieAlgebra, Subspace, _bracket_span, _fix_signs, center, d
                       orthocomplement, orthonormalize, span)
 from .checks import DEFAULT_TOLERANCES, Check
 from .errors import StructureError
-from .geometry import ConnectionTable, is_constant_curvature, koszul
+from .geometry import ConnectionTable, curvature, is_constant_curvature, koszul
 
 CLASSIFY_TOL = DEFAULT_TOLERANCES["classify"]
 
@@ -264,17 +264,156 @@ class ScanHit:
     certificate: CurvatureCertificate | None = None     # on centerless solvable algebras only
 
 
+SCAN_NOTE = "numeric scan over left-invariant line fields; not a proof"
+RICCI_NOTE = ("Ricci certificate: Ric has {case}, where Ric restricted to the orthogonal plane "
+              "is a multiple of the metric; each residual exceeds the hit tolerance by more than "
+              "its rounding bound, so no conformal foliation by geodesics exists on any open set, "
+              "invariant or not, and no non-constant complex-valued harmonic morphism on one; "
+              "this decides this metric, not a parameter range")
+
+
 @dataclass
 class ScanResult:
     hits: list
     min_residual: float
-    evaluations: int            # residuals actually evaluated, coarse grid plus polish
-    note: str = "numeric scan over left-invariant line fields; not a proof"
+    evaluations: int            # residuals actually evaluated: grid plus polish, or candidates
+    note: str = SCAN_NOTE
+
+
+# the Ricci certificate's stated constants; see ``_ricci_directions``
+_RICCI_ROUNDING = 256.0     # b = 256 (eps sigma + smallest subnormal) bounds |computed - exact Ric|
+_GAP_BAND = 16.0            # a gap <= b is zero, one >= 16 b decides, one between falls back
+_LIPSCHITZ = 16.0           # |r(u) - r(w)| <= 16 |Gamma|_F |u - w| for unit u, w
 
 
 def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
             refine_starts: int = 16,
             curvature_tol: float = DEFAULT_TOLERANCES["curvature_constant"]) -> ScanResult:
+    """Decide the conformal foliations by geodesics of a 3-d metric algebra.
+
+    The algebra's constant-curvature verdict (tolerance ``curvature_tol``) is
+    computed once.  On a finite table that is not of constant curvature, the
+    Ricci certificate comes first: a unit field U tangent to a conformal
+    foliation by geodesics, on any open set, satisfies the Riccati equation
+    nabla_U A + A^2 = -R_U with A = theta I + omega J, so the trace-free part
+    of Ric restricted to U^perp vanishes (Baird & Wood, *Harmonic Morphisms
+    Between Riemannian Manifolds*, OUP 2003).  Ric is left-invariant, so on a
+    metric that is not Einstein U takes values in the at most two admissible
+    directions of ``_ricci_directions`` and, being continuous, is one of those
+    left-invariant fields.  When each candidate's residual exceeds ``hit_tol``
+    by more than its stated error bound, there is no such foliation on any
+    open set, invariant or not, and so no non-constant complex-valued harmonic
+    morphism on one (its fibres form such a foliation where it submerses, a
+    dense open set): the scan returns no hit, the smallest candidate residual
+    and one evaluation per candidate.
+
+    Every other case runs the sampled search of ``_scan``: constant
+    curvature, a non-finite table, a Ricci gap between its rounding bound and
+    the decision band, and a candidate at, below or near ``hit_tol``.  Hits
+    therefore always come from ``_scan``.
+    """
+    if algebra.dim != 3:
+        raise ValueError("scan_3d requires a 3-dimensional algebra")
+    table = koszul(algebra)
+    curvature_verdict = is_constant_curvature(algebra, curvature_tol, table)
+    if not curvature_verdict[0]:
+        decided = _ricci_certificate(table, hit_tol)
+        if decided is not None:
+            return decided
+    return _scan(algebra, grid, hit_tol, refine_starts, curvature_tol, table, curvature_verdict)
+
+
+def _ricci_directions(table: ConnectionTable):
+    """The admissible directions of a non-Einstein table and their direction error, or None.
+
+    C = {u : Ric|u^perp is a multiple of the metric}.  With the eigenvalues
+    rho_1 <= rho_2 <= rho_3 of Ric, eigenvectors q_i and gaps g_12, g_23,
+    g_13 = g_12 + g_23 > 0, C is the lines of
+
+        u = sqrt(g_12 / g_13) q_1 +- sqrt(g_23 / g_13) q_3
+
+    (the normals of the circular sections of the Ricci quadric): one line
+    when a gap is zero, the simple eigenvector.
+
+    Rounding.  Each entry of Ric = sum_a R[a, b, c, a] is a sum of 27
+    products of table entries, formed in at most 8 roundings, and the sum of
+    their absolute values is at most sigma = 3 |Gamma|_F^2 + |f|_F |Gamma|_F
+    (Cauchy-Schwarz over a and e, with a factor sqrt(3) in the term whose
+    first factor does not depend on a), so the symmetrized Ric is within
+    24 eps sigma of the table's exact Ricci tensor in norm.  Allowing
+    64 eps |Ric| <= 192 eps sigma for ``eigh``'s backward error, the computed
+    (rho_i, q_i) are exact for a symmetric matrix within
+    b = 256 (eps sigma + smallest subnormal) of it.
+    sigma bounds |Ric| but not conversely: Ric's entries may cancel, so b does
+    not scale with max |rho|.  So every exact gap is within 2b of its computed
+    value (Weyl).  A gap <= b counts as zero and one >= 16 b as decided; in
+    between, or with both gaps zero (Einstein to rounding), this returns None.
+
+    Direction error.  Davis-Kahan bounds the angle of q_i by b / (g_i - b)
+    <= (16/15) b / g_i, with g_i its gap (g_12 for q_1, g_23 for q_3), so
+    |q_i - q_i*| <= 1.51 b / g_i; a weight w = sqrt(g / g_13) moves by at
+    most sqrt(9.6 b / g_13) as each gap moves by <= 3b (zeroing included)
+    and g_13 >= 16 b.  Each candidate is therefore within
+
+        delta = 1.6 b sum_g 1 / sqrt(g g_13) + 7 sqrt(b / g_13)
+
+    of an exact one, the sum over the nonzero gaps.  The table itself is
+    taken as exact, as the scan takes it.
+    """
+    gamma, f = table.gamma, table.frame_brackets
+    if not (np.isfinite(gamma).all() and np.isfinite(f).all()):
+        return None
+    g_norm = float(np.linalg.norm(gamma))
+    sigma = 3.0 * g_norm * g_norm + float(np.linalg.norm(f)) * g_norm
+    finfo = np.finfo(float)
+    b = _RICCI_ROUNDING * (finfo.eps * sigma + finfo.smallest_subnormal)
+    ric = np.einsum("abca->bc", curvature(table))
+    if not (math.isfinite(b) and np.isfinite(ric).all()):
+        return None
+    rho, q = np.linalg.eigh(0.5 * (ric + ric.T))
+    gaps = np.diff(rho)                                     # g_12, g_23
+    zero = gaps <= b
+    if zero.all() or ((~zero) & (gaps < _GAP_BAND * b)).any():
+        return None
+    gaps[zero] = 0.0
+    g13 = float(gaps.sum())
+    w1, w3 = np.sqrt(gaps / g13)
+    directions = np.array([w1 * q[:, 0] + w3 * q[:, 2], w1 * q[:, 0] - w3 * q[:, 2]])
+    if zero.any():
+        directions = directions[:1]
+    delta = (1.6 * b * float(np.sum(1.0 / np.sqrt(gaps[~zero] * g13)))
+             + 7.0 * math.sqrt(b / g13))
+    return directions, delta
+
+
+def _ricci_certificate(table: ConnectionTable, hit_tol: float) -> ScanResult | None:
+    """The no-hit result the Ricci condition decides, or None when it decides nothing.
+
+    Each candidate's residual is held against ``hit_tol`` plus its error
+    bound L delta, with ``delta`` from ``_ricci_directions`` and the residual's
+    Lipschitz bound L = 16 |Gamma|_F in the direction: along a great circle
+    the geodesic part moves by at most 3 |Gamma|_F and the trace-free part by
+    at most 8 |Gamma|_F per radian, and an arc is at most pi/2 times its
+    chord.  The kernel's own rounding, tens of eps |Gamma|_F, lies far inside
+    L delta, which is at least about 1e-5 |Gamma|_F.
+    """
+    found = _ricci_directions(table)
+    if found is None:
+        return None
+    directions, delta = found
+    candidate = residuals(table.gamma, directions)
+    bound = _LIPSCHITZ * float(np.linalg.norm(table.gamma)) * delta
+    if not all(r - bound > hit_tol for r in candidate.tolist()):     # a NaN decides nothing
+        return None
+    case = ("one repeated eigenvalue and so one admissible direction" if len(directions) == 1
+            else "three distinct eigenvalues and so two admissible directions")
+    return ScanResult([], float(candidate.min()), len(candidate), RICCI_NOTE.format(case=case))
+
+
+def _scan(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
+          refine_starts: int = 16,
+          curvature_tol: float = DEFAULT_TOLERANCES["curvature_constant"],
+          table: ConnectionTable | None = None, curvature_verdict=None) -> ScanResult:
     """Scan unit vertical directions for conformal foliations by geodesics.
 
     Coarse residuals come from a Fibonacci sphere grid; the most promising
@@ -288,17 +427,18 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     see the sign) and reported with the recovered rotation-scaling data
     (alpha, beta) of ad_V on the horizontal plane plus the algebra's exact
     constant-curvature verdict.  ``hit_tol`` is also the tolerance of each
-    hit's classify flags, and ``curvature_tol`` that of the constant-curvature
-    verdict.
+    hit's classify flags, and ``curvature_tol`` that of the verdict.
+    ``table`` and ``curvature_verdict``, when given, are the algebra's own
+    (``scan_3d`` has them already); otherwise they are computed here.
 
     On a centerless solvable algebra each hit carries its direction's certificate
     (classify tolerance ``hit_tol``, met by the hit), from the hit's own data.  The
-    curvature verdict, the center and the derived series are computed once, if
-    there is a hit.
+    center and the derived series are computed once, if there is a hit.
     """
-    if algebra.dim != 3:
-        raise ValueError("scan_3d requires a 3-dimensional algebra")
-    table = koszul(algebra)
+    if table is None:
+        table = koszul(algebra)
+    if curvature_verdict is None:
+        curvature_verdict = is_constant_curvature(algebra, curvature_tol, table)
     candidates = fibonacci_sphere(grid)
     coarse = residuals(table.gamma, candidates)
 
@@ -320,7 +460,6 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
               if Check("residual", r, hit_tol).passed]
     derived = None          # [g, g] when the hits are certified
     if passed:
-        curvature_verdict = is_constant_curvature(algebra, curvature_tol, table)
         series = derived_series(algebra)
         if series[-1].dim == 0 and center(algebra).dim == 0:
             derived = series[1]

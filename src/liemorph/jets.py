@@ -522,15 +522,23 @@ def verify_family(fields, points, frame: Frame,
 
     kappa(phi, phi) = 0 for a complex field is exactly horizontal weak
     conformality, so a passing family is a family of harmonic morphisms.
-    All points are evaluated together (see ``CurveJet``); no points or no
-    fields raise ``ValueError``.
+    All points are evaluated together (see ``CurveJet``); ``points`` must be
+    a non-empty stack of (n, n) matrices, n the realization's ambient size.
+    No fields, or points of any other shape, raise ``ValueError``.
     """
     fields = tuple(fields)
     if not fields:
         raise ValueError("verify_family needs at least one field")
-    points = np.asarray(list(points), dtype=float)
+    size = frame.realization.ambient
+    shape = f"verify_family: points must be a stack of ({size}, {size}) matrices"
+    try:
+        points = np.asarray(list(points), dtype=float)
+    except ValueError as err:           # ragged: matrices of different sizes
+        raise ValueError(f"{shape} ({err})") from None
     if not len(points):
         raise ValueError("verify_family needs at least one point")
+    if points.shape[1:] != (size, size):
+        raise ValueError(f"{shape}, got an array of shape {points.shape}")
     kap, tau = _frame_operators(fields, points, frame)
     tau, kap = np.abs(tau).max(axis=0), np.abs(kap).max(axis=0)
     n = len(fields)

@@ -1,3 +1,4 @@
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -39,10 +40,13 @@ def family_report():
     """verify_family's report on given worst residuals: tau (F,) and kappa (F, F).
 
     The residuals stand in for one point's operators, so the report is built
-    by the same code as on a sampled family.
+    by the same code as on a sampled family; the frame only gives the size of
+    that point.
     """
+    frame = SimpleNamespace(realization=SimpleNamespace(ambient=2))
+
     def report(tau, kappa, tol=1e-8):
         tau, kappa = np.asarray(tau, dtype=float), np.asarray(kappa, dtype=float)
         with mock.patch.object(jets, "_frame_operators", lambda *_: (kappa[None], tau[None])):
-            return jets.verify_family([jets.Constant(0.0)] * len(tau), [np.eye(2)], None, tol)
+            return jets.verify_family([jets.Constant(0.0)] * len(tau), [np.eye(2)], frame, tol)
     return report

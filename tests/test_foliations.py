@@ -9,11 +9,12 @@ import pytest
 import liemorph as lm
 from liemorph.algebra import LieAlgebra, Subspace, orthocomplement, span
 from liemorph.errors import StructureError
-from liemorph.foliations import (_OFFSET_X, _OFFSET_Y, _OFFSETS, _POLISH_ROUNDS,
-                                 DistributionSpec, _polish, _residual_kernel, _tangent_pairs,
-                                 _unit_rows, classify, constant_curvature_certificate,
-                                 fibonacci_sphere, residuals, scan_3d, second_forms)
-from liemorph.geometry import koszul
+from liemorph.foliations import (_OFFSET_X, _OFFSET_Y, _OFFSETS, _POLISH_ROUNDS, SCAN_NOTE,
+                                 DistributionSpec, _polish, _residual_kernel, _scan,
+                                 _tangent_pairs, _unit_rows, classify,
+                                 constant_curvature_certificate, fibonacci_sphere, residuals,
+                                 scan_3d, second_forms)
+from liemorph.geometry import curvature, koszul
 
 
 def so3():
@@ -213,10 +214,10 @@ def test_a_polished_residual_exactly_at_hit_tol_is_a_hit(monkeypatch):
 
     monkeypatch.setattr(foliations_module, "_polish", recording_polish)
     alg = lm.build_Galpha(2.0)[0]
-    assert scan_3d(alg).hits == []
+    assert _scan(alg).hits == []
     tol = float(seen[0].min())
     assert 0.0 < tol < math.inf
-    hits = scan_3d(alg, hit_tol=tol).hits
+    hits = _scan(alg, hit_tol=tol).hits
     assert hits and all(h.residual == tol for h in hits)     # the hit[i]:residual checks pass
 
 
@@ -276,15 +277,24 @@ def test_scan_g3_recovers_alpha_beta(built):
 # min_residual found by the frame-based scalar search this scan replaced
 GALPHA_MIN_RESIDUAL = {0.5: 0.46770717334674261, 1.0: 0.70710678118654757,
                        2.0: 0.93541434669348522}
+# the smallest residual over the admissible Ricci directions, in closed form
+# (alpha = 1 has one direction, the others two of equal residual)
+GALPHA_CANDIDATE_RESIDUAL = {0.5: math.sqrt(11.0) / 4.0, 1.0: math.sqrt(2.0),
+                             2.0: math.sqrt(11.0) / 2.0}
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_scan_galpha_finds_nothing(alpha):
     alg, _ = lm.build_Galpha(alpha)
+    searched = _scan(alg)
+    assert searched.hits == []
+    assert abs(searched.min_residual - GALPHA_MIN_RESIDUAL[alpha]) < 1e-12
+    assert "not a proof" in searched.note
     result = scan_3d(alg)
     assert result.hits == []
-    assert abs(result.min_residual - GALPHA_MIN_RESIDUAL[alpha]) < 1e-12
-    assert "not a proof" in result.note
+    assert abs(result.min_residual - GALPHA_CANDIDATE_RESIDUAL[alpha]) < 1e-12
+    assert result.evaluations == (1 if alpha == 1.0 else 2)
+    assert result.note.startswith("Ricci certificate") and "not a proof" not in result.note
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS))
@@ -339,17 +349,19 @@ def test_lockstep_polish_follows_each_start_alone(name):
 
 def test_scan_counts_its_residual_evaluations():
     alg, _ = lm.build_Galpha(1.0)
-    result = scan_3d(alg, grid=120, refine_starts=5)
+    result = _scan(alg, grid=120, refine_starts=5)
     # the grid, one evaluation per start, then eight offsets per start and step;
     # no start gets below 1e-13, and each stops once a round has only re-tried
     # steps that already failed (three full rounds per start took 6677)
     assert (result.evaluations - 120 - 5) % 8 == 0
     assert result.evaluations == 4285
-    assert scan_3d(alg, grid=120, refine_starts=5).evaluations == result.evaluations
+    assert _scan(alg, grid=120, refine_starts=5).evaluations == result.evaluations
+    # the Ricci certificate scores its one admissible direction instead
+    assert scan_3d(alg, grid=120, refine_starts=5).evaluations == 1
 
 
 def scan_starts(algebra, monkeypatch):
-    """The starts ``scan_3d`` hands to ``_polish`` on ``algebra``."""
+    """The starts ``_scan`` hands to ``_polish`` on ``algebra``."""
     import liemorph.foliations as foliations_module
     seen = []
 
@@ -358,7 +370,7 @@ def scan_starts(algebra, monkeypatch):
         return _polish(gamma, starts)
 
     monkeypatch.setattr(foliations_module, "_polish", recording_polish)
-    scan_3d(algebra)
+    _scan(algebra)
     return seen[0]
 
 
@@ -519,13 +531,14 @@ def test_a_scan_without_hits_decides_no_structure(tmp_path, monkeypatch):
     assert calls == ["koszul"]
 
 
-@pytest.mark.parametrize("name, verdicts", [("G_alpha(0.5)", 0), ("G3(1,0.5)", 1)])
-def test_the_scan_decides_curvature_only_when_a_hit_reads_it(name, verdicts, monkeypatch):
+@pytest.mark.parametrize("name, hits", [("G_alpha(0.5)", 0), ("G3(1,0.5)", 1)])
+def test_the_scan_decides_curvature_once(name, hits, monkeypatch):
+    # the one verdict chooses the path and feeds the hits
     algebra = SCAN_ALGEBRAS[name]()
     calls = count_calls(monkeypatch, ["is_constant_curvature"])
     result = scan_3d(algebra)
-    assert bool(result.hits) == bool(verdicts)
-    assert len(calls) == verdicts
+    assert len(result.hits) == hits
+    assert len(calls) == 1
 
 
 CERTIFIED_SCANS = {
@@ -584,3 +597,160 @@ def test_certificate_rejects_non_cg_direction(built):
     alg, _ = built["Ga1"]
     with pytest.raises(StructureError, match="conformal"):
         constant_curvature_certificate(alg, [1.0, 0.0, 0.0])
+
+
+def milnor(l1, l2, l3):
+    """Milnor's unimodular frame: [e_1, e_2] = l3 e_0, [e_2, e_0] = l1 e_1, [e_0, e_1] = l2 e_2.
+
+    Orthonormal (Milnor, Adv. Math. 21, 1976): (2, 2, 1) is a Berger sphere,
+    (1, 0, 0) Nil, (1, 1, -1) the universal cover of SL(2, R), (1, -1, 0) Sol
+    and (2, 1, 0) the universal cover of E(2).
+    """
+    c = np.zeros((3, 3, 3))
+    for (i, j, k), lam in zip(((1, 2, 0), (2, 0, 1), (0, 1, 2)), (l1, l2, l3)):
+        c[i, j, k], c[j, i, k] = lam, -lam
+    return LieAlgebra(c, np.eye(3))
+
+
+def rebased(algebra, basis):
+    """The same metric algebra in the basis e'_i = sum_j basis[i, j] e_j."""
+    inverse = np.linalg.inv(basis)
+    c = np.einsum("ia,jb,abm,mk->ijk", basis, basis, algebra.structure_constants, inverse)
+    return LieAlgebra(c, basis @ algebra.gram @ basis.T)
+
+
+def random_non_unimodular(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2, 2))
+    m = rng.standard_normal((3, 3))
+    return semidirect(a, m @ m.T + np.eye(3))      # tr a != 0 almost surely
+
+
+def random_bases(seed):
+    """One random orthogonal and one random general basis change."""
+    rng = np.random.default_rng(seed)
+    orthogonal, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return {"orthogonal": orthogonal, "general": rng.standard_normal((3, 3)) + 2.0 * np.eye(3)}
+
+
+MILNOR_FRAMES = {"Berger(2,2,1)": (2.0, 2.0, 1.0), "Nil(1,0,0)": (1.0, 0.0, 0.0),
+                 "SL2(1,1,-1)": (1.0, 1.0, -1.0), "Sol(1,-1,0)": (1.0, -1.0, 0.0),
+                 "E2(2,1,0)": (2.0, 1.0, 0.0)}
+AGREEMENT_ALGEBRAS = {
+    **SCAN_ALGEBRAS,
+    **{f"Milnor {name}": (lambda lam=lam: milnor(*lam)) for name, lam in MILNOR_FRAMES.items()},
+    **{f"non-unimodular seed {seed}": (lambda seed=seed: random_non_unimodular(seed))
+       for seed in (1, 2, 3, 4)},
+    **{f"{name} {kind} basis": (lambda build=build, kind=kind: rebased(
+        build(), random_bases(7)[kind]))
+       for name, build in (("G_alpha(0)", lambda: lm.build_Galpha(0.0)[0]),
+                           ("G_alpha(1)", lambda: lm.build_Galpha(1.0)[0]),
+                           ("S2", lambda: lm.build_S(2)[0]), ("H1", lambda: lm.build_H(1)[0]))
+       for kind in ("orthogonal", "general")},
+    **{f"G_alpha({alpha!r})": (lambda alpha=alpha: lm.build_Galpha(alpha)[0])
+       for alpha in (-1.0 + 1e-6, -1.0 - 1e-6, 1e-3, -1e-3, 1.0 + 1e-9, 1.0 - 1e-9)},
+}
+# the inputs on which the sampled search finds a hit; on every other one the
+# Ricci certificate decides
+SEARCH_HITS = {"G3(1,0.5)", "G3(0,1)", "S2", "Milnor Berger(2,2,1)", "Milnor Nil(1,0,0)",
+               "Milnor SL2(1,1,-1)",
+               *(f"{name} {kind} basis" for name in ("G_alpha(0)", "S2", "H1")
+                 for kind in ("orthogonal", "general"))}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_ALGEBRAS))
+def test_the_ricci_certificate_agrees_with_the_search(name):
+    algebra = AGREEMENT_ALGEBRAS[name]()
+    result, searched = scan_3d(algebra), _scan(algebra)
+    assert bool(result.hits) == bool(searched.hits) == (name in SEARCH_HITS)
+    decided = result.note != SCAN_NOTE
+    assert decided == (name not in SEARCH_HITS)
+    if decided:
+        assert result.hits == [] and result.evaluations in (1, 2)
+        # a candidate is one direction; the search's minimum is over all it tried
+        assert result.min_residual >= searched.min_residual - 1e-12
+    else:
+        assert (result.evaluations, result.min_residual) == (searched.evaluations,
+                                                             searched.min_residual)
+
+
+def ricci_trace_free_on_planes(table, v):
+    """|Ric restricted to v_k^perp minus its trace part|_F for each unit row v_k."""
+    ric = np.einsum("abca->bc", curvature(table))
+    x, y = _tangent_pairs(v)
+    h = np.stack([x, y], axis=1)                                   # (N, 2, 3)
+    m = h @ (0.5 * (ric + ric.T)) @ h.transpose(0, 2, 1)
+    half_trace = 0.5 * np.trace(m, axis1=1, axis2=2)
+    return np.linalg.norm(m - half_trace[:, None, None] * np.eye(2), axis=(1, 2))
+
+
+def riccati_bound(table, v):
+    """(4 |Gamma|_F + r) r plus Ric's rounding, r the residual of each unit row v_k.
+
+    For a unit left-invariant field U with kappa = nabla_U U and A X = nabla_X U
+    on U^perp, A = theta I + omega J + A_0 with A_0 trace-free symmetric, the
+    residual is r = sqrt(|kappa|^2 + |A_0|^2).  For X, Y in U^perp,
+
+        <R(X, U) U, Y> = <nabla_X kappa, Y> - <[D, A] X, Y> - <A^2 X, Y> - <X, kappa><kappa, Y>,
+
+    with D = P nabla_U on U^perp, which is skew, so D = e J and [D, A] = 2 e J A_0
+    (J anticommutes with A_0).  This is the Riccati equation
+    nabla_U A + A^2 = -R_U, plus the terms of a non-geodesic U.  The trace-free
+    part of A^2 is 2 theta A_0, and in dimension 3 the trace-free part of
+    Ric|U^perp is that of R_U.  With |e| <= |Gamma|_F, |theta| <= |Gamma|_F / sqrt(2)
+    and |P nabla kappa| <= |Gamma|_F |kappa|, the trace-free part is at most
+    |Gamma|_F (|kappa| + (2 + sqrt(2)) |A_0|) + |kappa|^2 / sqrt(2) <= (4 |Gamma|_F + r) r.
+    So it vanishes on a conformal foliation by geodesics, where r = 0.
+    """
+    g_norm = np.linalg.norm(table.gamma)
+    sigma = 3.0 * g_norm ** 2 + np.linalg.norm(table.frame_brackets) * g_norm
+    r = residuals(table.gamma, v)
+    return (4.0 * g_norm + r) * r + 256.0 * np.finfo(float).eps * sigma
+
+
+HIT_ALGEBRAS = {
+    "G3(1,0.5)": lambda: lm.build_G3(1.0, 0.5)[0], "G3(0,1)": lambda: lm.build_G3(0.0, 1.0)[0],
+    "S2": lambda: lm.build_S(2)[0], "H1": lambda: lm.build_H(1)[0],
+    "G_alpha(0)": lambda: lm.build_Galpha(0.0)[0], "G_alpha(-1)": lambda: lm.build_Galpha(-1.0)[0],
+    **{f"Milnor {name}": (lambda lam=MILNOR_FRAMES[name]: milnor(*lam))
+       for name in ("Berger(2,2,1)", "Nil(1,0,0)", "SL2(1,1,-1)")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIT_ALGEBRAS))
+def test_ric_is_conformal_on_the_plane_of_every_hit(name):
+    algebra = HIT_ALGEBRAS[name]()
+    table = koszul(algebra)
+    hits = scan_3d(algebra).hits
+    assert hits
+    v = _unit_rows(np.array([table.to_frame_coords(hit.vector) for hit in hits]))
+    free, bound = ricci_trace_free_on_planes(table, v), riccati_bound(table, v)
+    assert (free <= bound).all() and (bound < 1e-8).all()
+    # the bound holds off the hits too, where it is far from zero
+    v = _unit_rows(np.random.default_rng(2).standard_normal((500, 3)))
+    assert (ricci_trace_free_on_planes(table, v) <= riccati_bound(table, v)).all()
+
+
+def test_a_ricci_gap_inside_the_decision_band_falls_back_to_the_search(monkeypatch):
+    import liemorph.foliations as foliations_module
+    alg = lm.build_Galpha(1.0 + 1e-9)[0]       # Ricci gaps 2 and 2e-9
+    table = koszul(alg)
+    g_norm = np.linalg.norm(table.gamma)
+    eps_sigma = np.finfo(float).eps * (3.0 * g_norm ** 2
+                                       + np.linalg.norm(table.frame_brackets) * g_norm)
+    gap = 2e-9
+    # b inside (gap / 16, gap): undecided; b >= gap: the gap is zero, one direction
+    for b, evaluations in ((gap / 4.0, _scan(alg).evaluations), (2.0 * gap, 1)):
+        monkeypatch.setattr(foliations_module, "_RICCI_ROUNDING", b / eps_sigma)
+        result = scan_3d(alg)
+        assert result.hits == [] and result.evaluations == evaluations
+
+
+def test_a_candidate_near_hit_tol_falls_back_to_the_search():
+    alg = lm.build_Galpha(2.0)[0]
+    candidate = scan_3d(alg).min_residual
+    # the candidate exceeds hit_tol, but not by its error bound: the search decides,
+    # and finds the directions whose residual is below hit_tol
+    result = scan_3d(alg, hit_tol=candidate - 1e-9)
+    assert result.note == SCAN_NOTE and result.hits
+    assert result.min_residual == _scan(alg).min_residual == GALPHA_MIN_RESIDUAL[2.0]

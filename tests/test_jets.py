@@ -337,6 +337,23 @@ def test_verify_family_needs_points_and_fields(frames):
         verify_family([], [np.eye(3)], frames["N3"], tol=1e-8)
 
 
+def test_verify_family_names_points_of_the_wrong_shape(frames):
+    family = n3_family(frames["N3"])
+    # one (3, 3) matrix is not a stack of points: its rows are not points
+    with pytest.raises(ValueError,
+                       match=r"points must be a stack of \(3, 3\) matrices.*shape \(3, 3\)"):
+        verify_family(family, np.eye(3), frames["N3"], tol=1e-8)
+
+
+def test_verify_family_names_points_of_the_wrong_ambient_size(frames):
+    family = n3_family(frames["N3"])
+    with pytest.raises(ValueError,
+                       match=r"points must be a stack of \(3, 3\) matrices.*\(1, 4, 4\)"):
+        verify_family(family, [np.eye(4)], frames["N3"], tol=1e-8)
+    with pytest.raises(ValueError, match=r"points must be a stack of \(3, 3\) matrices"):
+        verify_family(family, [np.eye(3), np.eye(4)], frames["N3"], tol=1e-8)
+
+
 def test_family_report_is_its_checks():
     assert [f.name for f in dataclasses.fields(FamilyReport)] == ["n_points", "checks"]
 
