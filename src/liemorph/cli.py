@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, catalog
 from .algebra import LieAlgebra, Subspace, center, derived_series, lower_central_series
 from .catalog import _is_finite, _is_int
-from .checks import DEFAULT_TOLERANCES, Check, max_residual
+from .checks import DEFAULT_TOLERANCES, Check
 from .constructions import (RootGradedAlgebra, RootSpace, damek_ricci_grading,
                             first_construction, second_construction_check)
 from .errors import ConstructionError, StructureError
@@ -362,8 +362,7 @@ def _job_foliation_scan(config: JobConfig):
     algebra, _, name = _load_algebra(config)
     if algebra.dim != 3:
         raise ConfigError(f"foliation-scan: algebra must be 3-dimensional, got dim {algebra.dim}")
-    grid = config.options.get("grid", 200)
-    result = scan_3d(algebra, grid=grid, hit_tol=config.tol("classify"),
+    result = scan_3d(algebra, grid=config.options.get("grid", 200), hit_tol=config.tol("classify"),
                      curvature_tol=config.tol("curvature_constant"))
     checks, hits_summary = [], []
     for i, hit in enumerate(result.hits):
@@ -387,12 +386,9 @@ def _job_foliation_scan(config: JobConfig):
     if expect is True:
         checks.append(Check("found_conformal_geodesic_foliation",
                             0.0 if result.hits else 1.0, 0.0))
-    elif expect is False:
-        floor = config.tol("nonexistence_floor")
-        # max_residual keeps a NaN min_residual NaN, so the check fails
-        shortfall = max_residual([floor - result.min_residual]) if result.hits == [] else floor
-        checks.append(Check("min_residual_exceeds_floor", shortfall, 0.0))
-    return checks, {"builtin": name, "grid": grid, "hits": hits_summary,
+    elif expect is False:       # only the Ricci certificate proves that there is none
+        checks.append(Check("nonexistence_certified", 0.0 if result.certified else 1.0, 0.0))
+    return checks, {"builtin": name, "hits": hits_summary,
                     "min_residual": fmt(result.min_residual), "note": result.note}
 
 

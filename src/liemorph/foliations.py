@@ -278,6 +278,7 @@ class ScanResult:
     min_residual: float
     evaluations: int            # residuals actually evaluated: grid plus polish, or candidates
     note: str = SCAN_NOTE
+    certified: bool = False     # the Ricci certificate decided it: a proof that there is no hit
 
 
 # the Ricci certificate's stated constants; see ``_ricci_directions``
@@ -291,36 +292,36 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
             curvature_tol: float = DEFAULT_TOLERANCES["curvature_constant"]) -> ScanResult:
     """Decide the conformal foliations by geodesics of a 3-d metric algebra.
 
-    The algebra's constant-curvature verdict (tolerance ``curvature_tol``) is
-    computed once.  On a finite table that is not of constant curvature, the
-    Ricci certificate comes first: a unit field U tangent to a conformal
-    foliation by geodesics, on any open set, satisfies the Riccati equation
-    nabla_U A + A^2 = -R_U with A = theta I + omega J, so the trace-free part
-    of Ric restricted to U^perp vanishes (Baird & Wood, *Harmonic Morphisms
-    Between Riemannian Manifolds*, OUP 2003).  Ric is left-invariant, so on a
-    metric that is not Einstein U takes values in the at most two admissible
-    directions of ``_ricci_directions`` and, being continuous, is one of those
-    left-invariant fields.  When each candidate's residual exceeds ``hit_tol``
-    by more than its stated error bound, there is no such foliation on any
-    open set, invariant or not, and so no non-constant complex-valued harmonic
-    morphism on one (its fibres form such a foliation where it submerses, a
-    dense open set): the scan returns no hit, the smallest candidate residual
-    and one evaluation per candidate.
+    The Ricci certificate comes first, on every table: a unit field U
+    tangent to a conformal foliation by geodesics, on any open set, satisfies
+    the Riccati equation nabla_U A + A^2 = -R_U with A = theta I + omega J, so
+    the trace-free part of Ric restricted to U^perp vanishes (Baird & Wood,
+    *Harmonic Morphisms Between Riemannian Manifolds*, OUP 2003).  Ric is
+    left-invariant, so on a metric that is not Einstein U takes values in the
+    at most two admissible directions of ``_ricci_directions`` and, being
+    continuous, is one of those left-invariant fields.  When each candidate's
+    residual exceeds ``hit_tol`` by more than its stated error bound, there is
+    no such foliation on any open set, invariant or not, and so no
+    non-constant complex-valued harmonic morphism on one (its fibres form such
+    a foliation where it submerses, a dense open set): the scan returns a
+    ``certified`` result with no hit, the smallest candidate residual and one
+    evaluation per candidate.
 
-    Every other case runs the sampled search of ``_scan``: constant
-    curvature, a non-finite table, a Ricci gap between its rounding bound and
-    the decision band, and a candidate at, below or near ``hit_tol``.  Hits
-    therefore always come from ``_scan``.
+    The certificate's own bounds send every other case to the sampled search
+    of ``_scan``: a non-finite table, both Ricci gaps within their rounding
+    bound (Einstein, which in dimension 3 is constant curvature), a gap
+    between that bound and the decision band, and a candidate at, below or
+    near ``hit_tol``.  Hits therefore always come from ``_scan``, and
+    ``curvature_tol`` reaches only their curvature verdict: no tolerance
+    chooses the path.
     """
     if algebra.dim != 3:
         raise ValueError("scan_3d requires a 3-dimensional algebra")
     table = koszul(algebra)
-    curvature_verdict = is_constant_curvature(algebra, curvature_tol, table)
-    if not curvature_verdict[0]:
-        decided = _ricci_certificate(table, hit_tol)
-        if decided is not None:
-            return decided
-    return _scan(algebra, grid, hit_tol, refine_starts, curvature_tol, table, curvature_verdict)
+    decided = _ricci_certificate(table, hit_tol)
+    if decided is not None:
+        return decided
+    return _scan(algebra, grid, hit_tol, refine_starts, curvature_tol, table)
 
 
 def _ricci_directions(table: ConnectionTable):
@@ -407,13 +408,14 @@ def _ricci_certificate(table: ConnectionTable, hit_tol: float) -> ScanResult | N
         return None
     case = ("one repeated eigenvalue and so one admissible direction" if len(directions) == 1
             else "three distinct eigenvalues and so two admissible directions")
-    return ScanResult([], float(candidate.min()), len(candidate), RICCI_NOTE.format(case=case))
+    return ScanResult([], float(candidate.min()), len(candidate), RICCI_NOTE.format(case=case),
+                      certified=True)
 
 
 def _scan(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
           refine_starts: int = 16,
           curvature_tol: float = DEFAULT_TOLERANCES["curvature_constant"],
-          table: ConnectionTable | None = None, curvature_verdict=None) -> ScanResult:
+          table: ConnectionTable | None = None) -> ScanResult:
     """Scan unit vertical directions for conformal foliations by geodesics.
 
     Coarse residuals come from a Fibonacci sphere grid; the most promising
@@ -428,17 +430,17 @@ def _scan(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     (alpha, beta) of ad_V on the horizontal plane plus the algebra's exact
     constant-curvature verdict.  ``hit_tol`` is also the tolerance of each
     hit's classify flags, and ``curvature_tol`` that of the verdict.
-    ``table`` and ``curvature_verdict``, when given, are the algebra's own
-    (``scan_3d`` has them already); otherwise they are computed here.
+    ``table``, when given, is the algebra's own (``scan_3d`` has it already);
+    otherwise it is computed here.  A result without a hit is a numeric floor
+    over the directions tried, not a proof: ``certified`` stays False.
 
     On a centerless solvable algebra each hit carries its direction's certificate
     (classify tolerance ``hit_tol``, met by the hit), from the hit's own data.  The
-    center and the derived series are computed once, if there is a hit.
+    curvature verdict, the center and the derived series are computed once, if
+    there is a hit.
     """
     if table is None:
         table = koszul(algebra)
-    if curvature_verdict is None:
-        curvature_verdict = is_constant_curvature(algebra, curvature_tol, table)
     candidates = fibonacci_sphere(grid)
     coarse = residuals(table.gamma, candidates)
 
@@ -460,6 +462,7 @@ def _scan(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
               if Check("residual", r, hit_tol).passed]
     derived = None          # [g, g] when the hits are certified
     if passed:
+        curvature_verdict = is_constant_curvature(algebra, curvature_tol, table)
         series = derived_series(algebra)
         if series[-1].dim == 0 and center(algebra).dim == 0:
             derived = series[1]

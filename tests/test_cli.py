@@ -284,9 +284,43 @@ def test_a_nan_scan_residual_fails_the_nonexistence_floor(tmp_path, monkeypatch,
     assert main(["foliation-scan", "--config", cfg]) == 1
     report = read_report(out)
     assert report["summary"]["hits"] == [] and report["summary"]["min_residual"] == "nan"
-    check, = (c for c in report["checks"] if c["name"] == "min_residual_exceeds_floor")
-    assert check["max_residual"] == "nan" and not check["pass"]
-    assert "FAIL min_residual_exceeds_floor" in capsys.readouterr().out
+    check, = (c for c in report["checks"] if c["name"] == "nonexistence_certified")
+    assert not check["pass"]
+    assert "FAIL nonexistence_certified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("alpha", [1e-7, -1e-7, 1e-6])
+def test_a_certified_nonexistence_passes_however_small_its_residual(tmp_path, alpha):
+    # the candidate residual is about 0.707 sqrt|alpha|, far below any sampled margin
+    cfg, out = base_config(tmp_path, "foliation-scan",
+                           builtin={"name": "G_alpha", "params": {"alpha": alpha}},
+                           options={"expect_hits": False})
+    assert main(["foliation-scan", "--config", cfg]) == 0
+    check, = (c for c in read_report(out)["checks"] if c["name"] == "nonexistence_certified")
+    assert check["pass"] and check["max_residual"] == check["tolerance"] == "0"
+
+
+def test_an_uncertified_scan_fails_expected_nonexistence(tmp_path, capsys):
+    cfg, out = base_config(tmp_path, "foliation-scan",
+                           builtin={"name": "G3", "params": {"alpha": 1.0, "beta": 0.5}},
+                           options={"expect_hits": False})
+    assert main(["foliation-scan", "--config", cfg]) == 1
+    report = read_report(out)
+    assert report["summary"]["hits"] and "grid" not in report["summary"]
+    assert "FAIL nonexistence_certified" in capsys.readouterr().out
+
+
+def test_the_nonexistence_floor_is_no_tolerance(tmp_path):
+    cfg, out = base_config(tmp_path, "foliation-scan",
+                           builtin={"name": "G_alpha", "params": {"alpha": 1.0}},
+                           options={"expect_hits": False},
+                           tolerances={"nonexistence_floor": 1e-3})
+    assert main(["foliation-scan", "--config", cfg]) == 2
+    cfg, out = base_config(tmp_path, "foliation-scan",
+                           builtin={"name": "G_alpha", "params": {"alpha": 1.0}},
+                           options={"expect_hits": False})
+    assert main(["foliation-scan", "--config", cfg, "--tol", "nonexistence_floor=1e-3"]) == 2
+    assert not Path(out).exists()
 
 
 def test_an_unexpected_exception_exits_3_with_its_traceback(tmp_path, monkeypatch, capsys):

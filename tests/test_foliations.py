@@ -9,12 +9,12 @@ import pytest
 import liemorph as lm
 from liemorph.algebra import LieAlgebra, Subspace, orthocomplement, span
 from liemorph.errors import StructureError
-from liemorph.foliations import (_OFFSET_X, _OFFSET_Y, _OFFSETS, _POLISH_ROUNDS, SCAN_NOTE,
+from liemorph.foliations import (_OFFSET_X, _OFFSET_Y, _OFFSETS, _POLISH_ROUNDS,
                                  DistributionSpec, _polish, _residual_kernel, _scan,
                                  _tangent_pairs, _unit_rows, classify,
                                  constant_curvature_certificate, fibonacci_sphere, residuals,
                                  scan_3d, second_forms)
-from liemorph.geometry import curvature, koszul
+from liemorph.geometry import curvature, curvature_operator, koszul
 
 
 def so3():
@@ -289,9 +289,9 @@ def test_scan_galpha_finds_nothing(alpha):
     searched = _scan(alg)
     assert searched.hits == []
     assert abs(searched.min_residual - GALPHA_MIN_RESIDUAL[alpha]) < 1e-12
-    assert "not a proof" in searched.note
+    assert "not a proof" in searched.note and not searched.certified
     result = scan_3d(alg)
-    assert result.hits == []
+    assert result.hits == [] and result.certified
     assert abs(result.min_residual - GALPHA_CANDIDATE_RESIDUAL[alpha]) < 1e-12
     assert result.evaluations == (1 if alpha == 1.0 else 2)
     assert result.note.startswith("Ricci certificate") and "not a proof" not in result.note
@@ -533,12 +533,22 @@ def test_a_scan_without_hits_decides_no_structure(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name, hits", [("G_alpha(0.5)", 0), ("G3(1,0.5)", 1)])
 def test_the_scan_decides_curvature_once(name, hits, monkeypatch):
-    # the one verdict chooses the path and feeds the hits
+    # the one verdict feeds the hits, and a scan without a hit never computes it
     algebra = SCAN_ALGEBRAS[name]()
     calls = count_calls(monkeypatch, ["is_constant_curvature"])
     result = scan_3d(algebra)
     assert len(result.hits) == hits
-    assert len(calls) == 1
+    assert len(calls) == (1 if hits else 0)
+
+
+def test_no_tolerance_chooses_the_path():
+    # a curvature tolerance that calls G_alpha(0.5) constant still leaves it to the certificate
+    result = scan_3d(lm.build_Galpha(0.5)[0], curvature_tol=2.0)
+    assert result.certified and result.hits == [] and result.evaluations == 2
+    assert abs(result.min_residual - math.sqrt(11.0) / 4.0) < 1e-12
+    result = scan_3d(lm.build_G3(1.0, 0.5)[0], curvature_tol=2.0)
+    assert not result.certified
+    assert [hit.certificate.passed for hit in result.hits] == [True]
 
 
 CERTIFIED_SCANS = {
@@ -649,13 +659,19 @@ AGREEMENT_ALGEBRAS = {
        for kind in ("orthogonal", "general")},
     **{f"G_alpha({alpha!r})": (lambda alpha=alpha: lm.build_Galpha(alpha)[0])
        for alpha in (-1.0 + 1e-6, -1.0 - 1e-6, 1e-3, -1e-3, 1.0 + 1e-9, 1.0 - 1e-9)},
+    # the near-Einstein band: the curvature operator's spread falls below 1e-7
+    # before the Ricci gaps reach their rounding bound
+    **{f"G_alpha(-1 + 1e-{k})": (lambda k=k: lm.build_Galpha(-1.0 + 10.0 ** -k)[0])
+       for k in range(7, 13)},
 }
-# the inputs on which the sampled search finds a hit; on every other one the
-# Ricci certificate decides
+# the inputs on which the sampled search finds a hit
 SEARCH_HITS = {"G3(1,0.5)", "G3(0,1)", "S2", "Milnor Berger(2,2,1)", "Milnor Nil(1,0,0)",
                "Milnor SL2(1,1,-1)",
                *(f"{name} {kind} basis" for name in ("G_alpha(0)", "S2", "H1")
-                 for kind in ("orthogonal", "general"))}
+                 for kind in ("orthogonal", "general")),
+               *(f"G_alpha(-1 + 1e-{k})" for k in range(9, 13))}
+# the inputs the sampled search decides; on every other one the Ricci certificate decides
+SEARCHED = SEARCH_HITS | {"G_alpha(-1 + 1e-8)"}
 
 
 @pytest.mark.parametrize("name", sorted(AGREEMENT_ALGEBRAS))
@@ -663,15 +679,41 @@ def test_the_ricci_certificate_agrees_with_the_search(name):
     algebra = AGREEMENT_ALGEBRAS[name]()
     result, searched = scan_3d(algebra), _scan(algebra)
     assert bool(result.hits) == bool(searched.hits) == (name in SEARCH_HITS)
-    decided = result.note != SCAN_NOTE
-    assert decided == (name not in SEARCH_HITS)
-    if decided:
+    assert result.certified == (name not in SEARCHED)
+    if result.certified:
         assert result.hits == [] and result.evaluations in (1, 2)
         # a candidate is one direction; the search's minimum is over all it tried
         assert result.min_residual >= searched.min_residual - 1e-12
     else:
         assert (result.evaluations, result.min_residual) == (searched.evaluations,
                                                              searched.min_residual)
+
+
+def eps_sigma(table):
+    """eps sigma, sigma = 3 |Gamma|_F^2 + |f|_F |Gamma|_F: the unit of Ric's rounding bound."""
+    g_norm = np.linalg.norm(table.gamma)
+    return np.finfo(float).eps * (3.0 * g_norm ** 2
+                                  + np.linalg.norm(table.frame_brackets) * g_norm)
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_ALGEBRAS))
+def test_the_curvature_operator_is_half_the_scalar_curvature_minus_ric(name):
+    """spec(op) = scal/2 - spec(Ric) in dimension 3, where Lambda^2 is R^3 by the Hodge star.
+
+    In an orthonormal Ricci eigenframe the plane orthogonal to q_k has
+    sectional curvature scal/2 - rho_k, and op is diagonal there.  Each side
+    is within b = 256 (eps sigma + smallest subnormal) of its exact value, as
+    in ``_ricci_directions``: the op's entries are R's, formed as
+    Ric's are, and ``eigvalsh`` adds its backward error; scal/2 is half a sum
+    of three such entries.  So the two spectra agree within 3b.
+    """
+    table = koszul(AGREEMENT_ALGEBRAS[name]())
+    r = curvature(table)
+    ric = np.einsum("abca->bc", r)
+    want = np.sort(0.5 * np.trace(ric) - np.linalg.eigvalsh(0.5 * (ric + ric.T)))
+    bound = 3.0 * 256.0 * (eps_sigma(table) + np.finfo(float).smallest_subnormal)
+    np.testing.assert_allclose(np.linalg.eigvalsh(curvature_operator(r)), want,
+                               rtol=0, atol=bound)
 
 
 def ricci_trace_free_on_planes(table, v):
@@ -702,10 +744,8 @@ def riccati_bound(table, v):
     |Gamma|_F (|kappa| + (2 + sqrt(2)) |A_0|) + |kappa|^2 / sqrt(2) <= (4 |Gamma|_F + r) r.
     So it vanishes on a conformal foliation by geodesics, where r = 0.
     """
-    g_norm = np.linalg.norm(table.gamma)
-    sigma = 3.0 * g_norm ** 2 + np.linalg.norm(table.frame_brackets) * g_norm
     r = residuals(table.gamma, v)
-    return (4.0 * g_norm + r) * r + 256.0 * np.finfo(float).eps * sigma
+    return (4.0 * np.linalg.norm(table.gamma) + r) * r + 256.0 * eps_sigma(table)
 
 
 HIT_ALGEBRAS = {
@@ -734,14 +774,11 @@ def test_ric_is_conformal_on_the_plane_of_every_hit(name):
 def test_a_ricci_gap_inside_the_decision_band_falls_back_to_the_search(monkeypatch):
     import liemorph.foliations as foliations_module
     alg = lm.build_Galpha(1.0 + 1e-9)[0]       # Ricci gaps 2 and 2e-9
-    table = koszul(alg)
-    g_norm = np.linalg.norm(table.gamma)
-    eps_sigma = np.finfo(float).eps * (3.0 * g_norm ** 2
-                                       + np.linalg.norm(table.frame_brackets) * g_norm)
+    unit = eps_sigma(koszul(alg))
     gap = 2e-9
     # b inside (gap / 16, gap): undecided; b >= gap: the gap is zero, one direction
     for b, evaluations in ((gap / 4.0, _scan(alg).evaluations), (2.0 * gap, 1)):
-        monkeypatch.setattr(foliations_module, "_RICCI_ROUNDING", b / eps_sigma)
+        monkeypatch.setattr(foliations_module, "_RICCI_ROUNDING", b / unit)
         result = scan_3d(alg)
         assert result.hits == [] and result.evaluations == evaluations
 
@@ -752,5 +789,5 @@ def test_a_candidate_near_hit_tol_falls_back_to_the_search():
     # the candidate exceeds hit_tol, but not by its error bound: the search decides,
     # and finds the directions whose residual is below hit_tol
     result = scan_3d(alg, hit_tol=candidate - 1e-9)
-    assert result.note == SCAN_NOTE and result.hits
+    assert not result.certified and result.hits
     assert result.min_residual == _scan(alg).min_residual == GALPHA_MIN_RESIDUAL[2.0]
