@@ -25,7 +25,6 @@ DEFAULT_TOLERANCES = {
     "expected_value": 1e-8,
     "dilation": 1e-9,
     "minimality": 1e-10,
-    "adjoint_structure": 1e-8,
 }
 
 

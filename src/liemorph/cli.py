@@ -367,8 +367,6 @@ def _job_foliation_scan(config: JobConfig):
     checks, hits_summary = [], []
     for i, hit in enumerate(result.hits):
         checks.append(Check(f"hit[{i}]:residual", hit.residual, config.tol("classify")))
-        checks.append(Check(f"hit[{i}]:adjoint_structure", hit.adjoint_residual,
-                            config.tol("adjoint_structure")))
         entry = {
             "vector": [fmt(v) for v in hit.vector],
             "flags": hit.flags,

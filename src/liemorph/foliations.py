@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (LieAlgebra, Subspace, _bracket_span, _fix_signs, center, derived_series,
-                      orthocomplement, orthonormalize, span)
+                      orthocomplement, orthonormalize)
 from .checks import DEFAULT_TOLERANCES, Check
 from .errors import StructureError
 from .geometry import ConnectionTable, curvature, is_constant_curvature, koszul
@@ -257,7 +257,6 @@ class ScanHit:
     flags: dict
     alpha: float
     beta: float
-    adjoint_residual: float     # distance of ad_V|_H from alpha I + beta J
     constant_curvature: bool
     curvature_value: float
     curvature_spread: float
@@ -317,11 +316,14 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     """
     if algebra.dim != 3:
         raise ValueError("scan_3d requires a 3-dimensional algebra")
+    for name, value in (("grid", grid), ("refine_starts", refine_starts)):
+        if not value >= 1:
+            raise ValueError(f"scan_3d: {name} must be at least 1, got {value!r}")
     table = koszul(algebra)
     decided = _ricci_certificate(table, hit_tol)
     if decided is not None:
         return decided
-    return _scan(algebra, grid, hit_tol, refine_starts, curvature_tol, table)
+    return _scan(table, grid, hit_tol, refine_starts, curvature_tol)
 
 
 def _ricci_directions(table: ConnectionTable):
@@ -412,35 +414,29 @@ def _ricci_certificate(table: ConnectionTable, hit_tol: float) -> ScanResult | N
                       certified=True)
 
 
-def _scan(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
+def _scan(table: ConnectionTable, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
           refine_starts: int = 16,
-          curvature_tol: float = DEFAULT_TOLERANCES["curvature_constant"],
-          table: ConnectionTable | None = None) -> ScanResult:
+          curvature_tol: float = DEFAULT_TOLERANCES["curvature_constant"]) -> ScanResult:
     """Scan unit vertical directions for conformal foliations by geodesics.
 
     Coarse residuals come from a Fibonacci sphere grid; the most promising
     well-separated candidates are polished together by a deterministic
     pattern search, and ``ScanResult.evaluations`` counts the residuals
-    evaluated in both stages (the polish skips a candidate set it already
-    scored from the same direction, so those are not counted).
+    evaluated in both stages (``_polish`` scores no candidate set twice).
     A polished direction is a hit when its residual passes ``hit_tol`` by
     ``Check``'s rule, as the CLI's ``hit[i]:residual`` check does.  Hits are
     merged within 1e-3 radians (antipodes identified: a line field does not
-    see the sign) and reported with the recovered rotation-scaling data
-    (alpha, beta) of ad_V on the horizontal plane plus the algebra's exact
-    constant-curvature verdict.  ``hit_tol`` is also the tolerance of each
-    hit's classify flags, and ``curvature_tol`` that of the verdict.
-    ``table``, when given, is the algebra's own (``scan_3d`` has it already);
-    otherwise it is computed here.  A result without a hit is a numeric floor
+    see the sign) and reported with (alpha, beta) from ``_adjoint_read`` and
+    the algebra's exact constant-curvature verdict (tolerance ``curvature_tol``).
+    A hit is totally geodesic and conformal by its residual, and Riemannian when
+    also |alpha| <= ``hit_tol``.  A result without a hit is a numeric floor
     over the directions tried, not a proof: ``certified`` stays False.
-
     On a centerless solvable algebra each hit carries its direction's certificate
     (classify tolerance ``hit_tol``, met by the hit), from the hit's own data.  The
     curvature verdict, the center and the derived series are computed once, if
     there is a hit.
     """
-    if table is None:
-        table = koszul(algebra)
+    algebra = table.algebra
     candidates = fibonacci_sphere(grid)
     coarse = residuals(table.gamma, candidates)
 
@@ -466,43 +462,45 @@ def _scan(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
         series = derived_series(algebra)
         if series[-1].dim == 0 and center(algebra).dim == 0:
             derived = series[1]
-    hits = []
-    kept_frames = []
+    hits, kept_frames = [], []
     merge_cos = math.cos(1e-3)
     for v, resid in passed:
         if any(min(1.0, abs(float(v @ k))) > merge_cos for k in kept_frames):
             continue
-        v = _fix_signs(v[None] / np.linalg.norm(v))[0]     # first significant component > 0
+        v = _fix_signs(_unit_rows(v[None]))[0]     # first significant component > 0
         kept_frames.append(v)
-        v_alg, _, _, alpha, beta, adj_resid = rotation = _rotation_scaling(algebra, table, v)
-        flags = classify(DistributionSpec(algebra, span([v_alg], algebra.dim)), table,
-                         hit_tol).flags()
+        alpha, beta, _ = read = _adjoint_read(table, v)
+        flags = {"totally_geodesic": True,
+                 "riemannian": Check("conformal_vector_norm", abs(alpha), hit_tol).passed,
+                 "conformal": True}
         certificate = None if derived is None else _certificate(
-            algebra, derived, rotation, curvature_verdict, hit_tol, curvature_tol)
-        hits.append(ScanHit(v_alg, resid, flags, alpha, beta, adj_resid, *curvature_verdict,
-                            certificate))
+            table, derived, v, read, curvature_verdict, hit_tol, curvature_tol)
+        hits.append(ScanHit(table.to_algebra_coords(v), resid, flags, alpha, beta,
+                            *curvature_verdict, certificate))
     return ScanResult(hits, min_residual, grid + evaluations)
 
 
-def _rotation_scaling(algebra, table, v_frame):
-    """ad_V on the horizontal plane of a unit frame vector, read as alpha I + beta J.
+def _adjoint_read(table: ConnectionTable, v: np.ndarray):
+    """ad_V on the plane orthogonal to a unit frame vector v, frame-free: (alpha, beta, [X, Y]).
 
-    Returns (v, x, y, alpha, beta, residual): v and its tangent pair (x, y)
-    in algebra coordinates, the recovered data with beta >= 0 (the sign of y
-    is free), and the max distance of the 2x2 block <[V, X_i], X_j> from
-    [[alpha, beta], [-beta, alpha]].
+    With f = ``table.frame_brackets``, P = I - v v^T, J_v u = v x u and
+    s = P (v . f) P (s[b, c] = <[V, P X_b], P X_c>): alpha = tr s / 2, beta =
+    |<s, J_v>| / 2, [X, Y]_c = 1/2 sum eps_abd v_d f_abc for orthonormal X x Y = v.
+    For X, Y orthogonal to V, <[V, X], Y> = <nabla_V X, Y> + <V, nabla_X Y>
+    (torsion-free, metric) and nabla_V is skew, so sym s = P S_v P, S_v the
+    symmetrized connection along v (Milnor, Adv. Math. 21, 1976).  So |alpha| is
+    ``classify``'s conformal-vector norm, and s - (alpha I +- beta J) is the
+    trace-free part [[a, b], [b, -a]] of P S_v P, whose Frobenius norm
+    sqrt(2 (a^2 + b^2)) is within ``residuals``: no entry exceeds
+    residual / sqrt(2), so a hit needs no check of its adjoint structure.
     """
-    x, y = (u[0] for u in _tangent_pairs(v_frame[None]))
-    v_alg, x_alg, y_alg = (table.to_algebra_coords(u) for u in (v_frame, x, y))
-    h = np.stack([x_alg, y_alg])
-    s = h @ algebra.ad(v_alg).T @ algebra.gram @ h.T     # s[i, j] = <[V, X_i], X_j>
-    if 0.5 * (s[0, 1] - s[1, 0]) < 0:
-        # flip the second horizontal vector so the recovered rotation part is >= 0
-        s[0, 1], s[1, 0] = -s[0, 1], -s[1, 0]
-    alpha = 0.5 * (s[0, 0] + s[1, 1])
-    beta = 0.5 * (s[0, 1] - s[1, 0])
-    adj_resid = float(np.abs(s - np.array([[alpha, beta], [-beta, alpha]])).max())
-    return v_alg, x_alg, y_alg, float(alpha), float(beta), adj_resid
+    f = table.frame_brackets
+    p = _EYE3 - v[:, None] * v[None, :]
+    s = p @ np.tensordot(v, f, axes=1) @ p
+    alpha = 0.5 * np.trace(s)
+    beta = 0.5 * abs(float(v @ (s - s.T)[_NEXT, _AFTER]))      # <s, J_v>, up to its sign
+    bracket = 0.5 * v @ (f[_NEXT, _AFTER] - f[_AFTER, _NEXT])
+    return float(alpha), beta, bracket
 
 
 @dataclass
@@ -526,12 +524,16 @@ def constant_curvature_certificate(algebra: LieAlgebra, v,
     """Certify: a centerless solvable 3-d algebra carrying a conformal-geodesic
     line field has constant sectional curvature -alpha^2.
 
-    Hypothesis failures (dimension, center, solvability, the classify flags)
-    raise with the offending hypothesis named; the returned certificate holds
-    the numeric checks for the conclusion.  ``classify_tol`` is the tolerance
-    of the classify flags and of ``horizontal_vectors_commute``;
-    ``curvature_tol`` that of the two curvature checks.
+    ``v`` must be a finite nonzero vector of ``algebra.dim`` entries (else
+    ``ValueError``); a failed hypothesis (dimension, center, solvability, the
+    direction) raises ``StructureError`` naming it.  The direction hypothesis
+    is the scan's hit rule, the residual passing ``classify_tol``, which is also
+    the tolerance of ``horizontal_vectors_commute``; ``curvature_tol`` is that
+    of the two curvature checks.
     """
+    v = np.asarray(v, dtype=float)
+    if v.shape != (algebra.dim,) or not (np.isfinite(v).all() and v.any()):
+        raise ValueError(f"v must be a finite nonzero vector of {algebra.dim} entries, got {v!r}")
     if algebra.dim != 3:
         raise StructureError("hypotheses failed: not 3-dimensional")
     series = derived_series(algebra)
@@ -539,30 +541,30 @@ def constant_curvature_certificate(algebra: LieAlgebra, v,
                                           ("not solvable", series[-1].dim)) if failed]
     if failures:
         raise StructureError("hypotheses failed: " + ", ".join(failures))
-    v = np.asarray(v, dtype=float)
     table = koszul(algebra)
-    result = classify(DistributionSpec(algebra, span([v], algebra.dim)), table, classify_tol)
-    if not (result.conformal and result.totally_geodesic):
-        raise StructureError(
-            "hypotheses failed: direction is not a conformal foliation by geodesics "
-            f"(residuals {result.residuals})")
-    v_frame = table.to_frame_coords(v)
-    v_frame = _fix_signs(v_frame[None] / np.linalg.norm(v_frame))[0]     # a line has no sign
-    return _certificate(algebra, series[1], _rotation_scaling(algebra, table, v_frame),
+    v_frame = _fix_signs(_unit_rows(table.to_frame_coords(v)[None]))[0]    # a line has no sign
+    residual = float(residuals(table.gamma, v_frame[None])[0])
+    if not Check("residual", residual, classify_tol).passed:
+        raise StructureError("hypotheses failed: direction is not a conformal foliation by "
+                             f"geodesics (residual {residual!r}, tolerance {classify_tol!r})")
+    return _certificate(table, series[1], v_frame, _adjoint_read(table, v_frame),
                         is_constant_curvature(algebra, curvature_tol, table),
                         classify_tol, curvature_tol)
 
 
-def _certificate(algebra: LieAlgebra, derived: Subspace, rotation, curvature_verdict,
-                 classify_tol: float, curvature_tol: float) -> CurvatureCertificate:
-    """The conclusion's checks, from [g, g], a line's rotation-scaling data and the verdict."""
-    _, x_alg, y_alg, alpha, beta, _ = rotation
+def _certificate(table: ConnectionTable, derived: Subspace, v: np.ndarray, read,
+                 curvature_verdict, classify_tol: float, curvature_tol: float):
+    """The conclusion's checks from [g, g], a unit frame vector v, its ``_adjoint_read`` and the
+    verdict; v's plane is [g, g] when dim [g, g] = 2 and [g, g] is orthogonal to v."""
+    alpha, beta, bracket = read
     _, value, spread = curvature_verdict
-    comm = algebra.ad(x_alg) @ y_alg
-    horiz = span([x_alg, y_alg], algebra.dim)
+    normal = table.algebra.gram @ table.to_algebra_coords(v)     # each unit row's distance
+    plane = derived.dim == 2 and (np.abs(derived.basis @ normal).max()
+                                  <= 1e-8 * np.linalg.norm(normal))
     checks = (
-        Check("horizontal_vectors_commute", float(np.abs(comm).max()), classify_tol),
-        Check("horizontal_plane_is_derived_algebra", float(not horiz.equals(derived, 1e-8)), 0.0),
+        Check("horizontal_vectors_commute",
+              float(np.abs(table.to_algebra_coords(bracket)).max()), classify_tol),
+        Check("horizontal_plane_is_derived_algebra", float(not plane), 0.0),
         Check("constant_sectional_curvature", spread, curvature_tol),
         Check("curvature_equals_minus_alpha_sq", abs(value + alpha * alpha), curvature_tol),
     )

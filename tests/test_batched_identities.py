@@ -19,7 +19,7 @@ from liemorph.constructions import (RootGradedAlgebra, RootSpace, _phi_and_horiz
                                     damek_ricci_root_graded, second_construction_check,
                                     xi_vector)
 from liemorph.errors import StructureError
-from liemorph.foliations import DistributionSpec, _rotation_scaling, _tangent_pairs, second_forms
+from liemorph.foliations import DistributionSpec, _adjoint_read, _tangent_pairs, second_forms
 from liemorph.geometry import gl_connection_term, koszul
 from liemorph.groups import DEFAULT_J, build_damek_ricci
 
@@ -287,19 +287,19 @@ def test_second_forms_match_the_loop(builder, k):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_rotation_scaling_matches_the_loop(seed):
     rng = np.random.default_rng(seed)
-    alg = perturbed(lm.build_G3(1.0, 0.5)[0], rng, size=0.1)
+    c = perturbed(lm.build_G3(1.0, 0.5)[0], rng, size=0.1).structure_constants
+    # antisymmetric, as a bracket is: the frame-free [X, Y] reads only that part of c
+    alg = LieAlgebra(0.5 * (c - c.transpose(1, 0, 2)), spd(rng, 3), validate=False)
     table = koszul(alg)
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
     s = rotation_block_by_loops(alg, table, v)
-    if 0.5 * (s[0, 1] - s[1, 0]) < 0:
-        s[0, 1], s[1, 0] = -s[0, 1], -s[1, 0]
-    alpha, beta = 0.5 * (s[0, 0] + s[1, 1]), 0.5 * (s[0, 1] - s[1, 0])
-    resid = np.abs(s - np.array([[alpha, beta], [-beta, alpha]])).max()
-    _, x_alg, y_alg, got_alpha, got_beta, got_resid = _rotation_scaling(alg, table, v)
-    assert resid > 0.0
-    assert (got_alpha, got_beta, got_resid) == pytest.approx((alpha, beta, resid), rel=1e-12)
-    np.testing.assert_allclose(alg.ad(x_alg) @ y_alg, alg.bracket(x_alg, y_alg),
+    alpha, beta = 0.5 * (s[0, 0] + s[1, 1]), 0.5 * abs(s[0, 1] - s[1, 0])
+    x, y = (table.to_algebra_coords(u[0]) for u in _tangent_pairs(v[None]))     # x × y = v
+    got_alpha, got_beta, bracket = _adjoint_read(table, v)
+    assert alpha != 0.0 and beta != 0.0
+    assert (got_alpha, got_beta) == pytest.approx((alpha, beta), rel=1e-12)
+    np.testing.assert_allclose(table.to_algebra_coords(bracket), alg.bracket(x, y),
                                rtol=1e-12, atol=1e-15)
 
 

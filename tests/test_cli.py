@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from liemorph.checks import DEFAULT_TOLERANCES
 from liemorph.cli import ConfigError, load_config, main
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -321,6 +322,52 @@ def test_the_nonexistence_floor_is_no_tolerance(tmp_path):
                            options={"expect_hits": False})
     assert main(["foliation-scan", "--config", cfg, "--tol", "nonexistence_floor=1e-3"]) == 2
     assert not Path(out).exists()
+
+
+def test_the_adjoint_structure_is_no_tolerance(tmp_path):
+    # a hit's adjoint structure is implied by its residual, so no tolerance reaches it
+    g3 = {"name": "G3", "params": {"alpha": 1.0, "beta": 0.5}}
+    cfg, out = base_config(tmp_path, "foliation-scan", builtin=g3,
+                           options={"expect_hits": True},
+                           tolerances={"adjoint_structure": 1e-8})
+    assert main(["foliation-scan", "--config", cfg]) == 2
+    cfg, out = base_config(tmp_path, "foliation-scan", builtin=g3,
+                           options={"expect_hits": True})
+    assert main(["foliation-scan", "--config", cfg, "--tol", "adjoint_structure=1e-8"]) == 2
+    assert not Path(out).exists()
+
+
+# a shipped config on which each tolerance name reaches at least one check
+TOLERANCE_CONFIGS = {
+    "family": "verify_family_N4.json",
+    "classify": "foliation_scan_G3.json",
+    "connection": "curvature_G3.json",
+    "curvature_symmetry": "curvature_G3.json",
+    "curvature_constant": "curvature_G3.json",
+    "expected_value": "curvature_G3.json",
+    "dilation": "second_construction_damek_ricci.json",
+    "minimality": "second_construction_damek_ricci.json",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_TOLERANCES))
+def test_every_tolerance_reaches_a_report_check(tmp_path, name):
+    assert TOLERANCE_CONFIGS.keys() == DEFAULT_TOLERANCES.keys()
+    config = next(p for p in SHIPPED_CONFIGS if p.name == TOLERANCE_CONFIGS[name])
+    value = 1.2345678901234567e-4       # no default and no other check's tolerance
+    out = tmp_path / "report.json"
+    kind = json.loads(config.read_text(encoding="utf-8"))["kind"]
+    assert main([kind, "--config", str(config), "--tol", f"{name}={value!r}",
+                 "--out", str(out)]) in (0, 1)
+    assert any(float(c["tolerance"]) == value for c in read_report(out)["checks"])
+
+
+def test_the_readme_tolerance_table_lists_exactly_the_tolerance_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| name | default | checks |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = [re.match(r"\| `(\w+)` \| ([^ |]+) \|", line).groups() for line in table.splitlines()]
+    assert {name: float(default) for name, default in rows} == DEFAULT_TOLERANCES
+    assert len(rows) == len(DEFAULT_TOLERANCES)
 
 
 def test_an_unexpected_exception_exits_3_with_its_traceback(tmp_path, monkeypatch, capsys):

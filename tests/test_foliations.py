@@ -10,11 +10,12 @@ import liemorph as lm
 from liemorph.algebra import LieAlgebra, Subspace, orthocomplement, span
 from liemorph.errors import StructureError
 from liemorph.foliations import (_OFFSET_X, _OFFSET_Y, _OFFSETS, _POLISH_ROUNDS,
-                                 DistributionSpec, _polish, _residual_kernel, _scan,
-                                 _tangent_pairs, _unit_rows, classify,
+                                 DistributionSpec, _adjoint_read, _certificate, _polish,
+                                 _residual_kernel, _scan, _tangent_pairs, _unit_rows, classify,
                                  constant_curvature_certificate, fibonacci_sphere, residuals,
                                  scan_3d, second_forms)
 from liemorph.geometry import curvature, curvature_operator, koszul
+from test_batched_identities import rotation_block_by_loops
 
 
 def so3():
@@ -214,10 +215,10 @@ def test_a_polished_residual_exactly_at_hit_tol_is_a_hit(monkeypatch):
 
     monkeypatch.setattr(foliations_module, "_polish", recording_polish)
     alg = lm.build_Galpha(2.0)[0]
-    assert _scan(alg).hits == []
+    assert _scan(koszul(alg)).hits == []
     tol = float(seen[0].min())
     assert 0.0 < tol < math.inf
-    hits = _scan(alg, hit_tol=tol).hits
+    hits = _scan(koszul(alg), hit_tol=tol).hits
     assert hits and all(h.residual == tol for h in hits)     # the hit[i]:residual checks pass
 
 
@@ -269,9 +270,33 @@ def test_scan_g3_recovers_alpha_beta(built):
     np.testing.assert_allclose(np.abs(hit.vector), [1.0, 0.0, 0.0], atol=1e-8)
     assert abs(hit.alpha - 1.0) < 1e-8
     assert abs(hit.beta - 0.5) < 1e-8
-    assert hit.adjoint_residual < 1e-8
     assert hit.flags["conformal"] and hit.flags["totally_geodesic"]
     assert hit.constant_curvature and abs(hit.curvature_value + 1.0) < 1e-7
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS))
+def test_the_adjoint_structure_is_within_the_residual_over_sqrt2(name):
+    """The loop oracle's block <[V, X_i], X_j> is alpha I + beta J within residual / sqrt(2).
+
+    Every entry of the difference is an entry of the trace-free part of
+    P S_v P (see ``_adjoint_read``), up to rounding: 64 eps (|f|_F + |Gamma|_F)
+    cond(onb)^2 covers the kernel's rounding and the oracle's passage through
+    algebra coordinates and the Gram matrix.
+    """
+    algebra = SCAN_ALGEBRAS[name]()
+    table = koszul(algebra)
+    v = _unit_rows(np.random.default_rng(17).standard_normal((500, 3)))
+    rounding = (64.0 * np.finfo(float).eps * np.linalg.cond(table.onb) ** 2
+                * (np.linalg.norm(table.frame_brackets) + np.linalg.norm(table.gamma)))
+    distance = []
+    for row in v:
+        s = rotation_block_by_loops(algebra, table, row)
+        alpha, beta, _ = _adjoint_read(table, row)
+        beta = math.copysign(beta, s[0, 1] - s[1, 0])      # the sign of the pair's Y is free
+        distance.append(np.abs(s - np.array([[alpha, beta], [-beta, alpha]])).max())
+    distance = np.array(distance)
+    assert (distance <= residuals(table.gamma, v) / math.sqrt(2.0) + rounding).all()
+    assert distance.max() > 0.0
 
 
 # min_residual found by the frame-based scalar search this scan replaced
@@ -286,7 +311,7 @@ GALPHA_CANDIDATE_RESIDUAL = {0.5: math.sqrt(11.0) / 4.0, 1.0: math.sqrt(2.0),
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_scan_galpha_finds_nothing(alpha):
     alg, _ = lm.build_Galpha(alpha)
-    searched = _scan(alg)
+    searched = _scan(koszul(alg))
     assert searched.hits == []
     assert abs(searched.min_residual - GALPHA_MIN_RESIDUAL[alpha]) < 1e-12
     assert "not a proof" in searched.note and not searched.certified
@@ -349,13 +374,13 @@ def test_lockstep_polish_follows_each_start_alone(name):
 
 def test_scan_counts_its_residual_evaluations():
     alg, _ = lm.build_Galpha(1.0)
-    result = _scan(alg, grid=120, refine_starts=5)
+    result = _scan(koszul(alg), grid=120, refine_starts=5)
     # the grid, one evaluation per start, then eight offsets per start and step;
     # no start gets below 1e-13, and each stops once a round has only re-tried
     # steps that already failed (three full rounds per start took 6677)
     assert (result.evaluations - 120 - 5) % 8 == 0
     assert result.evaluations == 4285
-    assert _scan(alg, grid=120, refine_starts=5).evaluations == result.evaluations
+    assert _scan(koszul(alg), grid=120, refine_starts=5).evaluations == result.evaluations
     # the Ricci certificate scores its one admissible direction instead
     assert scan_3d(alg, grid=120, refine_starts=5).evaluations == 1
 
@@ -370,7 +395,7 @@ def scan_starts(algebra, monkeypatch):
         return _polish(gamma, starts)
 
     monkeypatch.setattr(foliations_module, "_polish", recording_polish)
-    _scan(algebra)
+    _scan(koszul(algebra))
     return seen[0]
 
 
@@ -464,6 +489,13 @@ def test_scan_requires_dim_3(built):
         scan_3d(alg)
 
 
+@pytest.mark.parametrize("argument", ["grid", "refine_starts"])
+@pytest.mark.parametrize("name", ["G_alpha(0.5)", "G3(1,0.5)"])      # certified, searched
+def test_scan_rejects_a_grid_or_refine_starts_below_one(name, argument):
+    with pytest.raises(ValueError, match=f"{argument} must be at least 1, got 0"):
+        scan_3d(SCAN_ALGEBRAS[name](), **{argument: 0})
+
+
 def test_certificate_g3(built):
     alg, _ = built["G3"]
     cert = constant_curvature_certificate(alg, [1.0, 0.0, 0.0])
@@ -473,6 +505,14 @@ def test_certificate_g3(built):
     assert abs(cert.curvature_value + 1.0) < 1e-10
     checks = {c.name: c for c in cert.checks}
     assert checks["horizontal_vectors_commute"].residual < 1e-12
+
+
+@pytest.mark.parametrize("v", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0], [1.0, 0.0]],
+                         ids=["zero", "nan", "inf", "short"])
+def test_certificate_names_a_bad_v(built, v):
+    # raised before any other work: no division by a zero norm, no rank decision on NaN
+    with pytest.raises(ValueError, match="v must be a finite nonzero vector of 3 entries"):
+        constant_curvature_certificate(built["G3"][0], v)
 
 
 def test_certificate_does_not_see_the_sign_of_v(built):
@@ -509,7 +549,7 @@ SCAN_JOB_CALLS = ("koszul", "classify", "derived_series", "center", "is_solvable
 
 def test_certificate_reads_solvability_off_its_one_derived_series(tmp_path, monkeypatch):
     # the scan builds its one hit's certificate from the hit's own data: one
-    # connection table, one classify, one derived series and one center per job
+    # connection table, one derived series and one center per job, and no classify
     import liemorph.cli as cli_module
     calls = count_calls(monkeypatch, SCAN_JOB_CALLS)
     config = Path(__file__).resolve().parents[1] / "configs/foliation_scan_G3.json"
@@ -518,7 +558,7 @@ def test_certificate_reads_solvability_off_its_one_derived_series(tmp_path, monk
     report = json.loads(out.read_text(encoding="utf-8"))
     assert [hit["certificate_passed"] for hit in report["summary"]["hits"]] == [True]
     assert {name: calls.count(name) for name in SCAN_JOB_CALLS} == {
-        "koszul": 1, "classify": 1, "derived_series": 1, "center": 1,
+        "koszul": 1, "classify": 0, "derived_series": 1, "center": 1,
         "is_solvable": 0, "constant_curvature_certificate": 0}
 
 
@@ -574,6 +614,33 @@ def test_scan_certificate_is_the_public_certificate(name):
             [(c.name, c.residual, c.tol) for c in public.checks]
         assert (scanned.alpha, scanned.beta, scanned.curvature_value) == \
             (public.alpha, public.beta, public.curvature_value)
+
+
+def plane_by_span(table, derived, v):
+    """The span test the certificate's plane check replaced, on the tangent pair of frame v."""
+    x, y = (table.to_algebra_coords(u[0]) for u in _tangent_pairs(v[None]))
+    return span([x, y], 3).equals(derived, 1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_SCANS))
+def test_the_plane_test_decides_as_the_span_test(name):
+    algebra = CERTIFIED_SCANS[name]()
+    table, derived = koszul(algebra), lm.derived_series(algebra)[1]
+    rng = np.random.default_rng(19)
+    hits = scan_3d(algebra).hits
+    assert hits
+    for hit in hits:
+        v = _unit_rows(table.to_frame_coords(hit.vector)[None])[0]
+        tilt = np.cross(v, rng.standard_normal(3))
+        decisions = []
+        for w in _unit_rows(np.array([v, v + 1e-10 * tilt, v + 1e-6 * tilt,
+                                      rng.standard_normal(3)])):
+            checks = _certificate(table, derived, w, _adjoint_read(table, w),
+                                  (True, 0.0, 0.0), 1e-9, 1e-7).checks
+            plane, = (c.passed for c in checks if c.name == "horizontal_plane_is_derived_algebra")
+            assert plane == plane_by_span(table, derived, w)
+            decisions.append(plane)
+        assert decisions == [True, True, False, False]
 
 
 @pytest.mark.parametrize("name", ["S2", "H1", "so3"])
@@ -677,7 +744,7 @@ SEARCHED = SEARCH_HITS | {"G_alpha(-1 + 1e-8)"}
 @pytest.mark.parametrize("name", sorted(AGREEMENT_ALGEBRAS))
 def test_the_ricci_certificate_agrees_with_the_search(name):
     algebra = AGREEMENT_ALGEBRAS[name]()
-    result, searched = scan_3d(algebra), _scan(algebra)
+    result, searched = scan_3d(algebra), _scan(koszul(algebra))
     assert bool(result.hits) == bool(searched.hits) == (name in SEARCH_HITS)
     assert result.certified == (name not in SEARCHED)
     if result.certified:
@@ -757,6 +824,16 @@ HIT_ALGEBRAS = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS.keys() | HIT_ALGEBRAS.keys()))
+def test_hit_flags_are_the_classify_flags(name):
+    # classify, over newly built subspaces, is the reference for the flags each hit reads off itself
+    algebra = {**SCAN_ALGEBRAS, **HIT_ALGEBRAS}[name]()
+    result = scan_3d(algebra)
+    assert result.hits or result.certified
+    for hit in result.hits:
+        assert hit.flags == classify(line(algebra, hit.vector), tol=1e-9).flags()
+
+
 @pytest.mark.parametrize("name", sorted(HIT_ALGEBRAS))
 def test_ric_is_conformal_on_the_plane_of_every_hit(name):
     algebra = HIT_ALGEBRAS[name]()
@@ -777,7 +854,7 @@ def test_a_ricci_gap_inside_the_decision_band_falls_back_to_the_search(monkeypat
     unit = eps_sigma(koszul(alg))
     gap = 2e-9
     # b inside (gap / 16, gap): undecided; b >= gap: the gap is zero, one direction
-    for b, evaluations in ((gap / 4.0, _scan(alg).evaluations), (2.0 * gap, 1)):
+    for b, evaluations in ((gap / 4.0, _scan(koszul(alg)).evaluations), (2.0 * gap, 1)):
         monkeypatch.setattr(foliations_module, "_RICCI_ROUNDING", b / unit)
         result = scan_3d(alg)
         assert result.hits == [] and result.evaluations == evaluations
@@ -790,4 +867,4 @@ def test_a_candidate_near_hit_tol_falls_back_to_the_search():
     # and finds the directions whose residual is below hit_tol
     result = scan_3d(alg, hit_tol=candidate - 1e-9)
     assert not result.certified and result.hits
-    assert result.min_residual == _scan(alg).min_residual == GALPHA_MIN_RESIDUAL[2.0]
+    assert result.min_residual == _scan(koszul(alg)).min_residual == GALPHA_MIN_RESIDUAL[2.0]
