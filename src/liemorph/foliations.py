@@ -135,9 +135,12 @@ def _tangent_pairs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _residual_kernel(gamma: np.ndarray):
-    """The defect of ``residuals`` for one connection table, as a function of an (N, 3) stack.
+    """The components of ``residuals``' defect for one connection table, as a function of an
+    (N, 3) stack: the geodesic vectors (N, 3) and the trace-free matrices (N, 9).
 
-    The rows must be unit vectors; callers normalise each row once.
+    The rows must be unit vectors; callers normalise each row once.  The
+    components are polynomials in the row, so a complex row v + i h x gives
+    their derivative along x in the imaginary part (see ``_jacobian``).
     Coefficients are precomputed once: with S_v = sym(Gamma . v), one
     (N, 9) @ (9, 6) product of v (x) v gives g = Gamma(v, v) and S_v v, and
     one (N, 3) @ (3, 10) product gives S_v and, in its last column, tr S_v.
@@ -163,10 +166,14 @@ def _residual_kernel(gamma: np.ndarray):
         w = v[:, :, None] * sv[:, None, :]
         free = (s[:, :9] - (w + w.transpose(0, 2, 1)).reshape(-1, 9)
                 + (q + half_t)[:, None] * vv - half_t[:, None] * eye)
-        return np.sqrt(np.einsum("nc,nc->n", geodesic, geodesic)
-                       + np.einsum("nc,nc->n", free, free))
+        return geodesic, free
 
     return kernel
+
+
+def _defect(geodesic: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """The residual of each row from its ``_residual_kernel`` components."""
+    return np.sqrt(np.einsum("nc,nc->n", geodesic, geodesic) + np.einsum("nc,nc->n", free, free))
 
 
 def residuals(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -183,70 +190,89 @@ def residuals(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
     vanish together exactly for a conformal foliation by geodesics.  No
     tangent frame is built; see ``_residual_kernel``.
     """
-    return _residual_kernel(gamma)(_unit_rows(v))
+    return _defect(*_residual_kernel(gamma)(_unit_rows(v)))
 
 
-_DIAG = 1.0 / math.sqrt(2.0)
-# pattern-search offsets (a, b) along the tangent pair (x, y), in trial order
-_OFFSETS = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
-                     (_DIAG, _DIAG), (_DIAG, -_DIAG), (-_DIAG, _DIAG), (-_DIAG, -_DIAG)])
-_OFFSET_X, _OFFSET_Y = _OFFSETS.T[:, :, None]
-_POLISH_ROUNDS = 3
+# Levenberg-Marquardt constants of ``_polish``: the complex step of the Jacobian; the damping
+# relative to tr J^T J, which starts at its floor, moves by its factor per step and ends a
+# start past its cap; and the step length, in radians, below which a start has converged
+_COMPLEX_STEP = 2.0 ** -64
+_DAMPING_FLOOR, _DAMPING_FACTOR, _DAMPING_CAP = 1e-6, 100.0, 1e4
+_STEP_FLOOR = 4.0 * np.finfo(float).eps
+
+
+def _jacobian(kernel, v: np.ndarray):
+    """The tangent pair (x, y) of each unit row of v and the derivatives, each (N, 12), of its
+    ``kernel`` components along x and along y: Im F(v + i h x) / h, exact for a polynomial F."""
+    x, y = _tangent_pairs(v)
+    step = np.concatenate([v, v]) + 1j * _COMPLEX_STEP * np.concatenate([x, y])
+    columns = np.concatenate(kernel(step), axis=1).imag / _COMPLEX_STEP
+    return x, y, columns[:len(v)], columns[len(v):]
 
 
 def _polish(gamma: np.ndarray, starts: np.ndarray):
-    """Pattern search on the sphere from every start at once, in lockstep.
+    """Damped Gauss-Newton (Levenberg-Marquardt) on the sphere from every start at once.
 
-    Each start moves to its first improving offset of step ``step`` along its
-    tangent pair, or halves its own step when none improves; a round starts
-    at step 0.25 and ends when the step falls to 1e-13, and a start leaves
-    after ``_POLISH_ROUNDS`` rounds, or after any round once its residual is
-    below 1e-13.  No start scores a step twice from one direction: a round
-    that reached its last direction at step ``entered`` has seen every step
-    <= ``entered`` fail from it, so the next round ends as its step halves
-    down to that ``known`` step, and a start leaves once a round reached its
-    direction at 0.25, as a round without a move does (every later round
-    would only repeat it).  This changes no result, bit for bit: halving is
-    exact, the tangent pair depends on v alone and the kernel scores each row
-    alone, so a repeated step scores the same candidates against the same
-    best and fails again.  Every start follows the path it would follow
-    alone.  Returns the polished directions, their residuals and the number
-    of residual evaluations.
+    The residual is the norm of the 12 ``_residual_kernel`` components F(v).
+    Each step takes the tangent pair (x, y) of v, the exact 12 x 2 Jacobian J
+    of F along x and y (``_jacobian``: a complex step through the kernel's own
+    polynomial formula), and solves the damped normal equations
+    (J^T J + mu tr(J^T J) I) (a, b) = -J^T F.  The candidate unit(v + a x + b y)
+    is taken only when the kernel scores it strictly lower; then mu shrinks
+    by ``_DAMPING_FACTOR``, down to ``_DAMPING_FLOOR`` where it starts, and J
+    is formed again at the new v; else mu grows by that factor.  A start
+    leaves when its step is at most ``_STEP_FLOOR`` radians (or not finite:
+    J = 0, a NaN start), so that no later step could move v, or when a
+    rejected step takes mu past ``_DAMPING_CAP``.  No rule reads the
+    residual's level, so a metric scaled by 4^k takes the same steps and ends
+    with residuals scaled by 2^-k.  All starts run in lockstep, and every
+    start follows the path it would follow alone.  Returns the polished
+    directions, their residuals and the number of residual evaluations (a
+    Jacobian counts two).
     """
-    score = _residual_kernel(gamma)
+    kernel = _residual_kernel(gamma)
+
+    def score(v):
+        geodesic, free = kernel(v)
+        return np.concatenate([geodesic, free], axis=1), _defect(geodesic, free)
+
     polished = _unit_rows(starts)
-    polished_best = score(polished)
+    comps, polished_best = score(polished)
     evaluations = len(polished)
     # the active starts, compacted: their rows of ``polished`` and their state
     rows = np.arange(len(polished))
     v, best = polished.copy(), polished_best.copy()
-    step, entered = np.full(len(v), 0.25), np.full(len(v), 0.25)
-    known = np.zeros(len(v))      # every step <= known already failed from v against best
-    rounds_left = np.full(len(v), _POLISH_ROUNDS)
+    mu = np.full(len(v), _DAMPING_FLOOR)
+    x, y, jx, jy = _jacobian(kernel, v)
+    evaluations += 2 * len(v)
     while len(rows):
-        x, y = _tangent_pairs(v)
-        cand = _unit_rows(v[:, None] + step[:, None, None]
-                          * (_OFFSET_X * x[:, None] + _OFFSET_Y * y[:, None]))
-        r = score(cand.reshape(-1, 3)).reshape(len(v), len(_OFFSETS))
-        evaluations += r.size
-        improving = r < best[:, None]
-        moved = improving.any(axis=1)
-        first = improving.argmax(axis=1)[moved]
-        v[moved] = cand[moved, first]
-        best[moved] = r[moved, first]
-        entered[moved], known[moved] = step[moved], 0.0
-        step[~moved] *= 0.5
-        ended = ~(step > np.maximum(known, 1e-13))
-        if ended.any():
-            rounds_left[ended] -= 1
-            known[ended] = entered[ended]
-            step[ended] = entered[ended] = 0.25
-            done = ended & ((rounds_left == 0) | (best < 1e-13) | (known == 0.25))
-            if done.any():
-                polished[rows[done]], polished_best[rows[done]] = v[done], best[done]
-                keep = ~done
-                rows, v, best, step, entered, known, rounds_left = (
-                    a[keep] for a in (rows, v, best, step, entered, known, rounds_left))
+        axx, axy, ayy = (np.einsum("nc,nc->n", p, q) for p, q in ((jx, jx), (jx, jy), (jy, jy)))
+        gx, gy = np.einsum("nc,nc->n", jx, comps), np.einsum("nc,nc->n", jy, comps)
+        damping = mu * (axx + ayy)
+        pxx, pyy = axx + damping, ayy + damping
+        with np.errstate(divide="ignore", invalid="ignore"):       # J = 0: no step
+            det = pxx * pyy - axy * axy
+            a, b = (axy * gy - pyy * gx) / det, (axy * gx - pxx * gy) / det
+        length = np.sqrt(a * a + b * b)
+        moving = (length > _STEP_FLOOR) & (length < np.inf)
+        cand = _unit_rows(v[moving] + a[moving, None] * x[moving] + b[moving, None] * y[moving])
+        cand_comps, r = score(cand)
+        evaluations += len(cand)
+        taken = r < best[moving]
+        better = np.zeros(len(v), dtype=bool)
+        better[moving] = taken
+        v[better], best[better], comps[better] = cand[taken], r[taken], cand_comps[taken]
+        mu[better] = np.maximum(mu[better] / _DAMPING_FACTOR, _DAMPING_FLOOR)
+        mu[moving & ~better] *= _DAMPING_FACTOR
+        done = ~moving | (mu > _DAMPING_CAP)
+        if better.any():
+            x[better], y[better], jx[better], jy[better] = _jacobian(kernel, v[better])
+            evaluations += 2 * int(better.sum())
+        if done.any():
+            polished[rows[done]], polished_best[rows[done]] = v[done], best[done]
+            keep = ~done
+            rows, v, best, mu, comps, x, y, jx, jy = (
+                arr[keep] for arr in (rows, v, best, mu, comps, x, y, jx, jy))
     return polished, polished_best, evaluations
 
 
@@ -306,6 +332,9 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     ``certified`` result with no hit, the smallest candidate residual and one
     evaluation per candidate.
 
+    ``grid`` and ``refine_starts`` must be integers of at least 1 (a
+    ``bool`` is not one); either is checked before the path is chosen.
+
     The certificate's own bounds send every other case to the sampled search
     of ``_scan``: a non-finite table, both Ricci gaps within their rounding
     bound (Einstein, which in dimension 3 is constant curvature), a gap
@@ -317,7 +346,9 @@ def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
     if algebra.dim != 3:
         raise ValueError("scan_3d requires a 3-dimensional algebra")
     for name, value in (("grid", grid), ("refine_starts", refine_starts)):
-        if not value >= 1:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"scan_3d: {name} must be an integer, got {value!r}")
+        if value < 1:
             raise ValueError(f"scan_3d: {name} must be at least 1, got {value!r}")
     table = koszul(algebra)
     decided = _ricci_certificate(table, hit_tol)
@@ -420,9 +451,9 @@ def _scan(table: ConnectionTable, grid: int = 200, hit_tol: float = CLASSIFY_TOL
     """Scan unit vertical directions for conformal foliations by geodesics.
 
     Coarse residuals come from a Fibonacci sphere grid; the most promising
-    well-separated candidates are polished together by a deterministic
-    pattern search, and ``ScanResult.evaluations`` counts the residuals
-    evaluated in both stages (``_polish`` scores no candidate set twice).
+    well-separated candidates are polished together by ``_polish``'s damped
+    Gauss-Newton steps, and ``ScanResult.evaluations`` counts the residuals
+    evaluated in both stages (a Jacobian counts two).
     A polished direction is a hit when its residual passes ``hit_tol`` by
     ``Check``'s rule, as the CLI's ``hit[i]:residual`` check does.  Hits are
     merged within 1e-3 radians (antipodes identified: a line field does not
@@ -525,7 +556,8 @@ def constant_curvature_certificate(algebra: LieAlgebra, v,
     line field has constant sectional curvature -alpha^2.
 
     ``v`` must be a finite nonzero vector of ``algebra.dim`` entries (else
-    ``ValueError``); a failed hypothesis (dimension, center, solvability, the
+    ``ValueError``), of any size: it is scaled by a power of two, which is
+    exact, before it is normalised.  A failed hypothesis (dimension, center, solvability, the
     direction) raises ``StructureError`` naming it.  The direction hypothesis
     is the scan's hit rule, the residual passing ``classify_tol``, which is also
     the tolerance of ``horizontal_vectors_commute``; ``curvature_tol`` is that
@@ -542,6 +574,7 @@ def constant_curvature_certificate(algebra: LieAlgebra, v,
     if failures:
         raise StructureError("hypotheses failed: " + ", ".join(failures))
     table = koszul(algebra)
+    v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])     # exact: no under- or overflow in the norm
     v_frame = _fix_signs(_unit_rows(table.to_frame_coords(v)[None]))[0]    # a line has no sign
     residual = float(residuals(table.gamma, v_frame[None])[0])
     if not Check("residual", residual, classify_tol).passed:

@@ -9,11 +9,10 @@ import pytest
 import liemorph as lm
 from liemorph.algebra import LieAlgebra, Subspace, orthocomplement, span
 from liemorph.errors import StructureError
-from liemorph.foliations import (_OFFSET_X, _OFFSET_Y, _OFFSETS, _POLISH_ROUNDS,
-                                 DistributionSpec, _adjoint_read, _certificate, _polish,
-                                 _residual_kernel, _scan, _tangent_pairs, _unit_rows, classify,
-                                 constant_curvature_certificate, fibonacci_sphere, residuals,
-                                 scan_3d, second_forms)
+from liemorph.foliations import (DistributionSpec, _adjoint_read, _certificate, _defect,
+                                 _jacobian, _polish, _residual_kernel, _scan, _tangent_pairs,
+                                 _unit_rows, classify, constant_curvature_certificate,
+                                 fibonacci_sphere, residuals, scan_3d, second_forms)
 from liemorph.geometry import curvature, curvature_operator, koszul
 from test_batched_identities import rotation_block_by_loops
 
@@ -58,13 +57,28 @@ def einsum_residuals(gamma, v):
                    + np.einsum("nab,nab->n", free, free))
 
 
-def three_round_polish(gamma, starts):
-    """Reference: the pattern search that runs every round in full, verbatim.
+_DIAG = 1.0 / math.sqrt(2.0)
+# the reference's offsets (a, b) along the tangent pair (x, y), in trial order
+_OFFSETS = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+                     (_DIAG, _DIAG), (_DIAG, -_DIAG), (-_DIAG, _DIAG), (-_DIAG, -_DIAG)])
+_OFFSET_X, _OFFSET_Y = _OFFSETS.T[:, :, None]
+_POLISH_ROUNDS = 3
 
-    Each start scores its candidates down to step 1e-13 in every one of its
-    ``_POLISH_ROUNDS`` rounds, also when an earlier round already tried them.
+
+def three_round_polish(gamma, starts):
+    """Reference: a pattern search on the sphere that runs three rounds per start in full.
+
+    Each start moves to its first improving offset of step ``step`` along its
+    tangent pair, or halves its step when none improves; a round starts at
+    step 0.25 and ends when the step falls to 1e-13, and a start leaves after
+    ``_POLISH_ROUNDS`` rounds, or after any round once its residual is below
+    1e-13.  This was the scan's polish before the Levenberg-Marquardt one.
     """
-    score = _residual_kernel(gamma)
+    kernel = _residual_kernel(gamma)
+
+    def score(v):
+        return _defect(*kernel(v))
+
     polished = _unit_rows(starts)
     polished_best = score(polished)
     evaluations = len(polished)
@@ -113,7 +127,7 @@ SCAN_ALGEBRAS = {
     "G_alpha(1)": lambda: lm.build_Galpha(1.0)[0],
     "G_alpha(2)": lambda: lm.build_Galpha(2.0)[0],
     "S2": lambda: lm.build_S(2)[0],
-    # a generic metric: some starts move again in their second round
+    # a generic metric, with no hit
     "R_A(R^2)": lambda: semidirect([[1.0, 0.5], [-2.0, 0.3]],
                                    [[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 1.5]]),
 }
@@ -375,11 +389,10 @@ def test_lockstep_polish_follows_each_start_alone(name):
 def test_scan_counts_its_residual_evaluations():
     alg, _ = lm.build_Galpha(1.0)
     result = _scan(koszul(alg), grid=120, refine_starts=5)
-    # the grid, one evaluation per start, then eight offsets per start and step;
-    # no start gets below 1e-13, and each stops once a round has only re-tried
-    # steps that already failed (three full rounds per start took 6677)
-    assert (result.evaluations - 120 - 5) % 8 == 0
-    assert result.evaluations == 4285
+    # the grid; per start its own residual and a two-column Jacobian; then per
+    # lockstep step one candidate for each start that moves and a Jacobian for
+    # each accepted one (the pattern search scored 4285, three full rounds 6677)
+    assert result.evaluations == 591
     assert _scan(koszul(alg), grid=120, refine_starts=5).evaluations == result.evaluations
     # the Ricci certificate scores its one admissible direction instead
     assert scan_3d(alg, grid=120, refine_starts=5).evaluations == 1
@@ -399,64 +412,35 @@ def scan_starts(algebra, monkeypatch):
     return seen[0]
 
 
+def line_distance(u, w):
+    """sin of the angle between the lines of the unit rows of u and w."""
+    return np.linalg.norm(np.cross(u, w), axis=-1)
+
+
 @pytest.mark.parametrize("starts", ["scan", "normal", "nan"])
 @pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS))
 def test_polish_equals_the_three_round_reference(name, starts, monkeypatch):
+    """From each start the polish reaches what the pattern-search reference reaches.
+
+    A start the reference brings to a hit (residual <= 1e-9) the polish brings
+    to one too, within 1e-8 rad of the reference's direction; from any other
+    start its residual is at most the reference's plus 1e-12.  A NaN start
+    stays NaN and costs its residual and its Jacobian.
+    """
     algebra = SCAN_ALGEBRAS[name]()
     gamma = koszul(algebra).gamma
     v = {"scan": lambda: scan_starts(algebra, monkeypatch),
          "normal": lambda: np.random.default_rng(11).standard_normal((16, 3)),
          "nan": lambda: np.full((4, 3), np.nan)}[starts]()
     got, got_best, n = _polish(gamma, v)
-    want, want_best, n_want = three_round_polish(gamma, v)
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(got_best, want_best)
-    assert (n - len(v)) % 8 == 0 and n <= n_want
-
-
-def scored_candidate_sets(polish, module, gamma, start, monkeypatch):
-    """The (8, 3) candidate sets ``polish`` scores from one start, in order, as bytes."""
-    kernel, seen = module._residual_kernel, []
-
-    def recording_kernel(g):
-        score = kernel(g)
-
-        def recording_score(v):
-            seen.append(v.tobytes())
-            return score(v)
-        return recording_score
-
-    monkeypatch.setattr(module, "_residual_kernel", recording_kernel)
-    polish(gamma, start[None])
-    monkeypatch.undo()
-    return seen[1:]     # the first call scores the start itself
-
-
-@pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS))
-def test_polish_scores_each_candidate_set_of_the_reference_once(name, monkeypatch):
-    import sys
-
-    import liemorph.foliations as foliations_module
-    gamma = koszul(SCAN_ALGEBRAS[name]()).gamma
-    for start in np.random.default_rng(11).standard_normal((16, 3)):
-        got = scored_candidate_sets(_polish, foliations_module, gamma, start, monkeypatch)
-        want = scored_candidate_sets(three_round_polish, sys.modules[__name__], gamma, start,
-                                     monkeypatch)
-        assert len(got) == len(set(got)) and set(got) == set(want)
-
-
-def test_a_round_without_a_move_is_the_last():
-    # 0.25 halves 42 times to reach 1e-13: a start that never moves scores 42 x 8
-    # candidates once, not once per round
-    gamma = koszul(lm.build_Galpha(1.0)[0]).gamma
-    assert _polish(gamma, np.full((1, 3), np.nan))[2] == 1 + 42 * 8
-    assert three_round_polish(gamma, np.full((1, 3), np.nan))[2] == 1 + 3 * 42 * 8
-    # a polished direction that a new polish cannot move costs the same
-    polished = _polish(gamma, fibonacci_sphere(40)[::5])[0]
-    still = [v for v in polished if np.array_equal(_polish(gamma, v[None])[0][0], v)]
-    assert still
-    for v in still:
-        assert _polish(gamma, v[None])[2] == 1 + 42 * 8
+    want, want_best, _ = three_round_polish(gamma, v)
+    if starts == "nan":
+        assert np.isnan(got).all() and np.isnan(got_best).all() and n == 3 * len(v)
+        return
+    hit = want_best <= 1e-9
+    assert (got_best[hit] <= 1e-9).all()
+    assert (line_distance(got[hit], want[hit]) <= 1e-8).all()
+    assert (got_best[~hit] <= want_best[~hit] + 1e-12).all()
 
 
 def test_scan_keeps_round_su2_hits_that_lie_apart(built):
@@ -496,6 +480,15 @@ def test_scan_rejects_a_grid_or_refine_starts_below_one(name, argument):
         scan_3d(SCAN_ALGEBRAS[name](), **{argument: 0})
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "16"], ids=["2.5", "2.0", "True", "str"])
+@pytest.mark.parametrize("argument", ["grid", "refine_starts"])
+@pytest.mark.parametrize("name", ["G_alpha(0.5)", "G3(1,0.5)"])      # certified, searched
+def test_scan_rejects_a_grid_or_refine_starts_that_is_not_an_integer(name, argument, value):
+    with pytest.raises(ValueError, match=f"{argument} must be an integer, got {value!r}"):
+        scan_3d(SCAN_ALGEBRAS[name](), **{argument: value})
+    assert scan_3d(SCAN_ALGEBRAS[name](), **{argument: np.int64(20)}).evaluations > 0
+
+
 def test_certificate_g3(built):
     alg, _ = built["G3"]
     cert = constant_curvature_certificate(alg, [1.0, 0.0, 0.0])
@@ -513,6 +506,18 @@ def test_certificate_names_a_bad_v(built, v):
     # raised before any other work: no division by a zero norm, no rank decision on NaN
     with pytest.raises(ValueError, match="v must be a finite nonzero vector of 3 entries"):
         constant_curvature_certificate(built["G3"][0], v)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200, 2.0 ** 1000, 2.0 ** -1000])
+def test_certificate_normalises_v_of_any_size(built, scale):
+    # a power-of-two scaling before the norm: no under- or overflow, and no bit moves
+    alg, _ = built["G3"]
+    want = constant_curvature_certificate(alg, [1.0, 0.0, 0.0])
+    got = constant_curvature_certificate(alg, [scale, 0.0, 0.0])
+    assert (got.alpha, got.beta, got.curvature_value) == (want.alpha, want.beta,
+                                                         want.curvature_value)
+    assert [(c.name, c.residual, c.passed) for c in got.checks] == \
+        [(c.name, c.residual, c.passed) for c in want.checks]
 
 
 def test_certificate_does_not_see_the_sign_of_v(built):
@@ -868,3 +873,98 @@ def test_a_candidate_near_hit_tol_falls_back_to_the_search():
     result = scan_3d(alg, hit_tol=candidate - 1e-9)
     assert not result.certified and result.hits
     assert result.min_residual == _scan(koszul(alg)).min_residual == GALPHA_MIN_RESIDUAL[2.0]
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS))
+def test_the_jacobian_is_the_central_difference_of_the_components(name):
+    gamma = koszul(SCAN_ALGEBRAS[name]()).gamma
+    kernel = _residual_kernel(gamma)
+    v = _unit_rows(np.random.default_rng(23).standard_normal((200, 3)))
+    x, y, jx, jy = _jacobian(kernel, v)
+    t = 1e-5
+
+    def components(u):
+        return np.concatenate(kernel(_unit_rows(u)), axis=1)
+
+    for direction, column in ((x, jx), (y, jy)):
+        central = (components(v + t * direction) - components(v - t * direction)) / (2.0 * t)
+        np.testing.assert_allclose(column, central, rtol=0, atol=1e-8 * np.linalg.norm(gamma))
+    assert np.abs(jx).max() > 0.1 and np.abs(jy).max() > 0.1
+
+
+def recorded_kernel_calls(monkeypatch, call):
+    """``call()`` with every kernel evaluation recorded as (dtype kind, rows)."""
+    import liemorph.foliations as foliations_module
+    kernel, seen = foliations_module._residual_kernel, []
+
+    def recording_kernel(g):
+        score = kernel(g)
+
+        def recording_score(v):
+            seen.append((v.dtype.kind, len(v)))
+            return score(v)
+        return recording_score
+
+    monkeypatch.setattr(foliations_module, "_residual_kernel", recording_kernel)
+    out = call()
+    monkeypatch.undo()
+    return out, seen
+
+
+# ``_scan``'s residual evaluations under the pattern search this polish replaced
+PATTERN_SEARCH_EVALUATIONS = {"G3(1,0.5)": 13536, "G3(0,1)": 13536, "G_alpha(0.5)": 13896,
+                              "G_alpha(1)": 13704, "G_alpha(2)": 13536, "S2": 13928,
+                              "R_A(R^2)": 15560}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS))
+def test_the_polish_takes_few_lockstep_steps(name, monkeypatch):
+    algebra = SCAN_ALGEBRAS[name]()
+    gamma = koszul(algebra).gamma
+    starts = scan_starts(algebra, monkeypatch)
+    (_, _, evaluations), seen = recorded_kernel_calls(monkeypatch, lambda: _polish(gamma, starts))
+    # one real call scores the starts and one the candidates of each lockstep step;
+    # the complex calls are the Jacobians
+    assert evaluations == sum(rows for _, rows in seen)
+    steps = sum(kind == "f" for kind, _ in seen) - 1
+    evaluations = _scan(koszul(algebra)).evaluations
+    assert evaluations < PATTERN_SEARCH_EVALUATIONS[name] / 2
+    if name == "G3(1,0.5)":
+        assert evaluations <= 1000 and steps <= 20
+
+
+REFERENCE_ALGEBRAS = {**SCAN_ALGEBRAS, **HIT_ALGEBRAS, "round su(2)": so3,
+                      **{f"R_A(R^2) seed {seed}": (lambda seed=seed: random_non_unimodular(seed))
+                         for seed in range(100, 120)}}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_ALGEBRAS))
+def test_scan_finds_the_hits_of_the_three_round_reference(name, monkeypatch):
+    import liemorph.foliations as foliations_module
+    table = koszul(REFERENCE_ALGEBRAS[name]())
+    got = _scan(table)
+    monkeypatch.setattr(foliations_module, "_polish", three_round_polish)
+    want = _scan(table)
+    assert len(got.hits) == len(want.hits)
+    if not want.hits:
+        assert got.min_residual <= want.min_residual + 1e-12
+        return
+    found, reference = (_unit_rows(np.array([table.to_frame_coords(h.vector) for h in r.hits]))
+                        for r in (got, want))
+    for w in reference:
+        assert line_distance(found, w).min() <= 1e-8
+
+
+@pytest.mark.parametrize("k", range(-8, 9))
+def test_a_metric_scaled_by_a_power_of_four_scans_the_same_way(k):
+    """gram 4^k scales the frame by 2^-k and Gamma by 2^-k, exactly; no rule of the scan
+    reads the residual's level, so the scan takes the same steps."""
+    base = lm.build_G3(1.0, 0.5)[0]
+    scaled = LieAlgebra(base.structure_constants, base.gram * 4.0 ** k)
+    want, got = scan_3d(base), scan_3d(scaled)
+    assert got.evaluations == want.evaluations
+    assert got.min_residual == math.ldexp(want.min_residual, -k)
+    assert len(got.hits) == len(want.hits) == 1
+    for g, w in zip(got.hits, want.hits):
+        np.testing.assert_array_equal(g.vector, np.ldexp(w.vector, -k))
+        assert g.residual == math.ldexp(w.residual, -k)
