@@ -22,7 +22,6 @@ from .groups import MatrixRealization, exp_matrix
 
 ISOTROPY_TOL = 1e-12
 ROOT_GRADED_TOL = 1e-10     # structural, for the root-graded conditions
-DILATION_BLOCK = 256        # samples per stacked exponential in second_construction_check
 
 
 @dataclass(frozen=True)
@@ -219,13 +218,21 @@ class RootGradedAlgebra:
         least-squares solve.
         """
         v = np.asarray(v, dtype=float)
+        values = self.a_coordinates(v) @ self.beta.values
+        return float(values) if v.ndim == 1 else values
+
+    def a_coordinates(self, v) -> np.ndarray:
+        """Coordinates of V in the basis of a, or their (N, dim a) array for an (N, d) stack.
+
+        One least-squares solve; a V off a raises ``ValueError``.
+        """
+        v = np.asarray(v, dtype=float)
         basis = self.a_space.basis.T
         coeff, *_ = np.linalg.lstsq(basis, v.T, rcond=None)
         resid = np.linalg.norm(basis @ coeff - v.T, axis=0)
         if np.any(resid > 1e-9 * np.maximum(1.0, np.linalg.norm(v.T, axis=0))):
             raise ValueError("vector does not lie in the abelian part a")
-        values = coeff.T @ self.beta.values
-        return float(values) if v.ndim == 1 else values
+        return coeff.T
 
     def validation_report(self) -> list[Check]:
         """One check per root-graded condition, from ad of the a-basis and Gram products."""
@@ -329,13 +336,28 @@ def second_construction_check(graded: RootGradedAlgebra, a_samples,
     sum_i <[X, f_i], f_i> + sum_{alpha != beta, k} <[X, e_k^alpha], e_k^alpha> = 0.
 
     The checks of ``graded.validation_report()`` come first, named
-    ``structure:<name>``; when one fails they are returned alone.  No samples
+    ``structure:<name>``; when one fails they are returned alone.
+    ``a_samples`` is an (N, d) array (or a sequence of N vectors) of points
+    of a in algebra coordinates; no samples, or samples of another shape,
     raise ``ValueError``.  A sample that is not finite, or whose e^{2 beta(V)}
     or e^{ad V} overflows, makes the dilation residual inf or NaN.
+
+    One least-squares solve gives each sample's coordinates t_p in the basis
+    f_p of a, which give beta(V) and, since a is abelian (the structure check
+    ``a_abelian``), e^{ad V} = prod_p e^{t_p ad f_p}: one exponential per
+    basis vector of a over all samples.
     """
-    samples = [np.asarray(v, dtype=float) for v in a_samples]
-    if not samples:
+    d = graded.algebra.dim
+    shape = f"second_construction_check: a_samples must be an (N, {d}) array of samples of a"
+    try:        # an array as it is; an iterator or a sequence through one list
+        samples = np.asarray(a_samples if isinstance(a_samples, np.ndarray)
+                             else list(a_samples), dtype=float)
+    except ValueError as err:           # ragged: samples of different lengths
+        raise ValueError(f"{shape} ({err})") from None
+    if not len(samples):
         raise ValueError("second_construction_check needs at least one sample of a")
+    if samples.ndim != 2 or samples.shape[1] != d:
+        raise ValueError(f"{shape}, got an array of shape {samples.shape}")
     checks = [replace(c, name=f"structure:{c.name}") for c in graded.validation_report()]
     if not all(c.passed for c in checks):
         return checks
@@ -347,21 +369,21 @@ def second_construction_check(graded: RootGradedAlgebra, a_samples,
     other_onbs = [orthonormalize(alg, r.space).basis
                   for i, r in enumerate(graded.roots) if i != graded.beta_index]
 
-    samples = np.stack(samples)
     finite = np.all(np.isfinite(samples), axis=1)
+    coords = graded.a_coordinates(np.where(finite[:, None], samples, 0.0))    # (N, dim a)
     # a non-finite sample's defect is NaN, an overflowing e^{2 beta(V)} one's inf
     defects = np.full((len(samples), len(beta_onb)), np.inf)
     defects[~finite] = np.nan
     with np.errstate(over="ignore", invalid="ignore"):   # overflow ends as inf or NaN
-        target = np.exp(2.0 * graded.beta_value(np.where(finite[:, None], samples, 0.0)))
+        target = np.exp(2.0 * (coords @ graded.beta.values))
         ok = np.flatnonzero(finite & np.isfinite(target))
         x_norms = np.einsum("mi,ij,mj->m", beta_onb, g, beta_onb)
-        # blocks of samples keep the exponential's (samples, d, d) temporaries small
-        for rows in np.split(ok, range(DILATION_BLOCK, len(ok), DILATION_BLOCK)):
-            images = exp_matrix(alg.ad(samples[rows])) @ beta_onb.T   # (rows, d, |beta_onb|)
-            ratio = np.einsum("nim,ij,njm->nm", images, g, images) / x_norms
-            t = target[rows, None]
-            defects[rows] = np.abs(ratio - t) / np.maximum(1.0, t)
+        images = beta_onb.T                                          # (d, |beta_onb|)
+        for ad_f, t_p in zip(alg.ad(graded.a_space.basis)[::-1], coords[ok].T[::-1]):
+            images = exp_matrix(ad_f, t_p) @ images                  # (ok, d, |beta_onb|)
+        ratio = np.einsum("nim,ij,njm->nm", images, g, images) / x_norms
+        t = target[ok, None]
+        defects[ok] = np.abs(ratio - t) / np.maximum(1.0, t)
     worst_dilation = max_residual(defects.ravel())
     checks.append(Check("dilation_matches_exp_2beta", worst_dilation, dilation_tol))
 

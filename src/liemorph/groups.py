@@ -12,61 +12,79 @@ from .algebra import LieAlgebra, _readonly, _representation_residual
 from .errors import StructureError
 
 HOMOMORPHISM_TOL = 1e-10
+_SQRT_TINY = 2.0 ** -511        # two nonzero entries at least this large multiply to a normal float
 
 
 def exp_matrix(x, t=1.0) -> np.ndarray:
-    """e^{tX} for one matrix, or a stack of exponentials.
+    """e^{tX} for one matrix X, or the stack of e^{t_k X} for a 1-d ``t``.
 
-    A 1-d ``t`` gives the stack of e^{t_k X}; an (N, n, n) stack ``x`` with a
-    scalar ``t`` gives the stack of e^{t X_k}.  An (n, n) ``x`` with a scalar
-    ``t`` is a batch of one, and every slice of a batch gets the result it
-    would get alone.  Each matrix with a power that is exactly zero gets the
-    terminating power series, which is exact up to rounding.  The others go
-    through scaling-and-squaring with a degree-12 truncated series scaled so
-    that ||t_k X|| / 2^k <= 0.5.
+    A scalar ``t`` is a batch of one, and every slice of a batch gets the
+    result it would get alone.  X is scaled exactly to Y = X / 2^e,
+    2^e > max|X|, and its powers Y^m, its nilpotency and its spectral norm are
+    formed once; a slice reads only its coefficients off its own t.  X counts
+    as nilpotent when a power Y^m, m <= n, is exactly zero and no nonzero entry
+    of Y, ..., Y^(m-1) is below sqrt(tiny) (about 1.5e-154), so no product that
+    formed the zero power underflowed; it gets the terminating power series,
+    which is exact up to rounding.  Every other X goes through
+    scaling-and-squaring with a degree-12 truncated series: k squarings with
+    ||t X|| / 2^k <= 0.5 and the terms (t 2^(e-k))^m / m! Y^m.  A result too
+    large for a float comes back with non-finite entries and no
+    ``RuntimeWarning``; k is bounded by the float exponent range (at most
+    about 2100).
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] != x.shape[1] or not len(x):
+        raise ValueError(f"expected a nonempty square matrix, got shape {x.shape}")
     ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1 or (x.ndim == 3 and ts.ndim):
-        raise ValueError(f"t must be a scalar, or a 1-d array with one matrix, "
-                         f"got shape {ts.shape}")
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(ts)):
+    if ts.ndim > 1:
+        raise ValueError(f"t must be a scalar or a 1-d array, got shape {ts.shape}")
+    size = float(np.abs(x).max())
+    if not math.isfinite(size) or not np.isfinite(ts).all():
         raise ValueError("exp_matrix requires finite entries")
-    n = x.shape[-1]
-    a = ts.reshape(-1, 1, 1) * x
-    eye = np.broadcast_to(np.eye(n), a.shape)
-    powers = [eye]
-    p = eye
-    for _ in range(n):
-        p = p @ a
-        if not p.any():
-            break
-        powers.append(p)
-    nilpotent = ~p.any(axis=(1, 2))     # a zero power stays zero
-    out = np.zeros_like(a)
-    if nilpotent.any():
-        fact = 1.0
-        for m, pm in enumerate(powers):
-            if m > 0:
-                fact *= m
-            out += pm / fact
-    if not nilpotent.all():
-        rest = a[~nilpotent]
-        norm = np.linalg.svd(rest, compute_uv=False).max(axis=1)     # spectral norms
-        k = np.array([math.ceil(math.log2(v / 0.5)) if v > 0.5 else 0 for v in norm],
-                     dtype=int)
-        b = np.ldexp(rest, -k[:, None, None])      # rest / 2^k, exactly
-        series = eye[:len(rest)]
-        term = series
-        for m in range(1, 13):
-            term = term @ b / m
-            series = series + term
-        for step in range(k.max()):
-            series = np.where((k > step)[:, None, None], series @ series, series)
-        out[~nilpotent] = series
-    return out if ts.ndim or x.ndim == 3 else out[0]
+    n = len(x)
+    e = math.frexp(size)[1]
+    powers = np.empty((max(n, 12) + 1, n, n))
+    powers[0] = np.eye(n)
+    powers[1] = np.ldexp(x, -e)                 # Y = X / 2^e, exactly
+    # a zero power up to Y^n ends the powers; past Y^n only the series needs more, up to Y^12
+    top = 1
+    while top < max(n, 12) and (top > n or powers[top].any()):
+        np.matmul(powers[top], powers[1], out=powers[top + 1])
+        top += 1
+    sizes = np.abs(powers[1:top + 1])
+    highs = sizes.max(axis=(1, 2))
+    nilpotent = top <= n and highs[-1] == 0 and (
+        sizes[:-1].min(where=sizes[:-1] > 0, initial=np.inf) >= _SQRT_TINY)
+    keep = top if nilpotent else min(top, 12) + 1          # a zero power drops out
+    t_mant, t_exp = np.frexp(ts.ravel())
+    q = t_exp + e                               # s = t 2^(e-k) = t_mant 2^q
+    k = steps = 0                               # squarings: none for a nilpotent X
+    if not nilpotent:
+        # ||t X|| = |t| 2^e ||Y|| read as mantissa and exponent, so no product overflows
+        norm_mant, norm_exp = np.frexp(np.linalg.svd(powers[1], compute_uv=False)[0])
+        size_mant, size_exp = np.frexp(np.abs(t_mant) * norm_mant)
+        # the least k >= 0 with ||t X|| <= 2^(k-1); none for t = 0
+        least = size_exp + q + norm_exp + (size_mant != 0.5)
+        k = np.where(size_mant == 0, 0, np.maximum(least, 0))
+        steps = k.max(initial=0)
+        q = q - k
+
+    # Y^m gets s^m / m!.  Each power is held as 2^-h M with max|M| in [1, 2), so the
+    # coefficient (t_mant^m / m!) 2^(mq - h) overflows only where the term does, and
+    # each term is exact where it is a normal float
+    h = 1 - np.frexp(highs[:keep - 1])[1]
+    mants = np.ldexp(powers[1:keep], h[:, None, None])
+    m = np.arange(1, keep)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow ends as inf or NaN
+        coeffs = np.ldexp(np.cumprod(t_mant / m, axis=0), m * q - h[:, None])
+        series = np.repeat(powers[:1], len(t_mant), axis=0)
+        for coeff, mant in zip(coeffs[:, :, None, None], mants):
+            series += coeff * mant
+        for step in range(steps):
+            rows = np.flatnonzero(k > step)
+            square = series[rows]
+            series[rows] = square @ square
+    return series if ts.ndim else series[0]
 
 
 @dataclass(frozen=True)

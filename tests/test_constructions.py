@@ -325,6 +325,14 @@ def test_second_construction_needs_a_sample():
         second_construction_check(damek_ricci_root_graded(2, 1), iter(()))
 
 
+@pytest.mark.parametrize("samples", [[np.zeros(3)], [np.zeros(4), np.zeros(3)],
+                                     np.zeros((2, 4, 1)), np.zeros(4)],
+                         ids=["short", "ragged", "three-d", "one vector"])
+def test_second_construction_names_a_sample_of_the_wrong_shape(samples):
+    with pytest.raises(ValueError, match=r"a_samples must be an \(N, 4\) array"):
+        second_construction_check(damek_ricci_root_graded(2, 1), samples)
+
+
 def test_second_construction_dilation_and_minimality(rng):
     graded = damek_ricci_root_graded(2, 1)
     samples = [rng.uniform(-2.0, 2.0, 1) @ graded.a_space.basis for _ in range(20)]
@@ -356,13 +364,22 @@ def test_second_construction_dilation_formula_explicit():
     assert abs(ratio - np.exp(t)) < 1e-12
 
 
+def product_exponential(graded, v):
+    """e^{ad V} as the product of e^{t_p ad f_p} over the basis f_p of a, V = sum_p t_p f_p."""
+    alg = graded.algebra
+    big = np.eye(alg.dim)
+    for f, t in zip(graded.a_space.basis, graded.a_coordinates(v)):
+        big = big @ lm.exp_matrix(alg.ad(f), t)
+    return big
+
+
 def dilation_residual_per_sample(graded, samples):
     """Reference: the dilation defect one sample and one beta vector at a time."""
     alg, g = graded.algebra, graded.algebra.gram
     worst = 0.0
     for v in samples:
         target = math.exp(2.0 * graded.beta_value(v))
-        big = lm.exp_matrix(alg.ad(v))
+        big = product_exponential(graded, v)
         for x in lm.orthonormalize(alg, graded.beta.space).basis:
             image = big @ x
             ratio = float(image @ g @ image) / float(x @ g @ x)
@@ -390,6 +407,19 @@ def test_batched_dilation_matches_per_sample_reference(graded):
     assert by_name["dilation_matches_exp_2beta"].passed
     want = dilation_residual_per_sample(graded, samples)
     assert by_name["dilation_matches_exp_2beta"].residual == pytest.approx(want, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("graded", [damek_ricci_root_graded(2, 1), s3_root_graded()],
+                         ids=["damek_ricci", "S3"])
+def test_product_exponential_matches_the_exponential_of_the_sum(graded):
+    # a is abelian, so the product over its basis is e^{ad V} up to rounding: the
+    # exponential of ||ad V|| <= 8 takes at most 4 squarings, each about doubling
+    # the error, so 2^12 ulps of its largest entry bound the gap
+    rng = np.random.default_rng(9)
+    for v in rng.uniform(-4.0, 4.0, (300, graded.a_space.dim)) @ graded.a_space.basis:
+        whole = lm.exp_matrix(graded.algebra.ad(v))
+        gap = np.abs(product_exponential(graded, v) - whole).max()
+        assert gap <= 2.0 ** 12 * np.finfo(float).eps * np.abs(whole).max()
 
 
 def test_second_construction_rank_one_iwasawa():

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import liemorph as lm
 from liemorph.algebra import derived_series, Subspace
 from liemorph.errors import StructureError
-from liemorph.groups import (MatrixRealization, build_damek_ricci, build_G3, build_K,
-                             exp_matrix, sample_points)
+from liemorph.groups import (MatrixRealization, build_damek_ricci, build_G3, build_Galpha,
+                             build_K, exp_matrix, sample_points)
 
 
 def test_exp_nilpotent_exact_series():
@@ -51,6 +53,54 @@ def test_exp_rejects_nonfinite():
     bad = np.array([[0.0, np.inf], [0.0, 0.0]])
     with pytest.raises(ValueError):
         exp_matrix(bad)
+
+
+JORDAN = np.diag([1.0, 1.0], 1)
+
+
+@pytest.mark.parametrize("x", [JORDAN, np.diag([1.0, -1.0])], ids=["jordan", "diag"])
+@pytest.mark.parametrize("power", [600, -600])
+def test_exp_powers_scaled_once_neither_overflow_nor_underflow(x, power):
+    # the powers of 2^power X are formed once; t = 2^-power brings them back exactly
+    big = exp_matrix(2.0 ** power * x, 2.0 ** -power)
+    assert big.tobytes() == exp_matrix(x, 1.0).tobytes()
+    batch = exp_matrix(2.0 ** power * x, np.array([2.0 ** -power, 0.0]))
+    assert batch[0].tobytes() == big.tobytes()
+
+
+@pytest.mark.parametrize("t", [0.1, 0.7, -1.3, 3.0, 1e154, 1.3e154])
+def test_exp_jordan_block_is_its_closed_form(t):
+    # the terminating series, also where (t 2^e)^2 / 2 alone overflows but t^2 / 2 does not
+    want = np.array([[1.0, t, t * t / 2.0], [0.0, 1.0, t], [0.0, 0.0, 1.0]])
+    assert exp_matrix(JORDAN, t).tobytes() == want.tobytes()
+
+
+def test_exp_nilpotent_series_is_summed_as_written():
+    # e^{tN} of N = a E_01 + b E_12 is I + tN + (t^2 / 2) ab E_02: the powers of N times
+    # t^m / m!, with no squaring, which would round the corner differently
+    for a, b, t in np.random.default_rng(2).uniform(-3.0, 3.0, (50, 3)):
+        out = exp_matrix(np.array([[0.0, a, 0.0], [0.0, 0.0, b], [0.0, 0.0, 0.0]]), t)
+        assert (out[0, 1], out[1, 2]) == (t * a, t * b)
+        assert out[0, 2] == t * t / 2.0 * (a * b)
+
+
+def test_exp_tiny_entries_are_not_taken_for_nilpotent():
+    # Y^12 underflows to zero, but Y^2 = 1e-60 I does not: e^{tY} has cosh(10) on its
+    # diagonal.  ||tY|| = 1e31 is 1e30 times the spectral radius, and the ~105
+    # squarings it asks for leave about 1e-7 of relative rounding
+    y = np.array([[0.0, 1.0], [1e-60, 0.0]])
+    out = exp_matrix(y, 1e31)
+    np.testing.assert_allclose(np.diag(out), math.cosh(10.0), rtol=1e-6)
+    np.testing.assert_allclose(out[0, 1], math.sinh(10.0) * 1e30, rtol=1e-6)
+
+
+def test_exp_overflow_is_non_finite_without_a_warning():
+    # once raised OverflowError from the squaring count of ||t X|| = inf
+    out = exp_matrix(np.diag([1.0, 0.0]), 1e308)     # RuntimeWarnings are errors here
+    assert not np.isfinite(out).all()
+    out = exp_matrix(np.diag([1.0, 0.0]), np.array([1e308, 1.0]))
+    assert not np.isfinite(out[0]).all()
+    np.testing.assert_allclose(out[1], np.diag([math.e, 1.0]), rtol=1e-13)
 
 
 def test_sampling_is_deterministic(built):
@@ -193,23 +243,70 @@ def test_exp_batch_matches_scalar_calls(rng):
         exp_matrix(x, np.ones((2, 2)))
 
 
-def test_exp_stack_matches_per_slice_calls(built, rng):
-    # nilpotent, diagonal, rotation-scaling and generic slices in one stack
+def test_exp_batch_of_every_kind_matches_per_t_calls(built, rng):
+    # nilpotent, diagonal, rotation-scaling and generic matrices, each over one batch of t
     alg, _ = built["DR"]
-    stack = np.stack([alg.ad(v) for v in rng.uniform(-3.0, 3.0, (6, 4))]
-                     + [np.triu(rng.standard_normal((4, 4)), 1),
-                        np.diag([0.1, -2.0, 40.0, 0.0]),
-                        5.0 * rng.standard_normal((4, 4)),
-                        np.zeros((4, 4))])
-    for t in (1.0, -0.7):
-        batch = exp_matrix(stack, t)
-        assert batch.shape == stack.shape
-        want = np.stack([exp_matrix(x, t) for x in stack])
-        assert batch.tobytes() == want.tobytes()
+    mats = [alg.ad(v) for v in rng.uniform(-3.0, 3.0, (6, 4))] + [
+        np.triu(rng.standard_normal((4, 4)), 1), np.diag([0.1, -2.0, 40.0, 0.0]),
+        5.0 * rng.standard_normal((4, 4)), np.zeros((4, 4))]
+    ts = np.array([1.0, -0.7, 0.0, 1e-300])
+    for x in mats:
+        batch = exp_matrix(x, ts)
+        assert batch.tobytes() == np.stack([exp_matrix(x, t) for t in ts]).tobytes()
     with pytest.raises(ValueError):
-        exp_matrix(stack, np.ones(len(stack)))
+        exp_matrix(np.stack(mats), 1.0)         # one matrix per call
     with pytest.raises(ValueError):
-        exp_matrix(np.ones((2, 3, 4)))
+        exp_matrix(np.ones((3, 4)))
+    with pytest.raises(ValueError, match="nonempty"):
+        exp_matrix(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("x", [np.diag(np.ones(4), 1), np.diag([1.0, -1.0]),
+                               np.array([[0.0, 1.0], [-1.0, 0.0]])],
+                         ids=["jordan5", "diag", "rotation"])
+def test_exp_huge_t_leaves_the_other_slices_alone(x):
+    # t = 1e80 (s^m / m! past the float range on a nilpotent X) or 1e40 next to
+    # ordinary t: every slice is still bit-identical to its own call
+    for big in (1e80, 1e40):
+        for t in (0.3, -2.0, 1e-5, 7.0):
+            batch = exp_matrix(x, np.array([big, t]))
+            assert batch[1].tobytes() == exp_matrix(x, t).tobytes()
+            assert batch[0].tobytes() == exp_matrix(x, big).tobytes()
+
+
+def test_exp_above_degree_12():
+    # n = 14 > 12: nilpotency is read off a power up to Y^14, and only a nilpotent X
+    # takes powers past Y^12
+    rng = np.random.default_rng(7)
+    n = 14
+    nilpotent = np.triu(rng.standard_normal((n, n)), 1)
+    out = exp_matrix(nilpotent, 1.0)
+    assert np.array_equal(np.diag(out), np.ones(n))
+    np.testing.assert_allclose(out, np.linalg.inv(exp_matrix(nilpotent, -1.0)),
+                               rtol=1e-12, atol=1e-12)
+    shift = np.diag(np.ones(n - 1), 1)          # e^{t N} has t^13 / 13! in its corner
+    assert exp_matrix(shift, 2.0)[0, -1] == pytest.approx(2.0 ** 13 / math.factorial(13),
+                                                          rel=1e-15)
+    generic = rng.standard_normal((n, n)) / 4
+    np.testing.assert_allclose(exp_matrix(generic, 1.0) @ exp_matrix(generic, -1.0),
+                               np.eye(n), atol=1e-13)
+
+
+def test_exp_a_cycle_whose_power_underflows_is_not_nilpotent():
+    # Y^3 = 1e-400 I underflows to zero, but (tX)^3 = 0.1 I: e^{tX} has
+    # sum_j 0.1^j / (3j)! = 1.01668 on its diagonal.  The ~440 squarings that
+    # ||tX|| = 1e133 asks for leave about 4e-12 of rounding
+    x = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1e-200], [1e-200, 0.0, 0.0]])
+    want = sum(0.1 ** j / math.factorial(3 * j) for j in range(10))
+    np.testing.assert_allclose(np.diag(exp_matrix(x, 1e133)), want, rtol=1e-10)
+
+
+def test_exp_a_chain_whose_power_underflows_keeps_its_terms():
+    # nilpotent, but (Y^2)_02 = 1e-400 underflows to zero; e^{tX} has
+    # t^2 / 2 * 1e-400 = 0.5 there and t^3 / 6 * 1e-400 in the corner
+    out = exp_matrix(np.diag([1e-200, 1e-200, 1.0], 1), 1e200)
+    assert out[0, 2] == pytest.approx(0.5, rel=1e-12)
+    assert out[0, 3] == pytest.approx(1e200 / 6.0, rel=1e-12)
 
 
 def test_sampling_overflow_is_a_structure_error(built):
@@ -218,6 +315,14 @@ def test_sampling_overflow_is_a_structure_error(built):
         sample_points(real, 3, seed=1, scale=1e120)
     with pytest.raises(StructureError, match="overflows"):
         sample_points(real, 3, seed=1, scale=1e308)
+
+
+@pytest.mark.parametrize("build", [lambda: build_Galpha(2.0), lambda: build_G3(1.0, 0.5)],
+                         ids=["G_alpha(2)", "G3(1, 0.5)"])
+def test_sampling_near_the_float_range_is_a_structure_error(build):
+    # 2 * scale is finite, but e^{t X} is not
+    with pytest.raises(StructureError, match="non-finite entries; reduce scale"):
+        sample_points(build()[1], 50, seed=1, scale=8.9e307)
 
 
 def test_realization_is_one_read_only_stack(built):
