@@ -114,8 +114,7 @@ _CONFIG_FIELDS = {
 }
 _FLAG = (lambda v: isinstance(v, bool), "true or false")
 _OPTION_FIELDS = {
-    "foliation-scan": {"grid": (lambda v: _is_int(v) and v >= 10, "an integer >= 10"),
-                       "expect_hits": _FLAG},
+    "foliation-scan": {"expect_hits": _FLAG},
     "curvature": {"planes": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
                   "expect_constant": _FLAG, "expect_value": (_is_finite, "a finite number")},
     "second-construction": {"beta_root": (lambda v: v in ("v", "z"), '"v" or "z"')},
@@ -362,7 +361,7 @@ def _job_foliation_scan(config: JobConfig):
     algebra, _, name = _load_algebra(config)
     if algebra.dim != 3:
         raise ConfigError(f"foliation-scan: algebra must be 3-dimensional, got dim {algebra.dim}")
-    result = scan_3d(algebra, grid=config.options.get("grid", 200), hit_tol=config.tol("classify"),
+    result = scan_3d(algebra, hit_tol=config.tol("classify"),
                      curvature_tol=config.tol("curvature_constant"))
     checks, hits_summary = [], []
     for i, hit in enumerate(result.hits):
@@ -383,7 +382,7 @@ def _job_foliation_scan(config: JobConfig):
     expect = config.options.get("expect_hits")
     if expect is True:
         checks.append(Check("found_conformal_geodesic_foliation",
-                            0.0 if result.hits else 1.0, 0.0))
+                            0.0 if result.found else 1.0, 0.0))
     elif expect is False:       # only the Ricci certificate proves that there is none
         checks.append(Check("nonexistence_certified", 0.0 if result.certified else 1.0, 0.0))
     return checks, {"builtin": name, "hits": hits_summary,

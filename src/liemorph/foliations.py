@@ -1,4 +1,4 @@
-"""Second fundamental forms of left-invariant splittings and the 3-d foliation scan."""
+"""Second fundamental forms of left-invariant splittings and the 3-d foliation decision."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (LieAlgebra, Subspace, _bracket_span, _fix_signs, center, derived_series,
-                      orthocomplement, orthonormalize)
+from .algebra import (LieAlgebra, Subspace, _bracket_span, _derived_algebra, _fix_signs, center,
+                      derived_series, orthocomplement, orthonormalize)
 from .checks import DEFAULT_TOLERANCES, Check
 from .errors import StructureError
 from .geometry import ConnectionTable, curvature, is_constant_curvature, koszul
@@ -101,17 +101,8 @@ def classify(dist: DistributionSpec, table: ConnectionTable | None = None,
 
 
 # ---------------------------------------------------------------------------
-# 3-dimensional scan
+# 3-dimensional decision
 # ---------------------------------------------------------------------------
-
-def fibonacci_sphere(count: int) -> np.ndarray:
-    """Deterministic, roughly uniform unit vectors on S^2."""
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    k = np.arange(count)
-    z = 1.0 - 2.0 * (k + 0.5) / count
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(k * golden), r * np.sin(k * golden), z], axis=1)
-
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
     """v over its norm along the last axis: the bits of ``np.linalg.norm``, without its wrapper."""
@@ -121,59 +112,6 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
 _EYE3 = np.eye(3)
 # (v x x)_i = v_{i+1} x_{i+2} - v_{i+2} x_{i+1}, indices mod 3
 _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
-
-
-def _tangent_pairs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal completion of each row of an (N, 3) stack of unit vectors.
-
-    The completion starts from the coordinate axis of the first smallest
-    component, projected off v; the second vector is v x x.
-    """
-    pick = np.abs(v).argmin(axis=1)
-    x = _unit_rows(_EYE3[pick] - v[np.arange(len(v)), pick][:, None] * v)
-    return x, v[:, _NEXT] * x[:, _AFTER] - v[:, _AFTER] * x[:, _NEXT]
-
-
-def _residual_kernel(gamma: np.ndarray):
-    """The components of ``residuals``' defect for one connection table, as a function of an
-    (N, 3) stack: the geodesic vectors (N, 3) and the trace-free matrices (N, 9).
-
-    The rows must be unit vectors; callers normalise each row once.  The
-    components are polynomials in the row, so a complex row v + i h x gives
-    their derivative along x in the imaginary part (see ``_jacobian``).
-    Coefficients are precomputed once: with S_v = sym(Gamma . v), one
-    (N, 9) @ (9, 6) product of v (x) v gives g = Gamma(v, v) and S_v v, and
-    one (N, 3) @ (3, 10) product gives S_v and, in its last column, tr S_v.
-    For unit v, q = g . v = v^T S_v v, P S_v P = S_v - v (S_v v)^T - (S_v v) v^T
-    + q v v^T and tr(P S_v P) = tr S_v - q.  The geodesic vector and the
-    trace-free matrix stay explicit: |P S_v P|^2 - tr^2 / 2 would cancel
-    near a hit.
-    """
-    sym = 0.5 * (gamma + gamma.transpose(1, 0, 2))          # S_v[a, b] = sym[a, b, c] v_c
-    quad = np.concatenate([gamma.reshape(9, 3), sym.transpose(1, 2, 0).reshape(9, 3)], axis=1)
-    lin = np.concatenate([sym.transpose(2, 0, 1).reshape(3, 9),
-                          np.einsum("aac->c", sym)[:, None]], axis=1)
-    eye = _EYE3.reshape(9)
-
-    def kernel(v: np.ndarray) -> np.ndarray:
-        vv = (v[:, :, None] * v[:, None, :]).reshape(-1, 9)
-        gs = vv @ quad
-        g, sv = gs[:, :3], gs[:, 3:]
-        q = np.einsum("nc,nc->n", g, v)
-        geodesic = g - q[:, None] * v
-        s = v @ lin
-        half_t = 0.5 * (s[:, 9] - q)
-        w = v[:, :, None] * sv[:, None, :]
-        free = (s[:, :9] - (w + w.transpose(0, 2, 1)).reshape(-1, 9)
-                + (q + half_t)[:, None] * vv - half_t[:, None] * eye)
-        return geodesic, free
-
-    return kernel
-
-
-def _defect(geodesic: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """The residual of each row from its ``_residual_kernel`` components."""
-    return np.sqrt(np.einsum("nc,nc->n", geodesic, geodesic) + np.einsum("nc,nc->n", free, free))
 
 
 def residuals(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -188,92 +126,31 @@ def residuals(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     the fibres' geodesic curvature and the trace-free part of B_H, which
     vanish together exactly for a conformal foliation by geodesics.  No
-    tangent frame is built; see ``_residual_kernel``.
+    tangent frame is built: with the rows normalised, one (N, 9) @ (9, 6)
+    product of v (x) v gives g = Gamma(v, v) and S_v v, and one (N, 3) @ (3, 10)
+    product gives S_v and, in its last column, tr S_v.  For unit v,
+    q = g . v = v^T S_v v, P S_v P = S_v - v (S_v v)^T - (S_v v) v^T + q v v^T and
+    tr(P S_v P) = tr S_v - q.  The geodesic vector and the trace-free matrix
+    stay explicit: |P S_v P|^2 - tr^2 / 2 would cancel near a hit.  Both are
+    linear in the part of Gamma symmetric in its first two indices, and each
+    is at most its Frobenius norm, so no residual exceeds sqrt(2) times it.
     """
-    return _defect(*_residual_kernel(gamma)(_unit_rows(v)))
-
-
-# Levenberg-Marquardt constants of ``_polish``: the complex step of the Jacobian; the damping
-# relative to tr J^T J, which starts at its floor, moves by its factor per step and ends a
-# start past its cap; and the step length, in radians, below which a start has converged
-_COMPLEX_STEP = 2.0 ** -64
-_DAMPING_FLOOR, _DAMPING_FACTOR, _DAMPING_CAP = 1e-6, 100.0, 1e4
-_STEP_FLOOR = 4.0 * np.finfo(float).eps
-
-
-def _jacobian(kernel, v: np.ndarray):
-    """The tangent pair (x, y) of each unit row of v and the derivatives, each (N, 12), of its
-    ``kernel`` components along x and along y: Im F(v + i h x) / h, exact for a polynomial F."""
-    x, y = _tangent_pairs(v)
-    step = np.concatenate([v, v]) + 1j * _COMPLEX_STEP * np.concatenate([x, y])
-    columns = np.concatenate(kernel(step), axis=1).imag / _COMPLEX_STEP
-    return x, y, columns[:len(v)], columns[len(v):]
-
-
-def _polish(gamma: np.ndarray, starts: np.ndarray):
-    """Damped Gauss-Newton (Levenberg-Marquardt) on the sphere from every start at once.
-
-    The residual is the norm of the 12 ``_residual_kernel`` components F(v).
-    Each step takes the tangent pair (x, y) of v, the exact 12 x 2 Jacobian J
-    of F along x and y (``_jacobian``: a complex step through the kernel's own
-    polynomial formula), and solves the damped normal equations
-    (J^T J + mu tr(J^T J) I) (a, b) = -J^T F.  The candidate unit(v + a x + b y)
-    is taken only when the kernel scores it strictly lower; then mu shrinks
-    by ``_DAMPING_FACTOR``, down to ``_DAMPING_FLOOR`` where it starts, and J
-    is formed again at the new v; else mu grows by that factor.  A start
-    leaves when its step is at most ``_STEP_FLOOR`` radians (or not finite:
-    J = 0, a NaN start), so that no later step could move v, or when a
-    rejected step takes mu past ``_DAMPING_CAP``.  No rule reads the
-    residual's level, so a metric scaled by 4^k takes the same steps and ends
-    with residuals scaled by 2^-k.  All starts run in lockstep, and every
-    start follows the path it would follow alone.  Returns the polished
-    directions, their residuals and the number of residual evaluations (a
-    Jacobian counts two).
-    """
-    kernel = _residual_kernel(gamma)
-
-    def score(v):
-        geodesic, free = kernel(v)
-        return np.concatenate([geodesic, free], axis=1), _defect(geodesic, free)
-
-    polished = _unit_rows(starts)
-    comps, polished_best = score(polished)
-    evaluations = len(polished)
-    # the active starts, compacted: their rows of ``polished`` and their state
-    rows = np.arange(len(polished))
-    v, best = polished.copy(), polished_best.copy()
-    mu = np.full(len(v), _DAMPING_FLOOR)
-    x, y, jx, jy = _jacobian(kernel, v)
-    evaluations += 2 * len(v)
-    while len(rows):
-        axx, axy, ayy = (np.einsum("nc,nc->n", p, q) for p, q in ((jx, jx), (jx, jy), (jy, jy)))
-        gx, gy = np.einsum("nc,nc->n", jx, comps), np.einsum("nc,nc->n", jy, comps)
-        damping = mu * (axx + ayy)
-        pxx, pyy = axx + damping, ayy + damping
-        with np.errstate(divide="ignore", invalid="ignore"):       # J = 0: no step
-            det = pxx * pyy - axy * axy
-            a, b = (axy * gy - pyy * gx) / det, (axy * gx - pxx * gy) / det
-        length = np.sqrt(a * a + b * b)
-        moving = (length > _STEP_FLOOR) & (length < np.inf)
-        cand = _unit_rows(v[moving] + a[moving, None] * x[moving] + b[moving, None] * y[moving])
-        cand_comps, r = score(cand)
-        evaluations += len(cand)
-        taken = r < best[moving]
-        better = np.zeros(len(v), dtype=bool)
-        better[moving] = taken
-        v[better], best[better], comps[better] = cand[taken], r[taken], cand_comps[taken]
-        mu[better] = np.maximum(mu[better] / _DAMPING_FACTOR, _DAMPING_FLOOR)
-        mu[moving & ~better] *= _DAMPING_FACTOR
-        done = ~moving | (mu > _DAMPING_CAP)
-        if better.any():
-            x[better], y[better], jx[better], jy[better] = _jacobian(kernel, v[better])
-            evaluations += 2 * int(better.sum())
-        if done.any():
-            polished[rows[done]], polished_best[rows[done]] = v[done], best[done]
-            keep = ~done
-            rows, v, best, mu, comps, x, y, jx, jy = (
-                arr[keep] for arr in (rows, v, best, mu, comps, x, y, jx, jy))
-    return polished, polished_best, evaluations
+    sym = 0.5 * (gamma + gamma.transpose(1, 0, 2))          # S_v[a, b] = sym[a, b, c] v_c
+    quad = np.concatenate([gamma.reshape(9, 3), sym.transpose(1, 2, 0).reshape(9, 3)], axis=1)
+    lin = np.concatenate([sym.transpose(2, 0, 1).reshape(3, 9),
+                          np.einsum("aac->c", sym)[:, None]], axis=1)
+    v = _unit_rows(v)
+    vv = (v[:, :, None] * v[:, None, :]).reshape(-1, 9)
+    gs = vv @ quad
+    g, sv = gs[:, :3], gs[:, 3:]
+    q = np.einsum("nc,nc->n", g, v)
+    geodesic = g - q[:, None] * v
+    s = v @ lin
+    half_t = 0.5 * (s[:, 9] - q)
+    w = v[:, :, None] * sv[:, None, :]
+    free = (s[:, :9] - (w + w.transpose(0, 2, 1)).reshape(-1, 9)
+            + (q + half_t)[:, None] * vv - half_t[:, None] * _EYE3.reshape(9))
+    return np.sqrt(np.einsum("nc,nc->n", geodesic, geodesic) + np.einsum("nc,nc->n", free, free))
 
 
 @dataclass
@@ -289,76 +166,116 @@ class ScanHit:
     certificate: CurvatureCertificate | None = None     # on centerless solvable algebras only
 
 
-SCAN_NOTE = "numeric scan over left-invariant line fields; not a proof"
+# the cases that decide a scan, in ``ScanResult.case``
+CERTIFICATE, CANDIDATES, DERIVED_COMPLEMENT, EVERY_DIRECTION, UNDECIDED = (
+    "certificate", "Ricci candidates", "[g, g]^perp", "every direction", "undecided")
+
+HIT_NOTE = "numeric scan over left-invariant line fields; not a proof"
 RICCI_NOTE = ("Ricci certificate: Ric has {case}, where Ric restricted to the orthogonal plane "
               "is a multiple of the metric; each residual exceeds the hit tolerance by more than "
               "its rounding bound, so no conformal foliation by geodesics exists on any open set, "
               "invariant or not, and no non-constant complex-valued harmonic morphism on one; "
               "this decides this metric, not a parameter range")
+EVERY_DIRECTION_NOTE = ("every direction: [g, g] is {derived} and the connection is skew to within "
+                        "the hit tolerance (min_residual bounds the residual of every direction), "
+                        "so every left-invariant line field is a conformal foliation by geodesics")
+UNDECIDED_NOTE = "undecided: {reason}; neither a hit nor nonexistence is decided"
 
 
 @dataclass
 class ScanResult:
     hits: list
-    min_residual: float
-    evaluations: int            # residuals actually evaluated: grid plus polish, or candidates
-    note: str = SCAN_NOTE
-    certified: bool = False     # the Ricci certificate decided it: a proof that there is no hit
+    min_residual: float         # over the directions scored; every direction's bound; or NaN
+    evaluations: int            # residuals evaluated: the directions scored
+    case: str                   # the case that decided: CERTIFICATE, ..., UNDECIDED
+    note: str
+
+    @property
+    def certified(self) -> bool:
+        """The Ricci certificate decided it: a proof that there is no hit."""
+        return self.case == CERTIFICATE
+
+    @property
+    def found(self) -> bool:
+        """A hit was reported, or every direction is one."""
+        return bool(self.hits) or self.case == EVERY_DIRECTION
 
 
 # the Ricci certificate's stated constants; see ``_ricci_directions``
 _RICCI_ROUNDING = 256.0     # b = 256 (eps sigma + smallest subnormal) bounds |computed - exact Ric|
-_GAP_BAND = 16.0            # a gap <= b is zero, one >= 16 b decides, one between falls back
+_GAP_BAND = 16.0            # a gap <= b is zero, one >= 16 b decides, one between is undecided
 _LIPSCHITZ = 16.0           # |r(u) - r(w)| <= 16 |Gamma|_F |u - w| for unit u, w
 
 
-def scan_3d(algebra: LieAlgebra, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
-            refine_starts: int = 16,
+def scan_3d(algebra: LieAlgebra, hit_tol: float = CLASSIFY_TOL,
             curvature_tol: float = DEFAULT_TOLERANCES["curvature_constant"]) -> ScanResult:
-    """Decide the conformal foliations by geodesics of a 3-d metric algebra.
+    """Decide the conformal foliations by geodesics of a 3-d metric algebra, with no search.
 
-    The Ricci certificate comes first, on every table: a unit field U
-    tangent to a conformal foliation by geodesics, on any open set, satisfies
-    the Riccati equation nabla_U A + A^2 = -R_U with A = theta I + omega J, so
-    the trace-free part of Ric restricted to U^perp vanishes (Baird & Wood,
-    *Harmonic Morphisms Between Riemannian Manifolds*, OUP 2003).  Ric is
-    left-invariant, so on a metric that is not Einstein U takes values in the
-    at most two admissible directions of ``_ricci_directions`` and, being
-    continuous, is one of those left-invariant fields.  When each candidate's
-    residual exceeds ``hit_tol`` by more than its stated error bound, there is
-    no such foliation on any open set, invariant or not, and so no
-    non-constant complex-valued harmonic morphism on one (its fibres form such
-    a foliation where it submerses, a dense open set): the scan returns a
-    ``certified`` result with no hit, the smallest candidate residual and one
-    evaluation per candidate.
+    A unit field U tangent to a conformal foliation by geodesics, on any open
+    set, satisfies the Riccati equation nabla_U A + A^2 = -R_U with
+    A = theta I + omega J, so the trace-free part of Ric restricted to U^perp
+    vanishes (Baird & Wood, *Harmonic Morphisms Between Riemannian Manifolds*,
+    OUP 2003).  Ric is left-invariant, so on a metric that is not Einstein U
+    takes values in the at most two admissible directions of
+    ``_ricci_directions`` and, being continuous, is one of those
+    left-invariant fields.  The Ricci gaps alone choose the case, recorded in
+    ``ScanResult.case``; no tolerance does:
 
-    ``grid`` and ``refine_starts`` must be integers of at least 1 (a
-    ``bool`` is not one); either is checked before the path is chosen.
+    - Not Einstein, gaps decided: each candidate is scored once.  Those whose
+      residual passes ``hit_tol`` by ``Check``'s rule are the hits
+      (``CANDIDATES``).  With none, each residual is held against ``hit_tol``
+      plus its error bound L delta, with ``delta`` from ``_ricci_directions``
+      and the residual's Lipschitz bound L = 16 |Gamma|_F in the direction:
+      along a great circle the geodesic part moves by at most 3 |Gamma|_F and
+      the trace-free part by at most 8 |Gamma|_F per radian, and an arc is at
+      most pi/2 times its chord.  The kernel's own rounding, tens of
+      eps |Gamma|_F, lies far inside L delta, which is at least about
+      1e-5 |Gamma|_F.  When each residual exceeds that, there is no such
+      foliation on any open set, invariant or not, and so no non-constant
+      complex-valued harmonic morphism on one (its fibres form such a
+      foliation where it submerses, a dense open set): ``CERTIFICATE``.
+      Otherwise ``UNDECIDED``.
+    - Einstein to rounding (both gaps <= b): ``_einstein`` reads [g, g].
+    - A non-finite table or Ricci tensor, or a gap in the band (b, 16 b):
+      ``UNDECIDED``, with no direction scored and ``min_residual`` NaN.
 
-    The certificate's own bounds send every other case to the sampled search
-    of ``_scan``: a non-finite table, both Ricci gaps within their rounding
-    bound (Einstein, which in dimension 3 is constant curvature), a gap
-    between that bound and the decision band, and a candidate at, below or
-    near ``hit_tol``.  Hits therefore always come from ``_scan``, and
-    ``curvature_tol`` reaches only their curvature verdict: no tolerance
-    chooses the path.
+    An undecided result has no hit and is not certified; its note says why.
+    Each hit is read off the connection table by ``_hits``, and
+    ``curvature_tol`` reaches only its curvature verdict.
     """
     if algebra.dim != 3:
         raise ValueError("scan_3d requires a 3-dimensional algebra")
-    for name, value in (("grid", grid), ("refine_starts", refine_starts)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"scan_3d: {name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"scan_3d: {name} must be at least 1, got {value!r}")
     table = koszul(algebra)
-    decided = _ricci_certificate(table, hit_tol)
-    if decided is not None:
-        return decided
-    return _scan(table, grid, hit_tol, refine_starts, curvature_tol)
+    found = _ricci_directions(table)
+    if isinstance(found, str):
+        return _undecided(found)
+    directions, delta = found
+    if directions is None:
+        return _einstein(table, hit_tol, curvature_tol)
+    candidate = residuals(table.gamma, directions)
+    min_residual, evaluations = float(candidate.min()), len(candidate)
+    passed = [Check("residual", r, hit_tol).passed for r in candidate.tolist()]
+    if any(passed):
+        hits = _hits(table, _fix_signs(_unit_rows(directions[passed])), candidate[passed],
+                     hit_tol, curvature_tol)
+        return ScanResult(hits, min_residual, evaluations, CANDIDATES, HIT_NOTE)
+    bound = _LIPSCHITZ * float(np.linalg.norm(table.gamma)) * delta
+    if all(r - bound > hit_tol for r in candidate.tolist()):     # a NaN decides nothing
+        case = ("one repeated eigenvalue and so one admissible direction" if len(directions) == 1
+                else "three distinct eigenvalues and so two admissible directions")
+        return ScanResult([], min_residual, evaluations, CERTIFICATE,
+                          RICCI_NOTE.format(case=case))
+    return _undecided("a Ricci candidate's residual is within its error bound of the hit "
+                      "tolerance", min_residual, evaluations)
+
+
+def _undecided(reason: str, min_residual: float = math.nan, evaluations: int = 0) -> ScanResult:
+    return ScanResult([], min_residual, evaluations, UNDECIDED,
+                      UNDECIDED_NOTE.format(reason=reason))
 
 
 def _ricci_directions(table: ConnectionTable):
-    """The admissible directions of a non-Einstein table and their direction error, or None.
+    """The admissible directions of a table and their direction error, or why it is undecided.
 
     C = {u : Ric|u^perp is a multiple of the metric}.  With the eigenvalues
     rho_1 <= rho_2 <= rho_3 of Ric, eigenvectors q_i and gaps g_12, g_23,
@@ -367,7 +284,10 @@ def _ricci_directions(table: ConnectionTable):
         u = sqrt(g_12 / g_13) q_1 +- sqrt(g_23 / g_13) q_3
 
     (the normals of the circular sections of the Ricci quadric): one line
-    when a gap is zero, the simple eigenvector.
+    when a gap is zero, the simple eigenvector.  Returns (directions, delta)
+    then, (None, None) when both gaps are zero (Einstein to rounding, where C
+    is every direction), and a reason string when the table or Ric is not
+    finite or a gap is undecided.
 
     Rounding.  Each entry of Ric = sum_a R[a, b, c, a] is a sum of 27
     products of table entries, formed in at most 8 roundings, and the sum of
@@ -380,8 +300,8 @@ def _ricci_directions(table: ConnectionTable):
     b = 256 (eps sigma + smallest subnormal) of it.
     sigma bounds |Ric| but not conversely: Ric's entries may cancel, so b does
     not scale with max |rho|.  So every exact gap is within 2b of its computed
-    value (Weyl).  A gap <= b counts as zero and one >= 16 b as decided; in
-    between, or with both gaps zero (Einstein to rounding), this returns None.
+    value (Weyl).  A gap <= b counts as zero and one >= 16 b as decided; one
+    in between is undecided.
 
     Direction error.  Davis-Kahan bounds the angle of q_i by b / (g_i - b)
     <= (16/15) b / g_i, with g_i its gap (g_12 for q_1, g_23 for q_3), so
@@ -392,23 +312,25 @@ def _ricci_directions(table: ConnectionTable):
         delta = 1.6 b sum_g 1 / sqrt(g g_13) + 7 sqrt(b / g_13)
 
     of an exact one, the sum over the nonzero gaps.  The table itself is
-    taken as exact, as the scan takes it.
+    taken as exact.
     """
     gamma, f = table.gamma, table.frame_brackets
     if not (np.isfinite(gamma).all() and np.isfinite(f).all()):
-        return None
+        return "the connection table is not finite"
     g_norm = float(np.linalg.norm(gamma))
     sigma = 3.0 * g_norm * g_norm + float(np.linalg.norm(f)) * g_norm
     finfo = np.finfo(float)
     b = _RICCI_ROUNDING * (finfo.eps * sigma + finfo.smallest_subnormal)
     ric = np.einsum("abca->bc", curvature(table))
     if not (math.isfinite(b) and np.isfinite(ric).all()):
-        return None
+        return "the Ricci tensor or its rounding bound is not finite"
     rho, q = np.linalg.eigh(0.5 * (ric + ric.T))
     gaps = np.diff(rho)                                     # g_12, g_23
     zero = gaps <= b
-    if zero.all() or ((~zero) & (gaps < _GAP_BAND * b)).any():
-        return None
+    if zero.all():
+        return None, None
+    if ((~zero) & (gaps < _GAP_BAND * b)).any():
+        return "a Ricci gap lies between its rounding bound b and 16 b"
     gaps[zero] = 0.0
     g13 = float(gaps.sum())
     w1, w3 = np.sqrt(gaps / g13)
@@ -420,95 +342,99 @@ def _ricci_directions(table: ConnectionTable):
     return directions, delta
 
 
-def _ricci_certificate(table: ConnectionTable, hit_tol: float) -> ScanResult | None:
-    """The no-hit result the Ricci condition decides, or None when it decides nothing.
+def _einstein(table: ConnectionTable, hit_tol: float, curvature_tol: float) -> ScanResult:
+    """Decide a table that is Einstein to rounding from [g, g].
 
-    Each candidate's residual is held against ``hit_tol`` plus its error
-    bound L delta, with ``delta`` from ``_ricci_directions`` and the residual's
-    Lipschitz bound L = 16 |Gamma|_F in the direction: along a great circle
-    the geodesic part moves by at most 3 |Gamma|_F and the trace-free part by
-    at most 8 |Gamma|_F per radian, and an arc is at most pi/2 times its
-    chord.  The kernel's own rounding, tens of eps |Gamma|_F, lies far inside
-    L delta, which is at least about 1e-5 |Gamma|_F.
+    Exactly Einstein means constant curvature K in dimension 3, and Milnor's
+    curvature formulas (Adv. Math. 21, 1976) leave three kinds of metric:
+
+    - Unimodular.  In a Milnor frame [e_2, e_3] = l_1 e_1, [e_3, e_1] = l_2 e_2,
+      [e_1, e_2] = l_3 e_3 (orthonormal), Ric is diagonal with entries
+      2 m_2 m_3, 2 m_3 m_1, 2 m_1 m_2, where m_i = (l_1 + l_2 + l_3) / 2 - l_i.
+      Each equals 2K.  K < 0 is impossible: (m_1 m_2 m_3)^2 = K^3.  K > 0 makes
+      every m_i nonzero and so all equal, with l_1 = l_2 = l_3 != 0: su(2)
+      with its round metric, [g, g] = g.  K = 0 makes two m_i zero, so
+      (l_1, l_2, l_3) is (0, m, m) up to order: abelian when m = 0, else
+      flat e(2), which is G3(0, m) below.
+    - Not unimodular.  The unimodular kernel u is a 2-d, hence abelian, ideal;
+      for a unit e_1 orthogonal to it, L = ad(e_1)|u has tr L = t != 0.  With
+      S and A the symmetric and skew parts of L, Ric(e_1, e_1) = -tr S^2,
+      Ric(e_1, u) = 0 and Ric|u = -t S + [A, S].  The trace-free part of
+      Ric|u is -t S_0 + [A, S_0] = (-t I + 2a J) S_0 for A = a J, and
+      det(-t I + 2a J) = t^2 + 4a^2 > 0 on the 2-d space of trace-free
+      symmetric S_0, so Einstein forces S_0 = 0: L = (t/2) I + a J, the
+      group G3(t/2, a) of curvature -t^2/4.
+
+    So [g, g] = g gives round su(2), and [g, g] = 0 the flat abelian group:
+    their connections are skew (nabla_X Y = [X, Y] / 2), and every direction
+    is a hit.  dim [g, g] = 2 gives G3(alpha, beta) = R e_1 + u with
+    L = alpha I + beta J (alpha = 0 is flat e(2)), [g, g] = u.  There, with
+    nabla_{e_1} e_1 = 0, nabla_{e_1} X = beta J X, nabla_X e_1 = -alpha X and
+    nabla_X Y = alpha <X, Y> e_1 on u, a unit U = c e_1 + w has
+    nabla_U U = c (beta J - alpha) w + alpha |w|^2 e_1.  For alpha != 0 that
+    vanishes only at w = 0.  For alpha = 0 it also vanishes at c = 0, but
+    then X -> nabla_X U on U^perp = span(e_1, J w) is [[0, 0], [beta, 0]],
+    whose symmetric part is trace-free and nonzero.  Either way
+    U = e_1 = [g, g]^perp is the one hit, conformal with nabla_X e_1 = -alpha X.
+    No Einstein metric has dim [g, g] = 1.
+
+    A table Einstein to rounding need not be exactly Einstein, so each
+    answer is scored, never assumed.  dim [g, g] = 2: [g, g]^perp is scored
+    once; it is a hit when it passes ``hit_tol``, else undecided.
+    [g, g] = 0 or g: every residual is at most sqrt(2) |sym Gamma|_F, the part
+    of Gamma symmetric in its first two indices (see ``residuals``), and every
+    direction is a hit when that bound passes ``hit_tol``, else undecided.
+    dim [g, g] = 1: undecided.
     """
-    found = _ricci_directions(table)
-    if found is None:
-        return None
-    directions, delta = found
-    candidate = residuals(table.gamma, directions)
-    bound = _LIPSCHITZ * float(np.linalg.norm(table.gamma)) * delta
-    if not all(r - bound > hit_tol for r in candidate.tolist()):     # a NaN decides nothing
-        return None
-    case = ("one repeated eigenvalue and so one admissible direction" if len(directions) == 1
-            else "three distinct eigenvalues and so two admissible directions")
-    return ScanResult([], float(candidate.min()), len(candidate), RICCI_NOTE.format(case=case),
-                      certified=True)
+    derived = _derived_algebra(table.algebra)
+    if derived.dim in (0, 3):
+        twice_sym = table.gamma + table.gamma.transpose(1, 0, 2)
+        bound = math.hypot(*twice_sym.ravel().tolist()) / math.sqrt(2.0)     # no underflow
+        if Check("residual", bound, hit_tol).passed:
+            return ScanResult([], bound, 0, EVERY_DIRECTION, EVERY_DIRECTION_NOTE.format(
+                derived="0" if derived.dim == 0 else "g"))
+        return _undecided(f"Einstein to rounding with dim [g, g] = {derived.dim}, but the "
+                          "connection is not skew to within the hit tolerance", bound)
+    if derived.dim == 1:
+        return _undecided("Einstein to rounding with dim [g, g] = 1, which no Einstein metric has")
+    a, b = table.to_frame_coords(derived.basis.T).T
+    v = _fix_signs(_unit_rows(np.cross(a, b)[None]))
+    r = residuals(table.gamma, v)
+    if not Check("residual", float(r[0]), hit_tol).passed:
+        return _undecided("Einstein to rounding, but [g, g]^perp, its only possible hit, does not "
+                          "pass the hit tolerance", float(r[0]), 1)
+    return ScanResult(_hits(table, v, r, hit_tol, curvature_tol), float(r[0]), 1,
+                      DERIVED_COMPLEMENT, HIT_NOTE)
 
 
-def _scan(table: ConnectionTable, grid: int = 200, hit_tol: float = CLASSIFY_TOL,
-          refine_starts: int = 16,
-          curvature_tol: float = DEFAULT_TOLERANCES["curvature_constant"]) -> ScanResult:
-    """Scan unit vertical directions for conformal foliations by geodesics.
+def _hits(table: ConnectionTable, directions: np.ndarray, resid: np.ndarray, hit_tol: float,
+          curvature_tol: float) -> list:
+    """A ``ScanHit`` for each unit frame direction, sign fixed, whose residual passed ``hit_tol``.
 
-    Coarse residuals come from a Fibonacci sphere grid; the most promising
-    well-separated candidates are polished together by ``_polish``'s damped
-    Gauss-Newton steps, and ``ScanResult.evaluations`` counts the residuals
-    evaluated in both stages (a Jacobian counts two).
-    A polished direction is a hit when its residual passes ``hit_tol`` by
-    ``Check``'s rule, as the CLI's ``hit[i]:residual`` check does.  Hits are
-    merged within 1e-3 radians (antipodes identified: a line field does not
-    see the sign) and reported with (alpha, beta) from ``_adjoint_read`` and
-    the algebra's exact constant-curvature verdict (tolerance ``curvature_tol``).
-    A hit is totally geodesic and conformal by its residual, and Riemannian when
-    also |alpha| <= ``hit_tol``.  A result without a hit is a numeric floor
-    over the directions tried, not a proof: ``certified`` stays False.
-    On a centerless solvable algebra each hit carries its direction's certificate
-    (classify tolerance ``hit_tol``, met by the hit), from the hit's own data.  The
-    curvature verdict, the center and the derived series are computed once, if
-    there is a hit.
+    Each is read off the connection table by ``_adjoint_read``: totally
+    geodesic and conformal by its residual, and Riemannian when also
+    |alpha| <= ``hit_tol``; with the algebra's exact constant-curvature verdict
+    (tolerance ``curvature_tol``), computed once.  On a centerless solvable
+    algebra each hit carries its direction's certificate (classify tolerance
+    ``hit_tol``, met by the hit).
     """
     algebra = table.algebra
-    candidates = fibonacci_sphere(grid)
-    coarse = residuals(table.gamma, candidates)
-
-    # best-first starts for refinement, kept at least 0.3 rad apart
-    # (antipodes identified: a line field does not see the sign of V)
-    order = np.argsort(coarse, kind="stable")
-    starts = []
-    for idx in order:
-        v = candidates[idx]
-        if all(abs(float(v @ s)) < math.cos(0.3) for s in starts):
-            starts.append(v)
-        if len(starts) >= refine_starts:
-            break
-
-    polished, polished_resid, evaluations = _polish(table.gamma, np.array(starts))
-    min_residual = float(np.minimum(coarse.min(), polished_resid.min()))     # a NaN stays NaN
-
-    passed = [(v, r) for v, r in zip(polished, polished_resid.tolist())
-              if Check("residual", r, hit_tol).passed]
-    derived = None          # [g, g] when the hits are certified
-    if passed:
-        curvature_verdict = is_constant_curvature(algebra, curvature_tol, table)
-        series = derived_series(algebra)
-        if series[-1].dim == 0 and center(algebra).dim == 0:
-            derived = series[1]
-    hits, kept_frames = [], []
-    merge_cos = math.cos(1e-3)
-    for v, resid in passed:
-        if any(min(1.0, abs(float(v @ k))) > merge_cos for k in kept_frames):
-            continue
-        v = _fix_signs(_unit_rows(v[None]))[0]     # first significant component > 0
-        kept_frames.append(v)
+    curvature_verdict = is_constant_curvature(algebra, curvature_tol, table)
+    series = derived_series(algebra)
+    derived = None
+    if series[-1].dim == 0 and center(algebra).dim == 0:
+        derived = series[1]
+    hits = []
+    for v, r in zip(directions, resid.tolist()):
         alpha, beta, _ = read = _adjoint_read(table, v)
         flags = {"totally_geodesic": True,
                  "riemannian": Check("conformal_vector_norm", abs(alpha), hit_tol).passed,
                  "conformal": True}
         certificate = None if derived is None else _certificate(
             table, derived, v, read, curvature_verdict, hit_tol, curvature_tol)
-        hits.append(ScanHit(table.to_algebra_coords(v), resid, flags, alpha, beta,
+        hits.append(ScanHit(table.to_algebra_coords(v), r, flags, alpha, beta,
                             *curvature_verdict, certificate))
-    return ScanResult(hits, min_residual, grid + evaluations)
+    return hits
 
 
 def _adjoint_read(table: ConnectionTable, v: np.ndarray):

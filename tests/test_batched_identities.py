@@ -19,7 +19,7 @@ from liemorph.constructions import (RootGradedAlgebra, RootSpace, _phi_and_horiz
                                     damek_ricci_root_graded, second_construction_check,
                                     xi_vector)
 from liemorph.errors import StructureError
-from liemorph.foliations import DistributionSpec, _adjoint_read, _tangent_pairs, second_forms
+from liemorph.foliations import DistributionSpec, _adjoint_read, _unit_rows, second_forms
 from liemorph.geometry import gl_connection_term, koszul
 from liemorph.groups import DEFAULT_J, build_damek_ricci
 
@@ -127,8 +127,18 @@ def sym_nabla_by_loops(table, rows, proj):
     return out
 
 
+def tangent_pairs(v):
+    """Deterministic orthonormal completion (x, v x x) of each unit row of an (N, 3) stack.
+
+    x starts from the coordinate axis of the first smallest component, projected off v.
+    """
+    pick = np.abs(v).argmin(axis=1)
+    x = _unit_rows(np.eye(3)[pick] - v[np.arange(len(v)), pick][:, None] * v)
+    return x, np.cross(v, x)
+
+
 def rotation_block_by_loops(algebra, table, v_frame):
-    x, y = (u[0] for u in _tangent_pairs(v_frame[None]))
+    x, y = (u[0] for u in tangent_pairs(v_frame[None]))
     v_alg, x_alg, y_alg = (table.to_algebra_coords(u) for u in (v_frame, x, y))
     g = algebra.gram
     return np.array([[algebra.bracket(v_alg, a) @ g @ b for b in (x_alg, y_alg)]
@@ -295,7 +305,7 @@ def test_rotation_scaling_matches_the_loop(seed):
     v /= np.linalg.norm(v)
     s = rotation_block_by_loops(alg, table, v)
     alpha, beta = 0.5 * (s[0, 0] + s[1, 1]), 0.5 * abs(s[0, 1] - s[1, 0])
-    x, y = (table.to_algebra_coords(u[0]) for u in _tangent_pairs(v[None]))     # x × y = v
+    x, y = (table.to_algebra_coords(u[0]) for u in tangent_pairs(v[None]))      # x × y = v
     got_alpha, got_beta, bracket = _adjoint_read(table, v)
     assert alpha != 0.0 and beta != 0.0
     assert (got_alpha, got_beta) == pytest.approx((alpha, beta), rel=1e-12)

@@ -301,6 +301,30 @@ def test_a_certified_nonexistence_passes_however_small_its_residual(tmp_path, al
     assert check["pass"] and check["max_residual"] == check["tolerance"] == "0"
 
 
+def test_a_grid_option_is_a_config_error(tmp_path, capsys):
+    # the scan samples nothing, so a grid is an unknown option, named in the error
+    cfg, out = base_config(tmp_path, "foliation-scan",
+                           builtin={"name": "G_alpha", "params": {"alpha": 1.0}},
+                           options={"grid": 200, "expect_hits": False})
+    assert main(["foliation-scan", "--config", cfg]) == 2
+    assert "options.grid: unknown field" in capsys.readouterr().err
+    assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("expect", [True, False])
+@pytest.mark.parametrize("alpha", [1e-10, -1e-10, -1.0 + 1e-9])
+def test_an_undecided_scan_fails_either_expectation(tmp_path, capsys, alpha, expect):
+    # the Ricci candidates lie within their error bound of the hit tolerance
+    cfg, out = base_config(tmp_path, "foliation-scan",
+                           builtin={"name": "G_alpha", "params": {"alpha": alpha}},
+                           options={"expect_hits": expect})
+    assert main(["foliation-scan", "--config", cfg]) == 1
+    summary = read_report(out)["summary"]
+    assert summary["hits"] == [] and summary["note"].startswith("undecided: ")
+    name = "found_conformal_geodesic_foliation" if expect else "nonexistence_certified"
+    assert f"FAIL {name}" in capsys.readouterr().out
+
+
 def test_an_uncertified_scan_fails_expected_nonexistence(tmp_path, capsys):
     cfg, out = base_config(tmp_path, "foliation-scan",
                            builtin={"name": "G3", "params": {"alpha": 1.0, "beta": 0.5}},

@@ -9,12 +9,12 @@ import pytest
 import liemorph as lm
 from liemorph.algebra import LieAlgebra, Subspace, orthocomplement, span
 from liemorph.errors import StructureError
-from liemorph.foliations import (DistributionSpec, _adjoint_read, _certificate, _defect,
-                                 _jacobian, _polish, _residual_kernel, _scan, _tangent_pairs,
-                                 _unit_rows, classify, constant_curvature_certificate,
-                                 fibonacci_sphere, residuals, scan_3d, second_forms)
+from liemorph.foliations import (CANDIDATES, CERTIFICATE, DERIVED_COMPLEMENT, EVERY_DIRECTION,
+                                 UNDECIDED, DistributionSpec, _adjoint_read, _certificate,
+                                 _unit_rows, classify, constant_curvature_certificate, residuals,
+                                 scan_3d, second_forms)
 from liemorph.geometry import curvature, curvature_operator, koszul
-from test_batched_identities import rotation_block_by_loops
+from test_batched_identities import rotation_block_by_loops, tangent_pairs
 
 
 def so3():
@@ -29,10 +29,19 @@ def line(alg, v):
     return DistributionSpec(alg, span([np.asarray(v, float)], alg.dim))
 
 
+def fibonacci_sphere(count):
+    """Deterministic, roughly uniform unit vectors on S^2."""
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    k = np.arange(count)
+    z = 1.0 - 2.0 * (k + 0.5) / count
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([r * np.cos(k * golden), r * np.sin(k * golden), z], axis=1)
+
+
 def cg_residual_with_frame(table, v_frame):
     """Reference: the conformal-plus-geodesic defect through an explicit tangent frame."""
     v = v_frame / np.linalg.norm(v_frame)
-    x, y = (u[0] for u in _tangent_pairs(v[None]))
+    x, y = (u[0] for u in tangent_pairs(v[None]))
     b_v = table.nabla(v, v)
     b_v = b_v - (b_v @ v) * v
 
@@ -72,27 +81,20 @@ def three_round_polish(gamma, starts):
     tangent pair, or halves its step when none improves; a round starts at
     step 0.25 and ends when the step falls to 1e-13, and a start leaves after
     ``_POLISH_ROUNDS`` rounds, or after any round once its residual is below
-    1e-13.  This was the scan's polish before the Levenberg-Marquardt one.
+    1e-13.
     """
-    kernel = _residual_kernel(gamma)
-
-    def score(v):
-        return _defect(*kernel(v))
-
     polished = _unit_rows(starts)
-    polished_best = score(polished)
-    evaluations = len(polished)
+    polished_best = residuals(gamma, polished)
     # the active starts, compacted: their rows of ``polished`` and their state
     rows = np.arange(len(polished))
     v, best = polished.copy(), polished_best.copy()
     step = np.full(len(v), 0.25)
     rounds_left = np.full(len(v), _POLISH_ROUNDS)
     while len(rows):
-        x, y = _tangent_pairs(v)
+        x, y = tangent_pairs(v)
         cand = _unit_rows(v[:, None] + step[:, None, None]
                           * (_OFFSET_X * x[:, None] + _OFFSET_Y * y[:, None]))
-        r = score(cand.reshape(-1, 3)).reshape(len(v), len(_OFFSETS))
-        evaluations += r.size
+        r = residuals(gamma, cand.reshape(-1, 3)).reshape(len(v), len(_OFFSETS))
         improving = r < best[:, None]
         moved = improving.any(axis=1)
         first = improving.argmax(axis=1)[moved]
@@ -109,7 +111,38 @@ def three_round_polish(gamma, starts):
                 keep = ~done
                 rows, v, best, step, rounds_left = (
                     rows[keep], v[keep], best[keep], step[keep], rounds_left[keep])
-    return polished, polished_best, evaluations
+    return polished, polished_best
+
+
+def line_distance(u, w):
+    """sin of the angle between the lines of the unit rows of u and w."""
+    return np.linalg.norm(np.cross(u, w), axis=-1)
+
+
+def reference_scan(gamma, hit_tol=1e-9, grid=200, starts=16):
+    """Reference: the sampled search that ``scan_3d``'s decision replaced.
+
+    The residuals of a Fibonacci grid; the ``starts`` best grid directions at
+    least 0.3 rad apart (lines: antipodes identified), polished by
+    ``three_round_polish``; the polished directions whose residual passes
+    ``hit_tol``, merged within 1e-3 rad.  Returns the hits as unit frame rows
+    and the smallest residual seen.
+    """
+    candidates = fibonacci_sphere(grid)
+    coarse = residuals(gamma, candidates)
+    chosen = []
+    for index in np.argsort(coarse, kind="stable"):
+        v = candidates[index]
+        if all(abs(float(v @ s)) < math.cos(0.3) for s in chosen):
+            chosen.append(v)
+        if len(chosen) == starts:
+            break
+    polished, best = three_round_polish(gamma, np.array(chosen))
+    hits = []
+    for v, r in zip(polished, best.tolist()):
+        if r <= hit_tol and all(line_distance(v, h) > math.sin(1e-3) for h in hits):
+            hits.append(v)
+    return np.array(hits).reshape(-1, 3), float(np.minimum(coarse.min(), best.min()))
 
 
 def semidirect(a, gram):
@@ -218,22 +251,16 @@ def test_classify_passes_a_residual_exactly_at_tol_and_fails_nan(built):
     assert not any(classify(dist, nan_table, math.inf).flags().values())
 
 
-def test_a_polished_residual_exactly_at_hit_tol_is_a_hit(monkeypatch):
-    import liemorph.foliations as foliations_module
-    polish, seen = foliations_module._polish, []
-
-    def recording_polish(gamma, starts):
-        out = polish(gamma, starts)
-        seen.append(out[1])
-        return out
-
-    monkeypatch.setattr(foliations_module, "_polish", recording_polish)
-    alg = lm.build_Galpha(2.0)[0]
-    assert _scan(koszul(alg)).hits == []
-    tol = float(seen[0].min())
-    assert 0.0 < tol < math.inf
-    hits = _scan(koszul(alg), hit_tol=tol).hits
-    assert hits and all(h.residual == tol for h in hits)     # the hit[i]:residual checks pass
+@pytest.mark.parametrize("name, case", [("G_alpha(2)", CANDIDATES),
+                                        ("G3(1,0.5)", DERIVED_COMPLEMENT)])
+def test_a_residual_exactly_at_hit_tol_is_a_hit(name, case):
+    alg = SCAN_ALGEBRAS[name]()
+    tol = scan_3d(alg).min_residual
+    assert 0.0 <= tol < math.inf
+    result = scan_3d(alg, hit_tol=tol)
+    assert result.case == case and result.found and not result.certified
+    assert min(h.residual for h in result.hits) == tol     # the hit[i]:residual checks pass
+    assert all(h.residual <= tol for h in result.hits)
 
 
 def test_abelian_splitting_is_flat():
@@ -269,11 +296,6 @@ def test_classify_flags_scale_invariant(built):
         np.testing.assert_allclose(
             r2.conformal_vector / np.linalg.norm(r2.conformal_vector),
             [1.0, 0, 0], atol=1e-12)
-
-
-def test_fibonacci_sphere_is_unit():
-    pts = fibonacci_sphere(50)
-    np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
 
 def test_scan_g3_recovers_alpha_beta(built):
@@ -325,12 +347,11 @@ GALPHA_CANDIDATE_RESIDUAL = {0.5: math.sqrt(11.0) / 4.0, 1.0: math.sqrt(2.0),
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_scan_galpha_finds_nothing(alpha):
     alg, _ = lm.build_Galpha(alpha)
-    searched = _scan(koszul(alg))
-    assert searched.hits == []
-    assert abs(searched.min_residual - GALPHA_MIN_RESIDUAL[alpha]) < 1e-12
-    assert "not a proof" in searched.note and not searched.certified
+    searched, floor = reference_scan(koszul(alg).gamma)
+    assert len(searched) == 0
+    assert abs(floor - GALPHA_MIN_RESIDUAL[alpha]) < 1e-12
     result = scan_3d(alg)
-    assert result.hits == [] and result.certified
+    assert result.hits == [] and result.certified and result.case == CERTIFICATE
     assert abs(result.min_residual - GALPHA_CANDIDATE_RESIDUAL[alpha]) < 1e-12
     assert result.evaluations == (1 if alpha == 1.0 else 2)
     assert result.note.startswith("Ricci certificate") and "not a proof" not in result.note
@@ -359,101 +380,76 @@ def test_residual_kernel_vanishes_at_the_g3_hit(built):
     assert residuals(gamma, np.array([[1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])).max() <= 1e-14
 
 
-def test_a_nan_polish_residual_is_no_hit_and_stays_the_minimum(monkeypatch):
+@pytest.mark.parametrize("name", ["G_alpha(0.5)", "G3(1,0.5)"])
+def test_a_nan_residual_is_no_hit_and_decides_nothing(name, monkeypatch):
     import liemorph.foliations as foliations_module
-    polish = foliations_module._polish
 
-    def nan_polish(gamma, starts):
-        v, best, evaluations = polish(gamma, starts)
-        return v, np.full_like(best, np.nan), evaluations
+    def nan_residuals(gamma, v):
+        return np.full(len(v), np.nan)
 
-    monkeypatch.setattr(foliations_module, "_polish", nan_polish)
-    result = scan_3d(lm.build_G3(1.0, 0.5)[0])      # finite on the coarse grid, a hit at e_1
-    assert result.hits == [] and math.isnan(result.min_residual)
-
-
-@pytest.mark.parametrize("name", ["G3(1,0.5)", "G_alpha(1)", "S2"])
-def test_lockstep_polish_follows_each_start_alone(name):
-    gamma = koszul(SCAN_ALGEBRAS[name]()).gamma
-    starts = fibonacci_sphere(40)[::5]
-    together, resid, evaluations = _polish(gamma, starts)
-    total = 0
-    for k, start in enumerate(starts):
-        alone, r, n = _polish(gamma, start[None])
-        np.testing.assert_array_equal(alone[0], together[k])
-        assert r[0] == resid[k]
-        total += n
-    assert evaluations == total
+    monkeypatch.setattr(foliations_module, "residuals", nan_residuals)
+    result = scan_3d(SCAN_ALGEBRAS[name]())      # a certificate, and a hit at e_1
+    assert result.case == UNDECIDED and result.hits == [] and math.isnan(result.min_residual)
+    assert not (result.found or result.certified) and result.note.startswith("undecided: ")
 
 
 def test_scan_counts_its_residual_evaluations():
-    alg, _ = lm.build_Galpha(1.0)
-    result = _scan(koszul(alg), grid=120, refine_starts=5)
-    # the grid; per start its own residual and a two-column Jacobian; then per
-    # lockstep step one candidate for each start that moves and a Jacobian for
-    # each accepted one (the pattern search scored 4285, three full rounds 6677)
-    assert result.evaluations == 591
-    assert _scan(koszul(alg), grid=120, refine_starts=5).evaluations == result.evaluations
-    # the Ricci certificate scores its one admissible direction instead
-    assert scan_3d(alg, grid=120, refine_starts=5).evaluations == 1
+    # one per Ricci candidate, one for [g, g]^perp, none for every direction or a gap in the band
+    counts = {"G_alpha(1)": 1, "G_alpha(0.5)": 2, "G3(1,0.5)": 1, "S2": 1, "R_A(R^2)": 2}
+    for name, evaluations in counts.items():
+        assert scan_3d(SCAN_ALGEBRAS[name]()).evaluations == evaluations, name
+    assert scan_3d(so3()).evaluations == 0
+    assert scan_3d(lm.build_Galpha(-1.0 + 1e-11)[0]).evaluations == 0
 
 
-def scan_starts(algebra, monkeypatch):
-    """The starts ``_scan`` hands to ``_polish`` on ``algebra``."""
-    import liemorph.foliations as foliations_module
-    seen = []
-
-    def recording_polish(gamma, starts):
-        seen.append(starts.copy())
-        return _polish(gamma, starts)
-
-    monkeypatch.setattr(foliations_module, "_polish", recording_polish)
-    _scan(koszul(algebra))
-    return seen[0]
+def test_the_scan_takes_no_grid():
+    with pytest.raises(TypeError):
+        scan_3d(SCAN_ALGEBRAS["G3(1,0.5)"](), grid=200)
 
 
-def line_distance(u, w):
-    """sin of the angle between the lines of the unit rows of u and w."""
-    return np.linalg.norm(np.cross(u, w), axis=-1)
+@pytest.mark.parametrize("name", ["round su(2)", "R^3", "round su(2) general basis"])
+def test_a_bi_invariant_metric_has_every_direction(name):
+    """Round su(2) and R^3: every left-invariant line field is a conformal foliation by geodesics.
 
-
-@pytest.mark.parametrize("starts", ["scan", "normal", "nan"])
-@pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS))
-def test_polish_equals_the_three_round_reference(name, starts, monkeypatch):
-    """From each start the polish reaches what the pattern-search reference reaches.
-
-    A start the reference brings to a hit (residual <= 1e-9) the polish brings
-    to one too, within 1e-8 rad of the reference's direction; from any other
-    start its residual is at most the reference's plus 1e-12.  A NaN start
-    stays NaN and costs its residual and its Jacobian.
+    The sampled reference finds hits that are not isolated: more than one
+    line among its 16 starts, at least 0.3 rad apart.
     """
-    algebra = SCAN_ALGEBRAS[name]()
+    algebra = {"round su(2)": so3, "R^3": lambda: LieAlgebra(np.zeros((3, 3, 3)), np.eye(3)),
+               "round su(2) general basis": lambda: rebased(so3(), random_bases(3)["general"])
+               }[name]()
+    result = scan_3d(algebra)
+    assert result.case == EVERY_DIRECTION and result.found and not result.certified
+    assert result.hits == [] and result.evaluations == 0
+    assert 0.0 <= result.min_residual <= 1e-14
+    assert result.note.startswith("every direction: [g, g] is " + ("0" if "R" in name else "g"))
     gamma = koszul(algebra).gamma
-    v = {"scan": lambda: scan_starts(algebra, monkeypatch),
-         "normal": lambda: np.random.default_rng(11).standard_normal((16, 3)),
-         "nan": lambda: np.full((4, 3), np.nan)}[starts]()
-    got, got_best, n = _polish(gamma, v)
-    want, want_best, _ = three_round_polish(gamma, v)
-    if starts == "nan":
-        assert np.isnan(got).all() and np.isnan(got_best).all() and n == 3 * len(v)
-        return
-    hit = want_best <= 1e-9
-    assert (got_best[hit] <= 1e-9).all()
-    assert (line_distance(got[hit], want[hit]) <= 1e-8).all()
-    assert (got_best[~hit] <= want_best[~hit] + 1e-12).all()
+    hits, _ = reference_scan(gamma)
+    assert len(hits) > 1
+    # the bound holds for every direction, up to the kernel's own rounding
+    rounding = 64.0 * np.finfo(float).eps * np.linalg.norm(gamma)
+    v = np.random.default_rng(29).standard_normal((500, 3))
+    assert (residuals(gamma, v) <= result.min_residual + rounding).all()
 
 
-def test_scan_keeps_round_su2_hits_that_lie_apart(built):
-    # on round su(2) every direction is a hit: each of the 16 refine starts,
-    # at least 0.3 rad apart, survives the 1e-3 rad merge
-    c = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c[i, j, k], c[j, i, k] = 1.0, -1.0
-    result = scan_3d(LieAlgebra(c, np.eye(3)))
-    assert len(result.hits) == 16
-    v = np.array([h.vector for h in result.hits])
-    cos = np.abs(v @ v.T)[np.triu_indices(16, 1)]        # lines: antipodes identified
-    assert np.arccos(np.minimum(1.0, cos)).min() >= 0.3
+def test_a_near_round_su2_beyond_the_hit_tolerance_is_undecided():
+    # Einstein to rounding with [g, g] = g, but not bi-invariant: the Berger sphere's
+    # other directions have residuals near 1e-6, so every direction would be a false hit
+    result = scan_3d(milnor(1e8, 1e8, 1e8 * (1.0 + 1e-14)))
+    assert result.case == UNDECIDED and result.hits == [] and result.min_residual > 1e-9
+    assert "dim [g, g] = 3, but the connection is not skew" in result.note
+    assert scan_3d(milnor(1e8, 1e8, 1e8)).case == EVERY_DIRECTION
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("H1", "dim [g, g] = 1, which no Einstein metric has"),
+    ("G_alpha(0.5)", "[g, g]^perp, its only possible hit, does not pass the hit tolerance")])
+def test_a_table_einstein_only_to_rounding_is_scored_not_assumed(name, reason, monkeypatch):
+    # with Ric read as Einstein, the answer the exact classification gives is still scored
+    import liemorph.foliations as foliations_module
+    monkeypatch.setattr(foliations_module, "_ricci_directions", lambda table: (None, None))
+    algebra = {"H1": lambda: lm.build_H(1)[0], **SCAN_ALGEBRAS}[name]()
+    result = scan_3d(algebra)
+    assert result.case == UNDECIDED and result.hits == [] and reason in result.note
 
 
 def test_scan_s2_center_hit(built):
@@ -471,22 +467,6 @@ def test_scan_requires_dim_3(built):
     alg, _ = built["N4"]
     with pytest.raises(ValueError):
         scan_3d(alg)
-
-
-@pytest.mark.parametrize("argument", ["grid", "refine_starts"])
-@pytest.mark.parametrize("name", ["G_alpha(0.5)", "G3(1,0.5)"])      # certified, searched
-def test_scan_rejects_a_grid_or_refine_starts_below_one(name, argument):
-    with pytest.raises(ValueError, match=f"{argument} must be at least 1, got 0"):
-        scan_3d(SCAN_ALGEBRAS[name](), **{argument: 0})
-
-
-@pytest.mark.parametrize("value", [2.5, 2.0, True, "16"], ids=["2.5", "2.0", "True", "str"])
-@pytest.mark.parametrize("argument", ["grid", "refine_starts"])
-@pytest.mark.parametrize("name", ["G_alpha(0.5)", "G3(1,0.5)"])      # certified, searched
-def test_scan_rejects_a_grid_or_refine_starts_that_is_not_an_integer(name, argument, value):
-    with pytest.raises(ValueError, match=f"{argument} must be an integer, got {value!r}"):
-        scan_3d(SCAN_ALGEBRAS[name](), **{argument: value})
-    assert scan_3d(SCAN_ALGEBRAS[name](), **{argument: np.int64(20)}).evaluations > 0
 
 
 def test_certificate_g3(built):
@@ -623,7 +603,7 @@ def test_scan_certificate_is_the_public_certificate(name):
 
 def plane_by_span(table, derived, v):
     """The span test the certificate's plane check replaced, on the tangent pair of frame v."""
-    x, y = (table.to_algebra_coords(u[0]) for u in _tangent_pairs(v[None]))
+    x, y = (table.to_algebra_coords(u[0]) for u in tangent_pairs(v[None]))
     return span([x, y], 3).equals(derived, 1e-8)
 
 
@@ -648,20 +628,21 @@ def test_the_plane_test_decides_as_the_span_test(name):
         assert decisions == [True, True, False, False]
 
 
-@pytest.mark.parametrize("name", ["S2", "H1", "so3"])
+@pytest.mark.parametrize("name", ["S2", "H1", "Berger su(2)"])
 def test_scan_hits_of_a_centered_or_unsolvable_algebra_carry_no_certificate(built, name):
-    alg = so3() if name == "so3" else built[name][0]
+    alg = milnor(2.0, 2.0, 1.0) if name == "Berger su(2)" else built[name][0]
     hits = scan_3d(alg).hits
     assert hits and all(hit.certificate is None for hit in hits)
 
 
-def test_an_algebra_of_rounding_noise_gets_no_certificate():
-    # every direction is a hit, and the algebra is abelian to the structure
-    # predicates, so it is its own center and nothing is certified
+def test_an_algebra_of_rounding_noise_has_every_direction():
+    # the algebra is abelian to the structure predicates, so every direction is a
+    # hit, and no hit is listed to carry a certificate
     base = lm.build_G3(1.0, 0.5)[0]
     alg = LieAlgebra(base.structure_constants * 1e-200, base.gram)
-    hits = scan_3d(alg).hits
-    assert hits and all(hit.certificate is None for hit in hits)
+    result = scan_3d(alg)
+    assert result.case == EVERY_DIRECTION and result.found and result.hits == []
+    assert result.note.startswith("every direction: [g, g] is 0")
 
 
 def test_certificate_rejects_centered_algebra(built):
@@ -736,29 +717,20 @@ AGREEMENT_ALGEBRAS = {
     **{f"G_alpha(-1 + 1e-{k})": (lambda k=k: lm.build_Galpha(-1.0 + 10.0 ** -k)[0])
        for k in range(7, 13)},
 }
-# the inputs on which the sampled search finds a hit
-SEARCH_HITS = {"G3(1,0.5)", "G3(0,1)", "S2", "Milnor Berger(2,2,1)", "Milnor Nil(1,0,0)",
-               "Milnor SL2(1,1,-1)",
-               *(f"{name} {kind} basis" for name in ("G_alpha(0)", "S2", "H1")
-                 for kind in ("orthogonal", "general")),
-               *(f"G_alpha(-1 + 1e-{k})" for k in range(9, 13))}
-# the inputs the sampled search decides; on every other one the Ricci certificate decides
-SEARCHED = SEARCH_HITS | {"G_alpha(-1 + 1e-8)"}
+# the inputs whose Ricci gaps or candidates lie in the certificate's undecided bands
+UNDECIDED_INPUTS = {f"G_alpha(-1 + 1e-{k})" for k in range(8, 13)}
+# the Einstein inputs, whose one hit is [g, g]^perp
+EINSTEIN_HITS = {"G3(1,0.5)", "G3(0,1)", "G_alpha(-1)"}
+# the other inputs with a hit, a Ricci candidate
+CANDIDATE_HITS = {"S2", "H1", "G_alpha(0)", "Milnor Berger(2,2,1)", "Milnor Nil(1,0,0)",
+                  "Milnor SL2(1,1,-1)",
+                  *(f"{name} {kind} basis" for name in ("G_alpha(0)", "S2", "H1")
+                    for kind in ("orthogonal", "general"))}
 
 
-@pytest.mark.parametrize("name", sorted(AGREEMENT_ALGEBRAS))
-def test_the_ricci_certificate_agrees_with_the_search(name):
-    algebra = AGREEMENT_ALGEBRAS[name]()
-    result, searched = scan_3d(algebra), _scan(koszul(algebra))
-    assert bool(result.hits) == bool(searched.hits) == (name in SEARCH_HITS)
-    assert result.certified == (name not in SEARCHED)
-    if result.certified:
-        assert result.hits == [] and result.evaluations in (1, 2)
-        # a candidate is one direction; the search's minimum is over all it tried
-        assert result.min_residual >= searched.min_residual - 1e-12
-    else:
-        assert (result.evaluations, result.min_residual) == (searched.evaluations,
-                                                             searched.min_residual)
+def expected_case(name):
+    return (UNDECIDED if name in UNDECIDED_INPUTS else DERIVED_COMPLEMENT if name in EINSTEIN_HITS
+            else CANDIDATES if name in CANDIDATE_HITS else CERTIFICATE)
 
 
 def eps_sigma(table):
@@ -791,7 +763,7 @@ def test_the_curvature_operator_is_half_the_scalar_curvature_minus_ric(name):
 def ricci_trace_free_on_planes(table, v):
     """|Ric restricted to v_k^perp minus its trace part|_F for each unit row v_k."""
     ric = np.einsum("abca->bc", curvature(table))
-    x, y = _tangent_pairs(v)
+    x, y = tangent_pairs(v)
     h = np.stack([x, y], axis=1)                                   # (N, 2, 3)
     m = h @ (0.5 * (ric + ric.T)) @ h.transpose(0, 2, 1)
     half_trace = 0.5 * np.trace(m, axis1=1, axis2=2)
@@ -853,118 +825,94 @@ def test_ric_is_conformal_on_the_plane_of_every_hit(name):
     assert (ricci_trace_free_on_planes(table, v) <= riccati_bound(table, v)).all()
 
 
-def test_a_ricci_gap_inside_the_decision_band_falls_back_to_the_search(monkeypatch):
+def test_a_ricci_gap_inside_the_decision_band_is_undecided(monkeypatch):
     import liemorph.foliations as foliations_module
     alg = lm.build_Galpha(1.0 + 1e-9)[0]       # Ricci gaps 2 and 2e-9
     unit = eps_sigma(koszul(alg))
     gap = 2e-9
     # b inside (gap / 16, gap): undecided; b >= gap: the gap is zero, one direction
-    for b, evaluations in ((gap / 4.0, _scan(koszul(alg)).evaluations), (2.0 * gap, 1)):
+    for b, case, evaluations in ((gap / 4.0, UNDECIDED, 0), (2.0 * gap, CERTIFICATE, 1)):
         monkeypatch.setattr(foliations_module, "_RICCI_ROUNDING", b / unit)
         result = scan_3d(alg)
-        assert result.hits == [] and result.evaluations == evaluations
+        assert (result.case, result.evaluations, result.hits) == (case, evaluations, [])
+        assert ("a Ricci gap lies between its rounding bound b and 16 b" in result.note) == (
+            case == UNDECIDED)
 
 
-def test_a_candidate_near_hit_tol_falls_back_to_the_search():
+def test_a_candidate_near_hit_tol_is_undecided():
     alg = lm.build_Galpha(2.0)[0]
     candidate = scan_3d(alg).min_residual
-    # the candidate exceeds hit_tol, but not by its error bound: the search decides,
-    # and finds the directions whose residual is below hit_tol
+    # the candidates exceed hit_tol, but not by their error bound: neither a hit nor a proof
     result = scan_3d(alg, hit_tol=candidate - 1e-9)
-    assert not result.certified and result.hits
-    assert result.min_residual == _scan(koszul(alg)).min_residual == GALPHA_MIN_RESIDUAL[2.0]
+    assert result.case == UNDECIDED and not (result.found or result.certified)
+    assert (result.min_residual, result.evaluations) == (candidate, 2)
+    assert "within its error bound of the hit tolerance" in result.note
 
 
-@pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS))
-def test_the_jacobian_is_the_central_difference_of_the_components(name):
-    gamma = koszul(SCAN_ALGEBRAS[name]()).gamma
-    kernel = _residual_kernel(gamma)
-    v = _unit_rows(np.random.default_rng(23).standard_normal((200, 3)))
-    x, y, jx, jy = _jacobian(kernel, v)
-    t = 1e-5
-
-    def components(u):
-        return np.concatenate(kernel(_unit_rows(u)), axis=1)
-
-    for direction, column in ((x, jx), (y, jy)):
-        central = (components(v + t * direction) - components(v - t * direction)) / (2.0 * t)
-        np.testing.assert_allclose(column, central, rtol=0, atol=1e-8 * np.linalg.norm(gamma))
-    assert np.abs(jx).max() > 0.1 and np.abs(jy).max() > 0.1
+# G_alpha near alpha = 0 and alpha = -1: the sampled scan reported a hit (residual |alpha| and
+# 7.07e-10) that the Ricci condition rules out; the candidates score 7.07e-6 and 1.0
+FALSE_SEARCH_HITS = {1e-10: 7.07e-6, -1e-10: 7.07e-6, -1.0 + 1e-9: 1.0}
 
 
-def recorded_kernel_calls(monkeypatch, call):
-    """``call()`` with every kernel evaluation recorded as (dtype kind, rows)."""
-    import liemorph.foliations as foliations_module
-    kernel, seen = foliations_module._residual_kernel, []
-
-    def recording_kernel(g):
-        score = kernel(g)
-
-        def recording_score(v):
-            seen.append((v.dtype.kind, len(v)))
-            return score(v)
-        return recording_score
-
-    monkeypatch.setattr(foliations_module, "_residual_kernel", recording_kernel)
-    out = call()
-    monkeypatch.undo()
-    return out, seen
+@pytest.mark.parametrize("alpha", sorted(FALSE_SEARCH_HITS))
+def test_a_near_threshold_g_alpha_is_undecided_not_a_hit(alpha):
+    algebra = lm.build_Galpha(alpha)[0]
+    result = scan_3d(algebra)
+    assert result.case == UNDECIDED and result.hits == []
+    assert not (result.found or result.certified)
+    assert result.min_residual == pytest.approx(FALSE_SEARCH_HITS[alpha], rel=1e-3)
+    assert result.note == ("undecided: a Ricci candidate's residual is within its error bound "
+                           "of the hit tolerance; neither a hit nor nonexistence is decided")
+    # the sampled reference still finds its tolerance hit, far from both candidates
+    hits, _ = reference_scan(koszul(algebra).gamma)
+    assert len(hits) == 1
 
 
-# ``_scan``'s residual evaluations under the pattern search this polish replaced
-PATTERN_SEARCH_EVALUATIONS = {"G3(1,0.5)": 13536, "G3(0,1)": 13536, "G_alpha(0.5)": 13896,
-                              "G_alpha(1)": 13704, "G_alpha(2)": 13536, "S2": 13928,
-                              "R_A(R^2)": 15560}
+ORACLE_ALGEBRAS = {**AGREEMENT_ALGEBRAS, **HIT_ALGEBRAS,
+                   **{f"R_A(R^2) seed {seed}": (lambda seed=seed: random_non_unimodular(seed))
+                      for seed in range(100, 120)}}
 
 
-@pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS))
-def test_the_polish_takes_few_lockstep_steps(name, monkeypatch):
-    algebra = SCAN_ALGEBRAS[name]()
-    gamma = koszul(algebra).gamma
-    starts = scan_starts(algebra, monkeypatch)
-    (_, _, evaluations), seen = recorded_kernel_calls(monkeypatch, lambda: _polish(gamma, starts))
-    # one real call scores the starts and one the candidates of each lockstep step;
-    # the complex calls are the Jacobians
-    assert evaluations == sum(rows for _, rows in seen)
-    steps = sum(kind == "f" for kind, _ in seen) - 1
-    evaluations = _scan(koszul(algebra)).evaluations
-    assert evaluations < PATTERN_SEARCH_EVALUATIONS[name] / 2
-    if name == "G3(1,0.5)":
-        assert evaluations <= 1000 and steps <= 20
-
-
-REFERENCE_ALGEBRAS = {**SCAN_ALGEBRAS, **HIT_ALGEBRAS, "round su(2)": so3,
-                      **{f"R_A(R^2) seed {seed}": (lambda seed=seed: random_non_unimodular(seed))
-                         for seed in range(100, 120)}}
-
-
-@pytest.mark.parametrize("name", sorted(REFERENCE_ALGEBRAS))
-def test_scan_finds_the_hits_of_the_three_round_reference(name, monkeypatch):
-    import liemorph.foliations as foliations_module
-    table = koszul(REFERENCE_ALGEBRAS[name]())
-    got = _scan(table)
-    monkeypatch.setattr(foliations_module, "_polish", three_round_polish)
-    want = _scan(table)
-    assert len(got.hits) == len(want.hits)
-    if not want.hits:
-        assert got.min_residual <= want.min_residual + 1e-12
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_the_decision_agrees_with_the_reference_search(name):
+    """Outside the undecided bands, the hits are the sampled reference's, within 1e-7 rad."""
+    algebra = ORACLE_ALGEBRAS[name]()
+    table = koszul(algebra)
+    result = scan_3d(algebra)
+    assert result.case == expected_case(name)
+    if result.case == UNDECIDED:
+        assert result.hits == [] and not (result.found or result.certified)
         return
-    found, reference = (_unit_rows(np.array([table.to_frame_coords(h.vector) for h in r.hits]))
-                        for r in (got, want))
-    for w in reference:
-        assert line_distance(found, w).min() <= 1e-8
+    want, floor = reference_scan(table.gamma)
+    got = _unit_rows(np.array([table.to_frame_coords(h.vector)
+                               for h in result.hits]).reshape(-1, 3))
+    assert len(got) == len(want)
+    for w in want:
+        assert line_distance(got, w).min() <= 1e-7
+    if result.certified:
+        assert result.hits == [] and result.evaluations in (1, 2)
+        # a candidate is one direction; the search's minimum is over all it tried
+        assert result.min_residual >= floor - 1e-12
 
 
-@pytest.mark.parametrize("k", range(-8, 9))
-def test_a_metric_scaled_by_a_power_of_four_scans_the_same_way(k):
-    """gram 4^k scales the frame by 2^-k and Gamma by 2^-k, exactly; no rule of the scan
-    reads the residual's level, so the scan takes the same steps."""
-    base = lm.build_G3(1.0, 0.5)[0]
-    scaled = LieAlgebra(base.structure_constants, base.gram * 4.0 ** k)
+METAMORPHIC_ALGEBRAS = {"G3(1,0.5)": lambda: lm.build_G3(1.0, 0.5)[0],
+                        "G_alpha(0.5)": lambda: lm.build_Galpha(0.5)[0],
+                        "S2": lambda: lm.build_S(2)[0], "H1": lambda: lm.build_H(1)[0]}
+
+
+@pytest.mark.parametrize("k", range(-20, 21))
+@pytest.mark.parametrize("name", sorted(METAMORPHIC_ALGEBRAS))
+def test_a_metric_scaled_by_a_power_of_four_scans_the_same_way(name, k):
+    """gram 4^k scales the frame by 2^-k, Gamma by 2^-k and Ric by 4^-k, exactly; the Ricci
+    gaps, their bound and the directions scale with them, so the scan decides the same case
+    from the same directions, with residuals scaled by 2^-k."""
+    base = METAMORPHIC_ALGEBRAS[name]()
+    # not validated: positive-definiteness has an absolute floor, 1e-12, which refuses 4^-20 gram
+    scaled = LieAlgebra(base.structure_constants, base.gram * 4.0 ** k, validate=False)
     want, got = scan_3d(base), scan_3d(scaled)
-    assert got.evaluations == want.evaluations
-    assert got.min_residual == math.ldexp(want.min_residual, -k)
-    assert len(got.hits) == len(want.hits) == 1
+    assert (got.case, got.evaluations) == (want.case, want.evaluations)
+    assert math.ldexp(got.min_residual, k) == want.min_residual
+    assert len(got.hits) == len(want.hits) == (0 if want.certified else 1)
     for g, w in zip(got.hits, want.hits):
-        np.testing.assert_array_equal(g.vector, np.ldexp(w.vector, -k))
-        assert g.residual == math.ldexp(w.residual, -k)
+        np.testing.assert_array_equal(np.ldexp(g.vector, k), w.vector)
+        assert math.ldexp(g.residual, k) == w.residual
