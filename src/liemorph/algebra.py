@@ -168,7 +168,7 @@ class LieAlgebra:
     @cached_property
     def _validation(self) -> tuple[Check, ...]:
         c, g = self.structure_constants, self.gram
-        scale = _scale(c)
+        scale = self._c_scale
         anti = float(np.abs(c + c.transpose(1, 0, 2)).max())
         jacobi = _jacobi_residual(c)
         gsym = float(np.abs(g - g.T).max())
@@ -183,10 +183,15 @@ class LieAlgebra:
         )
 
     @cached_property
+    def _c_scale(self) -> float:
+        """``_scale`` of the structure constants, computed once per instance."""
+        return _scale(self.structure_constants)
+
+    @cached_property
     def _derived(self) -> "Subspace":
         """[g, g]: the row space of c reshaped to (d^2, d), under the series' noise floor."""
         c = self.structure_constants
-        return _span_above(c.reshape(-1, self.dim), self.dim, RANK_TOL * _scale(c))
+        return _span_above(c.reshape(-1, self.dim), self.dim, RANK_TOL * self._c_scale)
 
     def bracket(self, x, y) -> np.ndarray:
         """[x, y] for coordinate vectors x, y."""
@@ -361,10 +366,9 @@ def _products_span(algebra: LieAlgebra, right: np.ndarray, contracted: np.ndarra
     the algebra's scale, the one ``validation_report`` uses, so brackets that
     are all rounding noise (such as [g, z(g)]) span nothing.
     """
-    c = algebra.structure_constants
     with np.errstate(invalid="ignore", over="ignore"):
         brackets = right @ contracted
-    return _span_above(brackets, algebra.dim, RANK_TOL * _scale(c))
+    return _span_above(brackets, algebra.dim, RANK_TOL * algebra._c_scale)
 
 
 def _bracket_span(algebra: LieAlgebra, left: np.ndarray, right: np.ndarray) -> Subspace:
@@ -427,5 +431,5 @@ def center(algebra: LieAlgebra) -> Subspace:
     """
     c, d = algebra.structure_constants, algebra.dim
     stacked = c.transpose(1, 2, 0).reshape(d * d, d)  # rows (j,k)
-    rank, _, vh = _rank_decision(stacked, RANK_TOL * _scale(c))
+    rank, _, vh = _rank_decision(stacked, RANK_TOL * algebra._c_scale)
     return Subspace(d, _fix_signs(vh[rank:]))

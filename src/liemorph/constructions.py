@@ -18,7 +18,7 @@ from .algebra import (LieAlgebra, Subspace, _contract, _derived_algebra, _descen
                       _products_span, orthonormalize, span)
 from .checks import DEFAULT_TOLERANCES, Check, max_residual
 from .errors import ConstructionError, StructureError
-from .groups import MatrixRealization, exp_matrix
+from .groups import MatrixRealization, _exp_factors
 
 ISOTROPY_TOL = 1e-12
 ROOT_GRADED_TOL = 1e-10     # structural, for the root-graded conditions
@@ -344,8 +344,9 @@ def second_construction_check(graded: RootGradedAlgebra, a_samples,
 
     One least-squares solve gives each sample's coordinates t_p in the basis
     f_p of a, which give beta(V) and, since a is abelian (the structure check
-    ``a_abelian``), e^{ad V} = prod_p e^{t_p ad f_p}: one exponential per
-    basis vector of a over all samples.
+    ``a_abelian``), e^{ad V} = prod_p e^{t_p ad f_p}: the exponentials of every
+    basis vector of a over all samples come from the stacked kernel, a block
+    of basis vectors per call.
     """
     d = graded.algebra.dim
     shape = f"second_construction_check: a_samples must be an (N, {d}) array of samples of a"
@@ -379,8 +380,8 @@ def second_construction_check(graded: RootGradedAlgebra, a_samples,
         ok = np.flatnonzero(finite & np.isfinite(target))
         x_norms = np.einsum("mi,ij,mj->m", beta_onb, g, beta_onb)
         images = beta_onb.T                                          # (d, |beta_onb|)
-        for ad_f, t_p in zip(alg.ad(graded.a_space.basis)[::-1], coords[ok].T[::-1]):
-            images = exp_matrix(ad_f, t_p) @ images                  # (ok, d, |beta_onb|)
+        for factor in _exp_factors(alg.ad(graded.a_space.basis)[::-1], coords[ok][:, ::-1]):
+            images = factor @ images                                 # (ok, d, |beta_onb|)
         ratio = np.einsum("nim,ij,njm->nm", images, g, images) / x_norms
         t = target[ok, None]
         defects[ok] = np.abs(ratio - t) / np.maximum(1.0, t)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -13,24 +14,18 @@ from .errors import StructureError
 
 HOMOMORPHISM_TOL = 1e-10
 _SQRT_TINY = 2.0 ** -511        # two nonzero entries at least this large multiply to a normal float
+# entries of one block of exponentials: 2^16, as in the dense representation residual,
+# raised the peak RSS of many-point sampling (300 points of N_5) by about 0.2 MB
+_BLOCK_ENTRIES = 2 ** 15
 
 
 def exp_matrix(x, t=1.0) -> np.ndarray:
     """e^{tX} for one matrix X, or the stack of e^{t_k X} for a 1-d ``t``.
 
-    A scalar ``t`` is a batch of one, and every slice of a batch gets the
-    result it would get alone.  X is scaled exactly to Y = X / 2^e,
-    2^e > max|X|, and its powers Y^m, its nilpotency and its spectral norm are
-    formed once; a slice reads only its coefficients off its own t.  X counts
-    as nilpotent when a power Y^m, m <= n, is exactly zero and no nonzero entry
-    of Y, ..., Y^(m-1) is below sqrt(tiny) (about 1.5e-154), so no product that
-    formed the zero power underflowed; it gets the terminating power series,
-    which is exact up to rounding.  Every other X goes through
-    scaling-and-squaring with a degree-12 truncated series: k squarings with
-    ||t X|| / 2^k <= 0.5 and the terms (t 2^(e-k))^m / m! Y^m.  A result too
-    large for a float comes back with non-finite entries and no
-    ``RuntimeWarning``; k is bounded by the float exponent range (at most
-    about 2100).
+    The one-matrix view of ``_exp_stack``: a scalar ``t`` is a batch of one,
+    and every slice of a batch gets the result it would get alone.  A result
+    too large for a float comes back with non-finite entries and no
+    ``RuntimeWarning``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or not len(x):
@@ -38,53 +33,109 @@ def exp_matrix(x, t=1.0) -> np.ndarray:
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ValueError(f"t must be a scalar or a 1-d array, got shape {ts.shape}")
-    size = float(np.abs(x).max())
-    if not math.isfinite(size) or not np.isfinite(ts).all():
+    series = _exp_stack(x[None], ts.reshape(-1, 1))[0]
+    return series if ts.ndim else series[0]
+
+
+def _exp_stack(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """e^{t[k, i] X_i} at [i, k], for a (b, n, n) stack of X_i and an (N, b) array of t.
+
+    Every slice is bit-identical to the matrix's own call, whatever else is
+    in the stack: the scaling, the powers, the nilpotency and the coefficient
+    tables are formed for the whole stack at once, but a term or a squaring
+    that one matrix does not take never touches another matrix's slices.
+
+    Each X is scaled exactly to Y = X / 2^e, 2^e > max|X|, and its powers Y^m
+    are formed once for all its t.  X counts as nilpotent when a power Y^m,
+    m <= n, is exactly zero and no nonzero entry of Y, ..., Y^(m-1) is below
+    sqrt(tiny) (about 1.5e-154), so no product that formed the zero power
+    underflowed; it gets the terminating power series, which is exact up to
+    rounding.  Every other X goes through scaling-and-squaring with a
+    degree-12 truncated series (Higham, SIAM J. Matrix Anal. Appl. 26, 2005):
+    k squarings with ||t X|| / 2^k <= 0.5, its spectral norm taken by one SVD,
+    and the terms (t 2^(e-k))^m / m! Y^m.  A result too large for a float
+    comes back with non-finite entries and no ``RuntimeWarning``; k is
+    bounded by the float exponent range (at most about 2100).
+    """
+    b, n = xs.shape[:2]
+    sizes = np.abs(xs).max(axis=(1, 2))
+    if not np.isfinite(sizes).all() or not np.isfinite(ts).all():
         raise ValueError("exp_matrix requires finite entries")
-    n = len(x)
-    e = math.frexp(size)[1]
-    powers = np.empty((max(n, 12) + 1, n, n))
-    powers[0] = np.eye(n)
-    powers[1] = np.ldexp(x, -e)                 # Y = X / 2^e, exactly
-    # a zero power up to Y^n ends the powers; past Y^n only the series needs more, up to Y^12
-    top = 1
-    while top < max(n, 12) and (top > n or powers[top].any()):
-        np.matmul(powers[top], powers[1], out=powers[top + 1])
-        top += 1
-    sizes = np.abs(powers[1:top + 1])
-    highs = sizes.max(axis=(1, 2))
-    nilpotent = top <= n and highs[-1] == 0 and (
-        sizes[:-1].min(where=sizes[:-1] > 0, initial=np.inf) >= _SQRT_TINY)
-    keep = top if nilpotent else min(top, 12) + 1          # a zero power drops out
-    t_mant, t_exp = np.frexp(ts.ravel())
-    q = t_exp + e                               # s = t 2^(e-k) = t_mant 2^q
-    k = steps = 0                               # squarings: none for a nilpotent X
-    if not nilpotent:
-        # ||t X|| = |t| 2^e ||Y|| read as mantissa and exponent, so no product overflows
-        norm_mant, norm_exp = np.frexp(np.linalg.svd(powers[1], compute_uv=False)[0])
+    e = np.frexp(sizes)[1]
+    last = max(n, 12)
+    powers = np.empty((last, b, n, n))              # Y^m at [m - 1]
+    powers[0] = np.ldexp(xs, -e[:, None, None])     # Y = X / 2^e, exactly
+    # a zero power up to Y^n ends a matrix's powers, and every later power is zero too;
+    # past Y^n only the series needs more, up to Y^12
+    level = 1
+    while level < last and (level > n or powers[level - 1].any()):
+        np.matmul(powers[level - 1], powers[0], out=powers[level])
+        level += 1
+    sizes = np.abs(powers[:level])
+    highs = sizes.max(axis=(2, 3))                  # max|Y^m| at [m - 1, i]
+    # a zero power up to Y^n makes every later one zero, so the first one, top, ends the
+    # nonzero powers up to Y^n, and the least nonzero entry is one of Y, ..., Y^(top-1)
+    zero = highs[min(n, level) - 1] == 0
+    top = np.where(zero, (highs[:n] > 0).sum(axis=0) + 1, level)
+    nilpotent = zero & (sizes.min(axis=(0, 2, 3), where=sizes > 0, initial=np.inf) >= _SQRT_TINY)
+    keep = np.where(nilpotent, top, np.minimum(top, 12) + 1)     # a zero power drops out
+    t_mant, t_exp = np.frexp(ts)
+    q = t_exp + e                                   # s = t 2^(e-k) = t_mant 2^q
+    steps = 0                                       # squarings: none for a nilpotent X
+    if not nilpotent.all():
+        # ||t X|| = |t| 2^e ||Y|| read as mantissa and exponent, so no product overflows;
+        # a nilpotent X has norm 0 here, and so no squarings
+        norms = np.zeros(b)
+        for i in np.flatnonzero(~nilpotent):
+            norms[i] = np.linalg.svd(powers[0, i], compute_uv=False)[0]
+        norm_mant, norm_exp = np.frexp(norms)
         size_mant, size_exp = np.frexp(np.abs(t_mant) * norm_mant)
         # the least k >= 0 with ||t X|| <= 2^(k-1); none for t = 0
         least = size_exp + q + norm_exp + (size_mant != 0.5)
         k = np.where(size_mant == 0, 0, np.maximum(least, 0))
-        steps = k.max(initial=0)
         q = q - k
+        k = k.T.ravel()                             # in the order of the slices
+        steps = k.max(initial=0)
 
     # Y^m gets s^m / m!.  Each power is held as 2^-h M with max|M| in [1, 2), so the
     # coefficient (t_mant^m / m!) 2^(mq - h) overflows only where the term does, and
-    # each term is exact where it is a normal float
-    h = 1 - np.frexp(highs[:keep - 1])[1]
-    mants = np.ldexp(powers[1:keep], h[:, None, None])
-    m = np.arange(1, keep)[:, None]
+    # each term is exact where it is a normal float.  A matrix takes terms up to
+    # Y^(keep-1).  Only the zero matrix takes none, and its term of Y is exactly zero
+    # (Y = 0, coefficient t / 2), so every slice starts as the term of Y plus I, formed
+    # in place: c Y + I rounds as I + c Y does
+    terms, shared = max(int(keep.max()), 2) - 1, max(int(keep.min()), 2) - 1
+    h = 1 - np.frexp(highs[:terms])[1]
+    mants = np.ldexp(powers[:terms], h[:, :, None, None])[:, :, None]
+    m = np.arange(1, terms + 1)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow ends as inf or NaN
         coeffs = np.ldexp(np.cumprod(t_mant / m, axis=0), m * q - h[:, None])
-        series = np.repeat(powers[:1], len(t_mant), axis=0)
-        for coeff, mant in zip(coeffs[:, :, None, None], mants):
+        coeffs = coeffs.transpose(0, 2, 1)[..., None, None]
+        series = np.multiply(coeffs[0], mants[0], out=np.empty((b, len(ts), n, n)))
+        series += np.eye(n)
+        for coeff, mant in zip(coeffs[1:shared], mants[1:]):
             series += coeff * mant
+        for term in range(shared, terms):
+            took = np.flatnonzero(keep > term + 1)
+            series[took] += coeffs[term, took] * mants[term, took]
+        flat = series.reshape(-1, n, n)
         for step in range(steps):
             rows = np.flatnonzero(k > step)
-            square = series[rows]
-            series[rows] = square @ square
-    return series if ts.ndim else series[0]
+            square = flat[rows]
+            flat[rows] = square @ square
+    return series
+
+
+def _exp_factors(xs: np.ndarray, ts: np.ndarray):
+    """``_exp_stack(xs, ts)`` one matrix's (N, n, n) stack at a time.
+
+    The kernel runs on blocks of consecutive matrices, each block at most
+    max(_BLOCK_ENTRIES, N n^2) entries, so a large draw holds one factor at a
+    time.
+    """
+    slab = len(ts) * xs.shape[1] ** 2
+    step = max(_BLOCK_ENTRIES, slab) // max(1, slab)
+    for lo in range(0, len(xs), step):
+        yield from _exp_stack(xs[lo:lo + step], ts[:, lo:lo + step])
 
 
 @dataclass(frozen=True)
@@ -142,9 +193,17 @@ def sample_points(realization: MatrixRealization, count: int, seed: int,
 
     The coefficients of all points are one (count, d) draw, so point k uses
     the same stream positions as the k-th of ``count`` single-point draws.
+    The factors come from ``_exp_factors``, a block of basis matrices per
+    kernel call, and are multiplied into the points in basis order.
     """
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise ValueError(f"count must be an integer, got {count!r}") from None
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(f"scale must be a finite number >= 0, got {scale!r}")
     if not math.isfinite(2.0 * scale):
         raise StructureError(f"sampling range [-{scale}, {scale}] overflows; reduce scale")
     rng = np.random.default_rng(seed)
@@ -152,8 +211,9 @@ def sample_points(realization: MatrixRealization, count: int, seed: int,
     points = np.broadcast_to(np.eye(realization.ambient),
                              (count, realization.ambient, realization.ambient))
     with np.errstate(over="ignore", invalid="ignore"):   # checked just below
-        for column, mat in zip(coeffs.T, realization.rep):
-            points = points @ exp_matrix(mat, column)
+        for factor in _exp_factors(realization.rep, coeffs):
+            points = points @ factor
+            del factor          # a finished block is freed before the next one is formed
     if not np.all(np.isfinite(points)):
         raise StructureError("sampled point has non-finite entries; reduce scale")
     return list(points)

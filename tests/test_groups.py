@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 import liemorph as lm
 from liemorph.algebra import derived_series, Subspace
 from liemorph.errors import StructureError
-from liemorph.groups import (MatrixRealization, build_damek_ricci, build_G3, build_Galpha,
-                             build_K, exp_matrix, sample_points)
+from liemorph import groups
+from liemorph.groups import (MatrixRealization, _exp_stack, build_damek_ricci, build_G3,
+                             build_Galpha, build_K, exp_matrix, sample_points)
 
 
 def test_exp_nilpotent_exact_series():
@@ -219,10 +221,17 @@ def test_damek_ricci_quaternionic_j_maps():
         assert check.residual <= check.tol, check.name
 
 
-@pytest.mark.parametrize("name", ["N4", "H2", "K4", "S3", "G3"])
+@pytest.fixture(scope="module")
+def realizations(built):
+    """The shared realizations plus the benchmark's inputs N_10 and S_8."""
+    return {**{name: real for name, (_, real) in built.items()},
+            "N10": lm.build_N(10)[1], "S8": lm.build_S(8)[1]}
+
+
+@pytest.mark.parametrize("name", ["N4", "H2", "K4", "S3", "G3", "N10", "S8"])
 @pytest.mark.parametrize("scale", [1.0, 3.0])
-def test_batched_sampling_matches_sequential_products(built, name, scale):
-    _, real = built[name]
+def test_batched_sampling_matches_sequential_products(realizations, name, scale):
+    real = realizations[name]
     points = sample_points(real, 12, seed=11, scale=scale)
     rng = np.random.default_rng(11)
     for p in points:
@@ -230,6 +239,71 @@ def test_batched_sampling_matches_sequential_products(built, name, scale):
         for coeff, mat in zip(rng.uniform(-scale, scale, real.algebra.dim), real.rep):
             want = want @ exp_matrix(mat, float(coeff))
         np.testing.assert_array_equal(p, want)
+
+
+@pytest.mark.parametrize("name", ["N10", "S8"])
+def test_sampling_in_several_blocks_matches_sequential_products(realizations, name,
+                                                                monkeypatch):
+    # 40 points: a block holds max(2^15, 40 n^2) // (40 n^2) basis matrices, fewer than d
+    real, count = realizations[name], 40
+    slab = count * real.ambient ** 2
+    step = max(groups._BLOCK_ENTRIES, slab) // slab
+    calls = []
+    monkeypatch.setattr(groups, "_exp_stack",
+                        lambda xs, ts: calls.append(len(xs)) or _exp_stack(xs, ts))
+    points = sample_points(real, count, seed=5, scale=2.0)
+    assert calls == [step] * (real.algebra.dim // step) + [real.algebra.dim % step] * (
+        real.algebra.dim % step > 0)
+    assert len(calls) > 1
+    rng = np.random.default_rng(5)
+    for p in points:
+        want = np.eye(real.ambient)
+        for coeff, mat in zip(rng.uniform(-2.0, 2.0, real.algebra.dim), real.rep):
+            want = want @ exp_matrix(mat, float(coeff))
+        np.testing.assert_array_equal(p, want)
+
+
+def test_sampling_memory_is_one_block_not_every_factor(realizations):
+    # 5000 points of N_10: every factor at once would be d N n^2 = 45 slabs of N n^2
+    # entries; one block at a time keeps the peak at a few slabs
+    real, count = realizations["N10"], 5000
+    slab_bytes = count * real.ambient ** 2 * 8
+    tracemalloc.start()
+    try:
+        sample_points(real, count, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * slab_bytes
+
+
+def _mixed_stack(n, rng):
+    """A zero matrix, a unit, a Jordan block, a diagonal, a rotation and a generic matrix."""
+    unit = np.zeros((n, n))
+    unit[0, n - 1] = 1.0
+    rotation = np.zeros((n, n))
+    rotation[0, 1], rotation[1, 0] = -2.0, 2.0
+    return np.stack([np.zeros((n, n)), unit, np.diag(np.ones(n - 1), 1),
+                     np.diag(rng.uniform(-2.0, 2.0, n)), rotation, rng.standard_normal((n, n))])
+
+
+@pytest.mark.parametrize("n", [3, 14])
+def test_exp_stack_slices_are_their_own_calls(n, rng):
+    # one stack of every kind; the last t row overflows the Jordan block (1e80 for
+    # n = 14, whose series reaches t^13 / 13!, 1e200 for n = 3) and the diagonal (1e308)
+    # and leaves the other slices bit-identical, with no warning
+    xs = _mixed_stack(n, rng)
+    ts = np.vstack([rng.uniform(-3.0, 3.0, (4, len(xs))), np.zeros(len(xs)),
+                    [0.5, -1.0, 1e80 if n > 12 else 1e200, 1e308, 0.25, 0.1]])
+    out = _exp_stack(xs, ts)
+    assert out.shape == (len(xs), len(ts), n, n)
+    for i, x in enumerate(xs):
+        assert out[i].tobytes() == exp_matrix(x, ts[:, i]).tobytes(), i
+        alone = np.stack([exp_matrix(x, t) for t in ts[:, i]])
+        assert out[i].tobytes() == alone.tobytes(), i
+    assert not np.isfinite(out[2, -1]).all() and not np.isfinite(out[3, -1]).all()
+    assert np.isfinite(np.delete(out, [2, 3], axis=0)).all()
+    assert np.isfinite(out[[2, 3], :-1]).all()
 
 
 def test_exp_batch_matches_scalar_calls(rng):
@@ -307,6 +381,15 @@ def test_exp_a_chain_whose_power_underflows_keeps_its_terms():
     out = exp_matrix(np.diag([1e-200, 1e-200, 1.0], 1), 1e200)
     assert out[0, 2] == pytest.approx(0.5, rel=1e-12)
     assert out[0, 3] == pytest.approx(1e200 / 6.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("count, scale, message", [
+    (2.5, 1.0, "count must be an integer"), (3, math.nan, "scale must be"),
+    (3, -1.0, "scale must be"), (3, math.inf, "scale must be")])
+def test_sampling_argument_errors_name_the_argument(built, count, scale, message):
+    _, real = built["N3"]
+    with pytest.raises(ValueError, match=message):
+        sample_points(real, count, seed=1, scale=scale)
 
 
 def test_sampling_overflow_is_a_structure_error(built):

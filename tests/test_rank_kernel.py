@@ -96,6 +96,7 @@ def test_compressed_series_and_center_match_plain_svd(name, algebras):
     alg = algebras[name]
     c, d = alg.structure_constants, alg.dim
     floor = RANK_TOL * _scale(c)
+    assert alg._c_scale == _scale(c)          # the floor the series and center use
     derived, lower = derived_series(alg), lower_central_series(alg)
     # every term brackets once more, the last one included: that is the step
     # which found the series stable
