@@ -47,5 +47,9 @@ def max_residual(residuals) -> float:
     """Largest of the residuals, 0.0 for none; a NaN among them is returned as NaN.
 
     Python's ``max(0.0, nan)`` is 0.0, which would let a NaN residual pass.
+    An array is reduced by one ``np.max`` starting from 0.0, which keeps a
+    NaN as well; anything else, such as a generator, is listed first.
     """
+    if isinstance(residuals, np.ndarray):
+        return float(np.max(residuals, initial=0.0))
     return float(np.max([0.0, *residuals]))

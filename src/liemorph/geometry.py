@@ -53,6 +53,12 @@ class ConnectionTable:
         return r
 
 
+# The contraction orders that ``optimize=True`` (greedy) picks for koszul's two
+# einsums at every size; fixed here, so no call searches for them again.
+_BR_PATH = ["einsum_path", (0, 2), (0, 1)]
+_F_PATH = ["einsum_path", (1, 2), (0, 1)]
+
+
 def koszul(algebra: LieAlgebra, onb=None) -> ConnectionTable:
     """Connection table from the Koszul formula for left-invariant fields.
 
@@ -60,8 +66,8 @@ def koszul(algebra: LieAlgebra, onb=None) -> ConnectionTable:
     orthonormal frame of the whole algebra (by default the Cholesky one).
     """
     onb = _orthonormal_frame(algebra, onb)
-    br = np.einsum("ai,bj,ijk->abk", onb, onb, algebra.structure_constants, optimize=True)
-    f = np.einsum("abk,kl,cl->abc", br, algebra.gram, onb, optimize=True)
+    br = np.einsum("ai,bj,ijk->abk", onb, onb, algebra.structure_constants, optimize=_BR_PATH)
+    f = np.einsum("abk,kl,cl->abc", br, algebra.gram, onb, optimize=_F_PATH)
     # transpose(2,0,1)[a,b,c] = f[b,c,a] and transpose(1,2,0)[a,b,c] = f[c,a,b]
     gamma = 0.5 * (f - f.transpose(2, 0, 1) + f.transpose(1, 2, 0))
     gamma.flags.writeable = f.flags.writeable = False     # the table caches its curvature

@@ -6,7 +6,9 @@ with ``Jet2`` arithmetic running elementwise on (P, D) arrays (second-order
 Taylor mode).  A ``HolomorphicImage`` F(phi) applies the second-order chain
 rule to its sub-field jets instead, with F and its derivatives evaluated on
 the (P, 1) values only, and ``CurveJet.jet`` evaluates each field once per
-curve, however many images share it.  ``verify_family`` puts all sample
+curve, however many images share it.  A field's hash is formed once, and
+polynomials with the same exponents share one chain-rule table.
+``verify_family`` puts all sample
 points and every frame direction plus the tension drift into one curve;
 ``kappa``, ``laplacian``, ``kappa_matrix``, ``laplacian_values`` and
 ``derivs`` are views of the same evaluation at one point.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -104,6 +106,26 @@ class CurveJet:
         return jet
 
 
+def _hash_once(cls):
+    """``dataclass(frozen=True)`` whose hash is formed on first use and kept.
+
+    ``CurveJet.jet`` hashes a field on every lookup, and a field's hash
+    recurses through its coefficients, polynomial and sub-fields.  Equality
+    is the dataclass's own.
+    """
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self):
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = fields_hash(self)
+        return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # scalar fields
 # ---------------------------------------------------------------------------
@@ -120,7 +142,7 @@ class ScalarField:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@_hash_once
 class MatrixEntry(ScalarField):
     """x -> x[i, j] (zero-based)."""
 
@@ -141,7 +163,7 @@ class MatrixEntry(ScalarField):
         return f"entry[{self.i},{self.j}]"
 
 
-@dataclass(frozen=True)
+@_hash_once
 class LogDiag(ScalarField):
     """x -> log x[i, i]; only defined where the diagonal entry is positive."""
 
@@ -160,7 +182,7 @@ class LogDiag(ScalarField):
         return f"log_diag[{self.i}]"
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Constant(ScalarField):
     c: complex
 
@@ -178,7 +200,7 @@ class Constant(ScalarField):
         return f"const[{self.c}]"
 
 
-@dataclass(frozen=True)
+@_hash_once
 class LinearCombo(ScalarField):
     """sum_k coeffs[k] * fields[k]; complex coefficients give a complex field."""
 
@@ -194,17 +216,19 @@ class LinearCombo(ScalarField):
         return sum(c * f.value(point) for c, f in zip(self.coeffs, self.fields))
 
     def eval_jet(self, curve):
-        out = Jet2(0.0, 0.0, 0.0)
+        """Each part summed term by term in term order, from 0.0, with no jet per term."""
+        v = d1 = d2 = 0.0
         for c, f in zip(self.coeffs, self.fields):
-            out = out + c * curve.jet(f)
-        return out
+            jet = curve.jet(f)
+            v, d1, d2 = v + c * jet.v, d1 + c * jet.d1, d2 + c * jet.d2
+        return Jet2(v, d1, d2)
 
     def __repr__(self):
         terms = " + ".join(f"({c})*{f!r}" for c, f in zip(self.coeffs, self.fields))
         return f"combo[{terms}]"
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Polynomial:
     """Polynomial in several complex variables: {exponent tuple: coefficient}."""
 
@@ -242,62 +266,85 @@ class Polynomial:
 
     @cached_property
     def _chain(self) -> tuple:
-        """(exponents, coeffs): F, its gradient and its upper Hessian from monomial rows.
+        """(take, width, coeffs): F, its gradient and its upper Hessian on monomials.
 
         Column c of ``coeffs`` is the derivative of order ``_derivative_orders``
         [c]: F, then d_k F for each k, then d_k d_l F for each k <= l (doubled
         when k < l, so each symmetric pair is summed once).  It is
-        sum_r coeffs[r, c] z ** exponents[r]: since
-        d^a z^e = falling(e, a) z^(e - a), each term gives one row to every
-        derivative that does not vanish on it.
+        sum_m coeffs[m, c] times monomial m, whose powers ``take`` and
+        ``width`` locate (see ``_chain_table``, shared by every polynomial with
+        these exponents).
         """
-        n = self.n_vars
-        exponents = np.array([tuple(e) + (0,) * (n - len(e)) for e, _ in self.terms],
-                             dtype=np.intp).reshape(len(self.terms), n)
-        orders, weights = _derivative_orders(n)
-        e = np.arange(exponents.max(initial=0) + 1)
-        falling = np.array([np.ones_like(e), e, e * (e - 1)])     # falling[a, e], a <= 2
-        factors = falling[orders[:, None, :], exponents].prod(axis=2) * weights[:, None]
-        col, term = np.nonzero(factors)
-        coeffs = np.zeros((len(col), len(orders)), dtype=complex)
-        coeffs[np.arange(len(col)), col] = (
-            np.array([c for _, c in self.terms], dtype=complex)[term] * factors[col, term])
-        return exponents[term] - orders[col], coeffs
+        take, width, row, col, term, factors, columns = _chain_table(
+            tuple(e for e, _ in self.terms))
+        coeffs = np.zeros((len(take), columns), dtype=complex)
+        coeffs[row, col] = np.array([c for _, c in self.terms], dtype=complex)[term] * factors
+        return take, width, coeffs
 
     def derivatives(self, values: np.ndarray) -> np.ndarray:
         """F, d_k F and the doubled upper Hessian (see ``_chain``) at Q points.
 
-        ``values`` is (Q, n) complex, one column per variable; the result is
-        (Q, 1 + n + n(n+1)/2).  Powers are repeated products, as in
-        ``__call__``.  Each point takes its own (1, R) @ (R, columns)
-        product, so its sums do not depend on how many points come with it.
+        ``values`` is (Q, n), one column per variable; the result is complex,
+        (Q, 1 + n + n(n+1)/2).  Each variable's powers are repeated products,
+        as in ``__call__``, formed once in one table; each monomial is the
+        product of its powers read from it.  Each point takes its own
+        (1, M) @ (M, columns) product, so its sums do not depend on how many
+        points come with it.
         """
-        exponents, coeffs = self._chain
-        mono = np.ones((len(values), len(exponents)), dtype=complex)
-        for z, column in zip(values.T, exponents.T):
-            powers = np.empty((len(z), max(2, column.max(initial=0) + 1)), dtype=complex)
-            powers[:, 0] = 1.0
-            powers[:, 1] = z
-            for e in range(2, powers.shape[1]):
-                np.multiply(powers[:, e - 1], z, out=powers[:, e])
-            mono *= powers[:, column]
+        take, width, coeffs = self._chain
+        powers = np.empty(values.shape + (width,), dtype=complex)       # (Q, n, width)
+        powers[..., 0] = 1.0
+        powers[..., 1] = values
+        for e in range(2, width):
+            np.multiply(powers[..., e - 1], values, out=powers[..., e])
+        mono = powers.reshape(len(values), -1)[:, take].prod(axis=2)     # (Q, M)
         return (mono[:, None, :] @ coeffs)[:, 0]
+
+
+@lru_cache(maxsize=32)
+def _chain_table(exponents: tuple) -> tuple:
+    """The integer part of ``Polynomial._chain`` for terms with these exponents.
+
+    Since d^a z^e = falling(e, a) z^(e - a), term t gives z^(e_t - a), times
+    that factor, to every derivative column of order a that does not vanish
+    on it; equal monomials share one row.  Returns ``take``, each of the M
+    distinct monomials as the (M, n) flat indices of its powers in a
+    (Q, n, width) table of each variable's powers 0 .. width - 1, and
+    ``width``; then, per non-vanishing (column, term) pair, its monomial row,
+    column, term and factor; then the number of columns.
+    """
+    n = max((len(e) for e in exponents), default=0)
+    exps = np.array([tuple(e) + (0,) * (n - len(e)) for e in exponents],
+                    dtype=np.intp).reshape(len(exponents), n)
+    orders, weights, _ = _derivative_orders(n)
+    e = np.arange(exps.max(initial=0) + 1)
+    falling = np.array([np.ones_like(e), e, e * (e - 1)])     # falling[a, e], a <= 2
+    factors = falling[orders[:, None, :], exps].prod(axis=2) * weights[:, None]
+    col, term = np.nonzero(factors)
+    monomials, row = np.unique(exps[term] - orders[col], axis=0, return_inverse=True)
+    width = max(2, len(e))
+    table = (monomials + width * np.arange(n), width, row.reshape(-1), col, term,
+             factors[col, term], len(orders))
+    for part in table:
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False      # shared by every polynomial with these exponents
+    return table
 
 
 @cache
 def _derivative_orders(n: int) -> tuple:
     """Orders of F, of each d_k F and of each d_k d_l F (k <= l) in n variables.
 
-    Returns the (1 + n + n(n+1)/2, n) orders and each column's weight: 2 for
-    k < l, whose twin d_l d_k F is not listed, else 1.
+    Returns the (1 + n + n(n+1)/2, n) orders, each column's weight (2 for
+    k < l, whose twin d_l d_k F is not listed, else 1) and the pairs (k, l).
     """
     eye = np.eye(n, dtype=np.intp)
     k, l = np.triu_indices(n)
     orders = np.concatenate([np.zeros((1, n), dtype=np.intp), eye, eye[k] + eye[l]])
-    return orders, np.concatenate([np.ones(1 + n, dtype=np.intp), 2 - (k == l)])
+    return orders, np.concatenate([np.ones(1 + n, dtype=np.intp), 2 - (k == l)]), (k, l)
 
 
-@dataclass(frozen=True)
+@_hash_once
 class HolomorphicImage(ScalarField):
     """F(phi_1, ..., phi_n) for a polynomial F and complex sub-fields phi_k."""
 
@@ -328,14 +375,13 @@ class HolomorphicImage(ScalarField):
         z = np.empty((n,) + shape, dtype=complex)
         for k, v in enumerate(values):
             z[k] = v
-        z = z.reshape(n, math.prod(shape)).T
-        derivs = [col.reshape(shape) for col in self.poly.derivatives(z).T]
+        derivs = self.poly.derivatives(z.reshape(n, math.prod(shape)).T)
+        derivs = derivs.T.reshape((-1,) + shape)        # (columns, *value shape)
         d1 = d2 = 0.0
         for k in range(n):
             d1 = d1 + derivs[1 + k] * jets[k].d1
             d2 = d2 + derivs[1 + k] * jets[k].d2
-        pairs = itertools.combinations_with_replacement(range(n), 2)   # k <= l, as in _chain
-        for hess, (k, l) in zip(derivs[1 + n:], pairs):
+        for hess, k, l in zip(derivs[1 + n:], *_derivative_orders(n)[2]):    # k <= l, as in _chain
             d2 = d2 + hess * (jets[k].d1 * jets[l].d1)
         return Jet2(derivs[0], d1, d2)
 

@@ -45,6 +45,22 @@ def test_max_residual_keeps_nan():
     assert max_residual([1.0, math.inf]) == math.inf
 
 
+def test_max_residual_of_an_array_is_one_reduction():
+    assert max_residual(np.array([])) == 0.0
+    assert max_residual(np.zeros((0, 3))) == 0.0
+    for size in (1, 2, 7, 64, 2000):
+        for where in (0, size // 2, size - 1):
+            values = np.random.default_rng(size).random(size)
+            values[where] = math.nan
+            assert math.isnan(max_residual(values))
+    rng = np.random.default_rng(5)
+    for size in (1, 3, 100, 2000):
+        values = rng.random(size) * 10.0 ** rng.integers(-300, 300, size)
+        got, want = max_residual(values), max_residual(list(values))
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert max_residual(np.array([1.0, math.inf])) == math.inf
+
+
 @pytest.mark.parametrize("fn, param, name", [
     (second_construction_check, "dilation_tol", "dilation"),
     (second_construction_check, "minimality_tol", "minimality"),

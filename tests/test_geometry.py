@@ -46,6 +46,22 @@ def test_koszul_invariants_all_builtins(built):
             assert resid < 1e-10, f"{name}: {check} = {resid}"
 
 
+@pytest.mark.parametrize("name", ["G3", "G_alpha(0.5)", "DR(2, 1)", "N6", "S4", "N10"])
+def test_koszul_fixed_paths_match_the_searched_ones(name):
+    """koszul's fixed contraction orders give the bits of optimize=True."""
+    alg = {"G3": lambda: lm.build_G3(1.0, 0.5), "G_alpha(0.5)": lambda: lm.build_Galpha(0.5),
+           "DR(2, 1)": lambda: lm.build_damek_ricci(2, 1), "N6": lambda: lm.build_N(6),
+           "S4": lambda: lm.build_S(4), "N10": lambda: lm.build_N(10)}[name]()[0]
+    cholesky = lm.orthonormal_basis(alg)
+    rotation, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((alg.dim, alg.dim)))
+    for onb in (cholesky, rotation @ cholesky):
+        table = koszul(alg, onb)
+        br = np.einsum("ai,bj,ijk->abk", onb, onb, alg.structure_constants, optimize=True)
+        f = np.einsum("abk,kl,cl->abc", br, alg.gram, onb, optimize=True)
+        assert np.array_equal(table.frame_brackets, f)
+        assert np.array_equal(table.gamma, 0.5 * (f - f.transpose(2, 0, 1) + f.transpose(1, 2, 0)))
+
+
 def test_koszul_requires_orthonormal_frame(built):
     alg, _ = built["N3"]
     with pytest.raises(StructureError):

@@ -659,3 +659,123 @@ def test_scalar_times_jet_matches_the_jet_product(rng):
             want = jet * Jet2(c, 0.0, 0.0)
             for part in ("v", "d1", "d2"):
                 np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+
+
+# ---------------------------------------------------------------------------
+# pairings, shared chain tables and cached hashes
+# ---------------------------------------------------------------------------
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name, kind", [("N4", "N"), ("H2", "H"), ("K4", "K")])
+@pytest.mark.parametrize("n_points", [1, 7, 300])
+def test_a_pairing_is_the_term_by_term_jet_sum_bit_for_bit(built, frames, rng, name, kind,
+                                                           n_points):
+    alg, real = built[name]
+    fc = lm.first_construction(alg, real, kind)
+    curve = frame_curve(name, built, frames, n_points=n_points)
+    m = len(fc.phi)
+    combos = list(fc.family) + [
+        linear_combination(rng.standard_normal(m), fc.phi),
+        lm.pairing(rng.standard_normal(m) + 1j * rng.standard_normal(m), fc.phi),
+        linear_combination([0.5, -2.0 + 1j, 3.0], [fc.phi[0], Constant(0.25), fc.phi[-1]])]
+    for combo in combos:
+        want = Jet2(0.0, 0.0, 0.0)
+        for c, f in zip(combo.coeffs, combo.fields):
+            want = want + c * curve.jet(f)
+        got = combo.eval_jet(curve)
+        for part in ("v", "d1", "d2"):
+            assert same_bits(getattr(got, part), getattr(want, part)), (combo, part)
+
+
+def test_polynomials_with_the_same_monomials_share_one_table(built, frames, rng):
+    from liemorph.jets import _chain_table
+    alg, real = built["H2"]
+    fc = lm.first_construction(alg, real, "H")
+    curve = frame_curve("H2", built, frames)
+    p, q = random_polynomial(2, rng), random_polynomial(2, rng)
+    assert [e for e, _ in p.terms] == [e for e, _ in q.terms] and p.terms != q.terms
+    hits = _chain_table.cache_info().hits
+    take, width, coeffs = p._chain
+    assert q._chain[0] is take and q._chain[1] == width
+    assert _chain_table.cache_info().hits >= hits + 1
+    assert take.shape == (10, 2)        # 31 term-derivative pairs of degree <= 3 on 10 monomials
+    assert not np.array_equal(coeffs, q._chain[2])
+    for poly in (p, q):
+        image = holomorphic_post(poly, fc.family)
+        assert_jets_close(image.eval_jet(curve), jet2_reference(image, curve))
+
+
+def test_equal_fields_hash_equal_on_every_call(built, rng):
+    alg, real = built["H2"]
+    fc = lm.first_construction(alg, real, "H")
+    poly = random_polynomial(2, rng)
+
+    def make():
+        return [matrix_entry(0, 1), log_diag(1), Constant(0.5 - 1j),
+                linear_combination([1.5, -2.0], fc.phi[:2]), lm.pairing([1.0, 1j], fc.phi[:2]),
+                Polynomial(poly.terms), holomorphic_post(Polynomial(poly.terms), fc.family)]
+
+    first, second = make(), make()
+    for a, b in zip(first, second):
+        assert a is not b and a == b
+        h = hash(a)
+        assert hash(a) == h == hash(b)
+    assert first[-1] != holomorphic_post(random_polynomial(2, rng), fc.family)
+
+
+class Counted:
+    """Mixin counting the hashes of a number, so a test sees when a field re-hashes it."""
+
+    hashes = 0
+
+    def __hash__(self):
+        Counted.hashes += 1
+        return super().__hash__()
+
+
+class CountedInt(Counted, int):
+    pass
+
+
+class CountedFloat(Counted, float):
+    pass
+
+
+def test_each_field_hashes_its_parts_only_once(built):
+    alg, real = built["H2"]
+    fc = lm.first_construction(alg, real, "H")
+    one, half = CountedInt(1), CountedFloat(0.5)
+    poly = Polynomial((((one, 0), half), ((0, 2), 1j)))
+    fields = [matrix_entry(one, 2), log_diag(one), Constant(half),
+              LinearCombo((half, -1.0), fc.phi[:2]), poly,
+              holomorphic_post(Polynomial(poly.terms), fc.family)]
+    for f in fields:
+        Counted.hashes = 0
+        h = hash(f)
+        first = Counted.hashes
+        assert first >= 1, f
+        for _ in range(3):
+            assert hash(f) == h
+        assert Counted.hashes == first, f
+
+
+def test_equal_images_on_one_curve_are_evaluated_once(built, frames, rng, monkeypatch):
+    alg, real = built["H2"]
+    fc = lm.first_construction(alg, real, "H")
+    calls = []
+    original = HolomorphicImage.eval_jet
+
+    def counting(self, curve):
+        calls.append(self)
+        return original(self, curve)
+
+    monkeypatch.setattr(HolomorphicImage, "eval_jet", counting)
+    curve = frame_curve("H2", built, frames)
+    poly = random_polynomial(2, rng)
+    images = [holomorphic_post(Polynomial(poly.terms), fc.family) for _ in range(3)]
+    jets = [curve.jet(image) for image in images]
+    assert len(calls) == 1 and all(j is jets[0] for j in jets)
