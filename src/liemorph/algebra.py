@@ -31,8 +31,19 @@ def _readonly(a, dtype=float):
 
 
 def _scale(c: np.ndarray) -> float:
-    """max(1, max |c|): the size structural tolerances and rank floors scale with."""
-    return max(1.0, float(np.abs(c).max()))
+    """max(1, max |c|): the size structural tolerances and rank floors scale with.
+
+    A non-finite entry is left out, so a tolerance scaled by it stays finite.
+    """
+    size = float(np.abs(c).max())
+    if not math.isfinite(size):         # only non-finite data pays for the mask
+        size = float(np.abs(c).max(initial=0.0, where=np.isfinite(c)))
+    return max(1.0, size)
+
+
+def _dependent(rows: np.ndarray) -> bool:
+    """Whether the (k, m) rows, real or complex, have rank below k at RANK_TOL * _scale(rows)."""
+    return np.linalg.matrix_rank(rows, tol=RANK_TOL * _scale(rows)) < len(rows)
 
 
 def _coo_max_abs(terms, budget: float = math.inf) -> float | None:
@@ -169,16 +180,18 @@ class LieAlgebra:
     def _validation(self) -> tuple[Check, ...]:
         c, g = self.structure_constants, self.gram
         scale = self._c_scale
-        anti = float(np.abs(c + c.transpose(1, 0, 2)).max())
+        with np.errstate(invalid="ignore"):     # inf - inf: a non-finite entry fails as NaN
+            anti = float(np.abs(c + c.transpose(1, 0, 2)).max())
+            gsym = float(np.abs(g - g.T).max())
         jacobi = _jacobi_residual(c)
-        gsym = float(np.abs(g - g.T).max())
-        eig = np.linalg.eigvalsh(0.5 * (g + g.T))
-        floor = 1e-12 * max(1.0, float(eig.max()))
-        posdef = max(0.0, floor - float(eig.min()))
+        posdef = math.nan       # no eigenvalues of non-finite data; max(0.0, nan) would pass
+        if np.isfinite(g).all():
+            eig = np.linalg.eigvalsh(0.5 * (g + g.T))
+            posdef = max(0.0, 1e-12 * max(1.0, float(eig.max())) - float(eig.min()))
         return (
             Check("antisymmetry", anti, 1e-12 * scale),
             Check("jacobi", jacobi, 1e-12 * scale),
-            Check("gram_symmetric", gsym, 1e-12 * max(1.0, float(np.abs(g).max()))),
+            Check("gram_symmetric", gsym, 1e-12 * _scale(g)),
             Check("gram_positive_definite", posdef, 0.0),
         )
 
@@ -218,7 +231,7 @@ class LieAlgebra:
         return float(np.asarray(x) @ self.gram @ np.asarray(y))
 
     def norm(self, x) -> float:
-        return float(np.sqrt(max(0.0, self.inner(x, x))))
+        return float(np.sqrt(np.maximum(0.0, self.inner(x, x))))     # a NaN stays NaN
 
 
 @dataclass(frozen=True)
@@ -232,10 +245,8 @@ class Subspace:
         b = np.asarray(self.basis, dtype=float).reshape(-1, self.ambient_dim)
         if not np.isfinite(b).all():
             raise StructureError("subspace basis has non-finite entries")
-        if b.shape[0] > 0:
-            rank = np.linalg.matrix_rank(b, tol=RANK_TOL * max(1.0, float(np.abs(b).max())))
-            if rank < b.shape[0]:
-                raise StructureError("subspace basis vectors are linearly dependent")
+        if b.shape[0] > 0 and _dependent(b):
+            raise StructureError("subspace basis vectors are linearly dependent")
         object.__setattr__(self, "basis", _readonly(b))
 
     @property
@@ -322,7 +333,7 @@ def orthonormalize(algebra: LieAlgebra, subspace: Subspace) -> Subspace:
             for u in out:
                 w = w - (u @ g @ w) * u
         nrm = np.sqrt(max(0.0, w @ g @ w))
-        if nrm <= 1e-12 * max(1.0, float(np.abs(v).max())):
+        if nrm <= 1e-12 * _scale(v):
             raise StructureError("orthonormalize: input vectors are rank deficient")
         out.append(w / nrm)
     return Subspace(subspace.ambient_dim, _fix_signs(np.array(out).reshape(-1, subspace.ambient_dim)))

@@ -46,10 +46,16 @@ class Check:
 def max_residual(residuals) -> float:
     """Largest of the residuals, 0.0 for none; a NaN among them is returned as NaN.
 
-    Python's ``max(0.0, nan)`` is 0.0, which would let a NaN residual pass.
-    An array is reduced by one ``np.max`` starting from 0.0, which keeps a
-    NaN as well; anything else, such as a generator, is listed first.
+    Python's ``max(0.0, nan)`` is 0.0, which would let a NaN residual pass;
+    ``np.max`` from 0.0 over the residuals' ``_as_stack`` keeps a NaN.
     """
-    if isinstance(residuals, np.ndarray):
-        return float(np.max(residuals, initial=0.0))
-    return float(np.max([0.0, *residuals]))
+    return float(np.max(_as_stack(residuals, "max_residual: ragged residuals"), initial=0.0))
+
+
+def _as_stack(values, message: str) -> np.ndarray:
+    """A float array: an ndarray as it is, another iterable through one list; ragged
+    rows raise ``ValueError`` with ``message`` and numpy's reason."""
+    try:
+        return np.asarray(values if isinstance(values, np.ndarray) else list(values), float)
+    except ValueError as err:
+        raise ValueError(f"{message} ({err})") from None

@@ -46,8 +46,8 @@ def fmt(x) -> str:
 
 
 def as_dict(check: Check) -> dict:
-    return {"name": check.name, "max_residual": fmt(check.residual),
-            "tolerance": fmt(check.tol), "pass": check.passed}
+    return {"name": check.name, "max_residual": check.residual,
+            "tolerance": check.tol, "pass": check.passed}
 
 
 @dataclass
@@ -67,21 +67,29 @@ class JobConfig:
     def echo(self) -> dict:
         return {
             "kind": self.kind,
-            "algebra": _stringify(self.algebra_source),
-            "sampling": {"count": self.count, "seed": self.seed, "scale": fmt(self.scale)},
-            "tolerances": {k: fmt(v) for k, v in sorted(self.tolerances.items())},
-            "options": _stringify(self.options),
+            "algebra": self.algebra_source,
+            "sampling": {"count": self.count, "seed": self.seed, "scale": float(self.scale)},
+            "tolerances": {k: float(v) for k, v in sorted(self.tolerances.items())},
+            "options": self.options,
             "out": self.out,
         }
 
 
 def _stringify(obj):
+    """``obj`` as the report holds it: floats ``fmt``-ed, complex numbers as a+bj, numpy
+    scalars and arrays read as the Python numbers and lists they hold, containers walked."""
+    if isinstance(obj, (str, int)) or obj is None:      # bool is an int
+        return obj
     if isinstance(obj, float):
         return fmt(obj)
     if isinstance(obj, dict):
         return {k: _stringify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_stringify(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _stringify(obj.tolist())
+    if isinstance(obj, complex):
+        return f"{fmt(obj.real)}{'+' if obj.imag >= 0 else '-'}{fmt(abs(obj.imag))}j"
     return obj
 
 
@@ -244,19 +252,13 @@ def _job_check_algebra(config: JobConfig):
 def _family_summary(construction):
     return {
         "kind": construction.kind,
-        "xi": [fmt(x) for x in construction.xi],
+        "xi": construction.xi,
         "phi_components": [repr(f) for f in construction.phi],
         "isotropic_dim": len(construction.xi) // 2,     # of C^dim h, before the xi-perp cut
         "family_complex_dim": construction.complex_dim,
         "family_real_dim": construction.real_dim,
-        "family_vectors": [[_fmt_complex(z) for z in v]
-                           for v in construction.restricted.vectors],
+        "family_vectors": construction.restricted.vectors,
     }
-
-
-def _fmt_complex(z) -> str:
-    z = complex(z)
-    return f"{fmt(z.real)}{'+' if z.imag >= 0 else '-'}{fmt(abs(z.imag))}j"
 
 
 def _family_job(config: JobConfig, per_residual: bool):
@@ -338,8 +340,7 @@ def _job_second_construction(config: JobConfig):
     """
     graded = _root_graded_from_config(config)
     summary = {
-        "roots": [{"values": [fmt(v) for v in r.values], "dim": r.space.dim}
-                  for r in graded.roots],
+        "roots": [{"values": r.values, "dim": r.space.dim} for r in graded.roots],
         "beta_index": graded.beta_index,
         "a_dim": graded.a_space.dim,
     }
@@ -367,12 +368,12 @@ def _job_foliation_scan(config: JobConfig):
     for i, hit in enumerate(result.hits):
         checks.append(Check(f"hit[{i}]:residual", hit.residual, config.tol("classify")))
         entry = {
-            "vector": [fmt(v) for v in hit.vector],
+            "vector": hit.vector,
             "flags": hit.flags,
-            "alpha": fmt(hit.alpha),
-            "beta": fmt(hit.beta),
+            "alpha": hit.alpha,
+            "beta": hit.beta,
             "constant_curvature": hit.constant_curvature,
-            "curvature_value": fmt(hit.curvature_value),
+            "curvature_value": hit.curvature_value,
         }
         if hit.certificate is not None:      # the algebra is centerless and solvable
             checks += [replace(c, name=f"hit[{i}]:certificate:{c.name}")
@@ -386,7 +387,7 @@ def _job_foliation_scan(config: JobConfig):
     elif expect is False:       # only the Ricci certificate proves that there is none
         checks.append(Check("nonexistence_certified", 0.0 if result.certified else 1.0, 0.0))
     return checks, {"builtin": name, "hits": hits_summary,
-                    "min_residual": fmt(result.min_residual), "note": result.note}
+                    "min_residual": result.min_residual, "note": result.note}
 
 
 def _job_curvature(config: JobConfig):
@@ -411,8 +412,8 @@ def _job_curvature(config: JobConfig):
     planes = config.options.get("planes", 200)
     lo, hi, mean = sectional_profile(algebra, planes, config.seed, table)
     summary = {"builtin": name, "planes": planes,
-               "sectional_min": fmt(lo), "sectional_max": fmt(hi),
-               "sectional_mean": fmt(mean), "sectional_spread": fmt(hi - lo)}
+               "sectional_min": lo, "sectional_max": hi,
+               "sectional_mean": mean, "sectional_spread": hi - lo}
     if config.options.get("expect_constant"):
         tol = config.tol("curvature_constant")
         _, value, spread = is_constant_curvature(algebra, tol, table)
@@ -438,16 +439,16 @@ def run(config: JobConfig) -> dict:
     """Execute one job and return the report dictionary (deterministic but for wall time)."""
     start = time.perf_counter()
     checks, summary = _JOBS[config.kind](config)
-    overall = all(c.passed for c in checks)
-    return {
+    report = _stringify({       # every number of the report but its wall time
         "job": config.echo(),
         "environment": {"package": "liemorph", "version": __version__,
                         "seed": config.seed},
         "checks": [as_dict(c) for c in checks],
         "summary": summary,
-        "overall_pass": overall,
-        "wall_time_s": time.perf_counter() - start,
-    }
+        "overall_pass": all(c.passed for c in checks),
+    })
+    report["wall_time_s"] = time.perf_counter() - start
+    return report
 
 
 def render_report(report: dict) -> str:

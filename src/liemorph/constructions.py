@@ -14,9 +14,9 @@ from dataclasses import InitVar, dataclass, replace
 import numpy as np
 
 from . import jets
-from .algebra import (LieAlgebra, Subspace, _contract, _derived_algebra, _descending_series,
-                      _products_span, orthonormalize, span)
-from .checks import DEFAULT_TOLERANCES, Check, max_residual
+from .algebra import (LieAlgebra, Subspace, _contract, _dependent, _derived_algebra,
+                      _descending_series, _products_span, _scale, orthonormalize, span)
+from .checks import DEFAULT_TOLERANCES, Check, _as_stack, max_residual
 from .errors import ConstructionError, StructureError
 from .groups import MatrixRealization, _exp_factors
 
@@ -38,11 +38,9 @@ class IsotropicBasis:
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
         if v.shape[0]:
-            scale = max(1.0, float(np.abs(v).max()) ** 2)
-            prod = v @ v.T
-            if float(np.abs(prod).max()) > ISOTROPY_TOL * scale:
+            if float(np.abs(v @ v.T).max()) > ISOTROPY_TOL * _scale(v) ** 2:
                 raise StructureError("vectors are not isotropic for the symmetric bilinear form")
-            if np.linalg.matrix_rank(v, tol=1e-10 * max(1.0, float(np.abs(v).max()))) < v.shape[0]:
+            if _dependent(v):
                 raise StructureError("isotropic basis vectors are linearly dependent over C")
 
     @property
@@ -350,11 +348,7 @@ def second_construction_check(graded: RootGradedAlgebra, a_samples,
     """
     d = graded.algebra.dim
     shape = f"second_construction_check: a_samples must be an (N, {d}) array of samples of a"
-    try:        # an array as it is; an iterator or a sequence through one list
-        samples = np.asarray(a_samples if isinstance(a_samples, np.ndarray)
-                             else list(a_samples), dtype=float)
-    except ValueError as err:           # ragged: samples of different lengths
-        raise ValueError(f"{shape} ({err})") from None
+    samples = _as_stack(a_samples, shape)
     if not len(samples):
         raise ValueError("second_construction_check needs at least one sample of a")
     if samples.ndim != 2 or samples.shape[1] != d:

@@ -170,7 +170,9 @@ class ScanHit:
 CERTIFICATE, CANDIDATES, DERIVED_COMPLEMENT, EVERY_DIRECTION, UNDECIDED = (
     "certificate", "Ricci candidates", "[g, g]^perp", "every direction", "undecided")
 
-HIT_NOTE = "numeric scan over left-invariant line fields; not a proof"
+HIT_NOTE = ("{case}: each hit is a direction scored there whose residual passes the hit "
+            "tolerance, so its left-invariant line field is a conformal foliation by geodesics "
+            "to within that tolerance")
 RICCI_NOTE = ("Ricci certificate: Ric has {case}, where Ric restricted to the orthogonal plane "
               "is a multiple of the metric; each residual exceeds the hit tolerance by more than "
               "its rounding bound, so no conformal foliation by geodesics exists on any open set, "
@@ -258,7 +260,8 @@ def scan_3d(algebra: LieAlgebra, hit_tol: float = CLASSIFY_TOL,
     if any(passed):
         hits = _hits(table, _fix_signs(_unit_rows(directions[passed])), candidate[passed],
                      hit_tol, curvature_tol)
-        return ScanResult(hits, min_residual, evaluations, CANDIDATES, HIT_NOTE)
+        return ScanResult(hits, min_residual, evaluations, CANDIDATES,
+                          HIT_NOTE.format(case=CANDIDATES))
     bound = _LIPSCHITZ * float(np.linalg.norm(table.gamma)) * delta
     if all(r - bound > hit_tol for r in candidate.tolist()):     # a NaN decides nothing
         case = ("one repeated eigenvalue and so one admissible direction" if len(directions) == 1
@@ -404,7 +407,7 @@ def _einstein(table: ConnectionTable, hit_tol: float, curvature_tol: float) -> S
         return _undecided("Einstein to rounding, but [g, g]^perp, its only possible hit, does not "
                           "pass the hit tolerance", float(r[0]), 1)
     return ScanResult(_hits(table, v, r, hit_tol, curvature_tol), float(r[0]), 1,
-                      DERIVED_COMPLEMENT, HIT_NOTE)
+                      DERIVED_COMPLEMENT, HIT_NOTE.format(case=DERIVED_COMPLEMENT))
 
 
 def _hits(table: ConnectionTable, directions: np.ndarray, resid: np.ndarray, hit_tol: float,

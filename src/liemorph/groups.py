@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import LieAlgebra, _readonly, _representation_residual
+from .algebra import LieAlgebra, _dependent, _readonly, _representation_residual
 from .errors import StructureError
 
 HOMOMORPHISM_TOL = 1e-10
@@ -163,9 +163,7 @@ class MatrixRealization:
         resid = self.homomorphism_residual()
         if not resid <= HOMOMORPHISM_TOL:     # a NaN residual fails too
             raise StructureError(f"realization is not a homomorphism (residual {resid:.3e})")
-        flat = rep.reshape(len(rep), -1)
-        scale = max(1.0, float(np.abs(flat).max()))
-        if np.linalg.matrix_rank(flat, tol=1e-10 * scale) < len(rep):
+        if _dependent(rep.reshape(len(rep), -1)):
             raise StructureError("realization matrices are linearly dependent")
 
     @property
@@ -188,13 +186,13 @@ class MatrixRealization:
 
 
 def sample_points(realization: MatrixRealization, count: int, seed: int,
-                  scale: float = 1.0) -> list[np.ndarray]:
+                  scale: float = 1.0) -> np.ndarray:
     """Deterministic group points exp(v_1 X_1) ... exp(v_d X_d), v_i ~ U[-scale, scale].
 
-    The coefficients of all points are one (count, d) draw, so point k uses
-    the same stream positions as the k-th of ``count`` single-point draws.
-    The factors come from ``_exp_factors``, a block of basis matrices per
-    kernel call, and are multiplied into the points in basis order.
+    The points are one (count, n, n) stack.  Their coefficients are one (count,
+    d) draw, so point k uses the same stream positions as the k-th of ``count``
+    single-point draws.  The factors come from ``_exp_factors``, a block of basis
+    matrices per kernel call, and are multiplied into the points in basis order.
     """
     try:
         count = operator.index(count)
@@ -216,7 +214,7 @@ def sample_points(realization: MatrixRealization, count: int, seed: int,
             del factor          # a finished block is freed before the next one is formed
     if not np.all(np.isfinite(points)):
         raise StructureError("sampled point has non-finite entries; reduce scale")
-    return list(points)
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 
 from .algebra import LieAlgebra, _orthonormal_frame
-from .checks import DEFAULT_TOLERANCES, Check, max_residual
+from .checks import DEFAULT_TOLERANCES, Check, _as_stack, max_residual
 from .errors import DomainError
 from .groups import MatrixRealization, exp_matrix
 
@@ -577,10 +577,7 @@ def verify_family(fields, points, frame: Frame,
         raise ValueError("verify_family needs at least one field")
     size = frame.realization.ambient
     shape = f"verify_family: points must be a stack of ({size}, {size}) matrices"
-    try:
-        points = np.asarray(list(points), dtype=float)
-    except ValueError as err:           # ragged: matrices of different sizes
-        raise ValueError(f"{shape} ({err})") from None
+    points = _as_stack(points, shape)
     if not len(points):
         raise ValueError("verify_family needs at least one point")
     if points.shape[1:] != (size, size):

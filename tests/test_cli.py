@@ -1,7 +1,9 @@
 import json
+import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +149,28 @@ def test_check_algebra_bad_jacobi_exits_1(tmp_path):
     failing = [c["name"] for c in report["checks"] if not c["pass"]]
     assert failing == ["jacobi"]
     assert not report["overall_pass"]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan],
+                         ids=["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("field, index, failing", [
+    ("gram", (0, 0), {"gram_symmetric", "gram_positive_definite"}),
+    ("structure_constants", (0, 1, 2), {"antisymmetry", "jacobi"})])
+def test_nonfinite_inline_data_fails_its_checks_with_a_report(tmp_path, bad, field, index,
+                                                              failing):
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0          # the Heisenberg algebra
+    data = {"structure_constants": c, "gram": np.eye(3)}
+    data[field][index] = bad
+    cfg, out = base_config(tmp_path, "check-algebra",
+                           inline={k: v.tolist() for k, v in data.items()})
+    assert ("NaN" if math.isnan(bad) else "Infinity") in Path(cfg).read_text(encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check-algebra", "--config", cfg]) == 1
+    checks = {c["name"]: c for c in read_report(out)["checks"]}
+    assert not any(checks[name]["pass"] for name in failing)
+    assert all(math.isfinite(float(c["tolerance"])) for c in checks.values())
 
 
 def test_check_algebra_builtin_summary(tmp_path):

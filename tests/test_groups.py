@@ -233,6 +233,7 @@ def realizations(built):
 def test_batched_sampling_matches_sequential_products(realizations, name, scale):
     real = realizations[name]
     points = sample_points(real, 12, seed=11, scale=scale)
+    assert type(points) is np.ndarray and points.shape == (12, real.ambient, real.ambient)
     rng = np.random.default_rng(11)
     for p in points:
         want = np.eye(real.ambient)

@@ -1,6 +1,7 @@
 """``tools/report_digest.py --against`` on two small hand-written digest files."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,41 @@ def test_status_changes_and_missing_reports_exit_1(tmp_path, capsys, report_dige
         "exit status differs: configs/bad.json seed 1: 1 -> 0",
         "only in the new run: configs/new.json seed 1",
         "differing: 3 of 4 reports, exit-status changes: 1"]
+
+
+def sectioned(path, seed, status, **hashes):
+    return f"{path} {seed} {status} " + " ".join(f"{k}={v * 64}" for k, v in sorted(hashes.items()))
+
+
+SECTIONS = {"checks": "a", "environment": "b", "job": "c", "overall_pass": "d", "summary": "e"}
+
+
+def test_a_differing_report_names_its_sections(tmp_path, capsys, report_digest):
+    old = write_digest(tmp_path / "old.txt", [
+        sectioned("configs/a.json", 1, 0, **SECTIONS),
+        sectioned("configs/a.json", 5000, 0, **SECTIONS),
+        sectioned("configs/b.json", 1, 1, **SECTIONS)])
+    new = [sectioned("configs/a.json", 1, 0, **SECTIONS),
+           sectioned("configs/a.json", 5000, 0, **{**SECTIONS, "summary": "f"}),
+           sectioned("configs/b.json", 1, 1, **{**SECTIONS, "checks": "0", "overall_pass": "1"})]
+    rows = report_digest.read_digest(write_digest(tmp_path / "new.txt", new))
+    assert report_digest.compare(rows, old) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "report bytes differ: configs/a.json seed 5000 (summary)",
+        "report bytes differ: configs/b.json seed 1 (checks, overall_pass)",
+        "differing: 2 of 3 reports, exit-status changes: 0"]
+
+
+def test_digest_hashes_each_section_without_wall_time_or_out(tmp_path, report_digest):
+    report = {"job": {"kind": "curvature", "out": "a.json"}, "environment": {"seed": 1},
+              "checks": [], "summary": {"note": "x"}, "overall_pass": True, "wall_time_s": 0.5}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    first = report_digest.sections(report_digest.digest(path))
+    assert sorted(first) == ["checks", "environment", "job", "overall_pass", "summary"]
+    report.update(wall_time_s=9.0, job={"kind": "curvature", "out": "b.json"})
+    report["summary"]["note"] = "y"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    second = report_digest.sections(report_digest.digest(path))
+    assert [name for name in first if first[name] != second[name]] == ["summary"]
+    assert report_digest.digest(tmp_path / "missing.json") == "-"

@@ -6,15 +6,18 @@
 Runs each config under ``ROOT/configs/`` and ``ROOT/benchmarks/configs/`` once
 per seed through ``liemorph.cli.main``, imported from ``ROOT/src``, with the
 report written to a temporary directory.  Prints one line per report: the
-config path relative to ROOT, the seed, the exit status, and the SHA-256 of
-the report without ``wall_time_s`` and ``job.out`` (``-`` when no report was
-written).  An exception that escapes ``main`` is recorded as the status
-``raised:<type>``.
+config path relative to ROOT, the seed, the exit status, and one
+``SECTION=SHA-256`` per top-level section of the report (``job`` without
+``out``, ``environment``, ``checks``, ``summary``, ``overall_pass``; the wall
+time is left out), or ``-`` when no report was written.  An exception that
+escapes ``main`` is recorded as the status ``raised:<type>``.
 
 With ``--against FILE`` (an earlier output of this script) it also lists the
-reports whose digest differs, ends with the line ``differing: K of N reports,
-exit-status changes: M``, and exits 1 when some exit status differs, or a
-report is missing on one side; differing bytes alone exit 0.
+reports whose digest differs, each with the sections that differ, as in
+``report bytes differ: configs/x.json seed 1 (summary)``; it ends with the line
+``differing: K of N reports, exit-status changes: M``, and exits 1 when some
+exit status differs, or a report is missing on one side; differing bytes
+alone exit 0.  A hash with no ``SECTION=`` covers a section with no name.
 """
 
 from __future__ import annotations
@@ -33,13 +36,15 @@ CONFIG_DIRS = ("configs", "benchmarks/configs")
 
 
 def digest(report_path: Path) -> str:
+    """``SECTION=SHA-256`` for each top-level section of the report, or ``-`` for none."""
     if not report_path.exists():
         return "-"
     report = json.loads(report_path.read_text(encoding="utf-8"))
     report.pop("wall_time_s", None)
     report.get("job", {}).pop("out", None)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return " ".join(
+        f"{name}={hashlib.sha256(json.dumps(part, sort_keys=True).encode()).hexdigest()}"
+        for name, part in sorted(report.items()))
 
 
 def run_all(root: Path, seeds) -> list[tuple[str, int, str, str]]:
@@ -69,9 +74,20 @@ def read_digest(path: Path) -> list[tuple[str, int, str, str]]:
     """The rows of an earlier output of this script."""
     rows = []
     for line in path.read_text(encoding="utf-8").splitlines():
-        config, seed, status, sha = line.split()
+        config, seed, status, sha = line.split(maxsplit=3)
         rows.append((config, int(seed), status, sha))
     return rows
+
+
+def sections(sha: str) -> dict[str, str]:
+    """A digest's hashes by section name; a bare hash is the section ``""``."""
+    return {name: value for name, _, value in (token.rpartition("=") for token in sha.split())}
+
+
+def differing_sections(old: str, new: str) -> list[str]:
+    """The named sections whose hashes differ, or are on one side only."""
+    old, new = sections(old), sections(new)
+    return sorted(name for name in set(old) | set(new) if name and old.get(name) != new.get(name))
 
 
 def compare(rows, against: Path) -> int:
@@ -95,7 +111,8 @@ def compare(rows, against: Path) -> int:
             failed = True
             status_changes += 1
         elif old[key][1] != new[key][1]:
-            print(f"report bytes differ: {label}")
+            names = differing_sections(old[key][1], new[key][1])
+            print(f"report bytes differ: {label}" + (f" ({', '.join(names)})" if names else ""))
         else:
             continue
         differing += 1
