@@ -228,7 +228,8 @@ class LieAlgebra:
         return float(np.einsum("i,ijj->", z, self.structure_constants))
 
     def inner(self, x, y) -> float:
-        return float(np.asarray(x) @ self.gram @ np.asarray(y))
+        with np.errstate(invalid="ignore"):             # inf * 0 is NaN, not a warning
+            return float(np.asarray(x) @ self.gram @ np.asarray(y))
 
     def norm(self, x) -> float:
         return float(np.sqrt(np.maximum(0.0, self.inner(x, x))))     # a NaN stays NaN

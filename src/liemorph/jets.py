@@ -8,8 +8,8 @@ rule to its sub-field jets instead, with F and its derivatives evaluated on
 the (P, 1) values only, and ``CurveJet.jet`` evaluates each field once per
 curve, however many images share it.  A field's hash is formed once, and
 polynomials with the same exponents share one chain-rule table.
-``verify_family`` puts all sample
-points and every frame direction plus the tension drift into one curve;
+``verify_family`` puts all sample points and every frame direction into one
+curve, and reads the laplacian's drift off their first derivatives (``Frame``);
 ``kappa``, ``laplacian``, ``kappa_matrix``, ``laplacian_values`` and
 ``derivs`` are views of the same evaluation at one point.
 
@@ -443,26 +443,29 @@ def random_polynomial(n_vars: int, rng: np.random.Generator, max_degree: int = 3
 
 @dataclass(frozen=True)
 class Frame:
-    """Orthonormal left-invariant frame on a matrix group, with its tension vector.
+    """Orthonormal left-invariant frame X_a as one read-only (d, n, n) stack, and its traces.
 
-    ``tension`` is sum_a nabla_{X_a} X_a in algebra coordinates: by Koszul,
-    <tension, Z> = sum_a <[Z, X_a], X_a> = tr ad_Z (Milnor, Adv. Math. 21, 1976).
-    The laplacian of a field is sum_a X_a^2(phi) minus the derivative along it.
+    ``traces[a]`` is tr ad X_a.  By Koszul, <T, Z> = sum_a <[Z, X_a], X_a> = tr ad_Z for
+    the tension T = sum_a nabla_{X_a} X_a (Milnor, Adv. Math. 21, 1976), so T = sum_a
+    traces[a] X_a; ``tension`` is T in algebra coordinates.  The laplacian of a field is
+    sum_a X_a^2(phi) minus its drift T(phi) = sum_a traces[a] X_a(phi).
     """
 
     algebra: LieAlgebra
     realization: MatrixRealization
     onb: np.ndarray
-    mats: tuple
+    mats: np.ndarray
+    traces: np.ndarray
     tension: np.ndarray
-    tension_mat: np.ndarray
 
     @classmethod
     def build(cls, algebra: LieAlgebra, realization: MatrixRealization, onb=None) -> "Frame":
         onb = _orthonormal_frame(algebra, onb)
-        mats = tuple(np.tensordot(onb, realization.rep, axes=1))
-        tension = np.linalg.solve(algebra.gram, np.einsum("ijj->i", algebra.structure_constants))
-        return cls(algebra, realization, onb, mats, tension, realization.matrix_of(tension))
+        mats = np.tensordot(onb, realization.rep, axes=1)
+        mats.flags.writeable = False
+        trace_form = np.einsum("ijj->i", algebra.structure_constants)
+        return cls(algebra, realization, onb, mats, onb @ trace_form,
+                   np.linalg.solve(algebra.gram, trace_form))
 
 
 def _jets(fields, points, mats) -> tuple:
@@ -472,28 +475,21 @@ def _jets(fields, points, mats) -> tuple:
     direction matrices; every field is evaluated once on one ``CurveJet``.
     """
     curve = CurveJet.along(points, mats)
-    shape = (len(fields), len(curve.points), len(curve.mats))
-    d1 = np.empty(shape, dtype=complex)
-    d2 = np.empty(shape, dtype=complex)
+    d1, d2 = np.empty((2, len(fields), len(curve.points), len(curve.mats)), dtype=complex)
     for k, f in enumerate(fields):
         jet = curve.jet(f)
-        d1[k] = jet.d1
-        d2[k] = jet.d2
+        d1[k], d2[k] = jet.d1, jet.d2
     return d1, d2
 
 
 def _frame_operators(fields, points, frame: Frame) -> tuple:
-    """(kappa, tau) at every point: (P, F, F) and (P, F) complex arrays.
-
-    The directions are the frame and, last, the tension vector, whose first
-    derivative is the drift term of the laplacian.
-    """
-    d1, d2 = _jets(fields, points, frame.mats + (frame.tension_mat,))
-    grad = d1[:, :, :-1].transpose(1, 0, 2)               # (P, F, D)
-    kap = grad @ grad.transpose(0, 2, 1)
+    """(kappa, tau) at every point, (P, F, F) and (P, F) complex; tau's drift as in ``Frame``."""
+    d1, d2 = _jets(fields, points, frame.mats)
+    grad = d1.transpose(1, 0, 2)                          # (P, F, D)
+    terms = d2 - d1 * frame.traces                        # X_a^2(phi) - traces[a] X_a(phi)
     # direction by direction, so tau keeps the rounding of a one-point sum
-    tau = sum(d2[:, :, a] for a in range(d2.shape[2] - 1)) - d1[:, :, -1]
-    return kap, tau.T
+    tau = sum(terms[:, :, a] for a in range(len(frame.mats)))
+    return grad @ grad.transpose(0, 2, 1), tau.T
 
 
 def _one_point(point) -> np.ndarray:

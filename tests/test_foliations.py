@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,9 @@ import liemorph as lm
 from liemorph.algebra import LieAlgebra, Subspace, orthocomplement, span
 from liemorph.errors import StructureError
 from liemorph.foliations import (CANDIDATES, CERTIFICATE, DERIVED_COMPLEMENT, EVERY_DIRECTION,
-                                 UNDECIDED, DistributionSpec, _adjoint_read, _certificate,
-                                 _unit_rows, classify, constant_curvature_certificate, residuals,
-                                 scan_3d, second_forms)
+                                 UNDECIDED, _LIPSCHITZ, DistributionSpec, _adjoint_read,
+                                 _certificate, _ricci_directions, _unit_rows, classify,
+                                 constant_curvature_certificate, residuals, scan_3d, second_forms)
 from liemorph.geometry import curvature, curvature_operator, koszul
 from test_batched_identities import rotation_block_by_loops, tangent_pairs
 
@@ -355,6 +356,63 @@ def test_scan_galpha_finds_nothing(alpha):
     assert abs(result.min_residual - GALPHA_CANDIDATE_RESIDUAL[alpha]) < 1e-12
     assert result.evaluations == (1 if alpha == 1.0 else 2)
     assert result.note.startswith("Ricci certificate") and "not a proof" not in result.note
+
+
+# r(alpha)^2, the squared residual of G_alpha's Ricci candidates u+-, on each branch of the
+# alpha line (alpha = 0 has a hit and alpha = -1 is Einstein; both are left out)
+GALPHA_R2 = {
+    "(0, 1]": lambda a: a * (1 + 4 * a - a * a) / 2,
+    "[1, inf)": lambda a: (a * a + 4 * a - 1) / (2 * a),
+    "(-inf, 0), not -1": lambda a: -a * (a * a - 6 * a + 1) / (2 * (1 - a) ** 2),
+}
+DYADIC_ALPHAS = [Fraction(n, 4) for n in (1, 2, 3, 4, 6, 8, 11, 16, -1, -2, -3, -6, -8, -12)]
+
+
+def galpha_branch(alpha):
+    return "(0, 1]" if 0 < alpha <= 1 else "[1, inf)" if alpha > 1 else "(-inf, 0), not -1"
+
+
+def galpha_r2(alpha):
+    assert alpha not in (0, -1)
+    return GALPHA_R2[galpha_branch(alpha)](alpha)
+
+
+def test_the_galpha_residual_closed_form_is_exact_on_every_branch():
+    small = [Fraction(sign, 2 ** k) for k in range(1, 40, 3) for sign in (1, -1)]
+    near_minus_one = [-1 + Fraction(sign, 2 ** k) for k in range(1, 40, 3) for sign in (1, -1)]
+    alphas = DYADIC_ALPHAS + small + near_minus_one
+    for alpha in alphas:
+        assert galpha_r2(alpha) == alpha ** 2 * galpha_r2(1 / alpha), alpha     # the homothety
+    assert GALPHA_R2["(0, 1]"](Fraction(1)) == GALPHA_R2["[1, inf)"](Fraction(1)) == 2
+    grid = ([Fraction(k, 64) for k in range(1, 65)] + [1 + Fraction(k, 16) for k in range(161)]
+            + [Fraction(-k, 16) for k in range(1, 161) if k != 16])
+    for alpha in grid + alphas:
+        assert galpha_r2(alpha) > 0, alpha
+    assert galpha_r2(Fraction(1, 2)) == Fraction(11, 16) and galpha_r2(Fraction(-2)) == Fraction(17, 9)
+
+
+@pytest.mark.parametrize("alpha", DYADIC_ALPHAS, ids=str)
+def test_the_galpha_certificate_residual_is_the_closed_form(alpha):
+    alg, _ = lm.build_Galpha(float(alpha))
+    table = koszul(alg, np.eye(3))
+    ric = np.einsum("abca->bc", curvature(table))
+    a = float(alpha)
+    assert np.abs(ric - np.diag([-(a * a + 1), a * (1 - a), a - 1])).max() <= 1e-13 * (a * a + 1)
+    result = scan_3d(alg)
+    assert result.case == CERTIFICATE and result.hits == []
+    r2 = float(galpha_r2(alpha))
+    assert abs(result.min_residual ** 2 - r2) <= 1e-12 * r2
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2 ** 10), Fraction(-1, 2 ** 10)], ids=str)
+def test_the_galpha_certificate_near_zero_is_within_its_bound_of_the_closed_form(alpha):
+    alg, _ = lm.build_Galpha(float(alpha))
+    result = scan_3d(alg)
+    assert result.case == CERTIFICATE
+    table = koszul(alg)
+    _, delta = _ricci_directions(table)
+    bound = _LIPSCHITZ * float(np.linalg.norm(table.gamma)) * delta
+    assert abs(result.min_residual - math.sqrt(galpha_r2(alpha))) <= bound
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_ALGEBRAS))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import liemorph as lm
+from liemorph import jets
 from liemorph.errors import DomainError, StructureError
 from liemorph.geometry import koszul
 from liemorph.groups import MatrixRealization, sample_points
@@ -247,7 +248,8 @@ def test_trace_form_tension_is_the_koszul_trace_bit_for_bit(name):
     frame = Frame.build(alg, real)
     want = koszul_tension(alg, frame.onb)
     assert frame.tension.tobytes() == want.tobytes()
-    assert frame.tension_mat.tobytes() == real.matrix_of(want).tobytes()
+    trace_form = np.einsum("ijj->i", alg.structure_constants)
+    assert frame.traces.tobytes() == (frame.onb @ trace_form).tobytes()
     assert [m.tobytes() for m in frame.mats] == [real.matrix_of(v).tobytes() for v in frame.onb]
 
 
@@ -265,6 +267,87 @@ def test_trace_form_tension_matches_koszul_under_random_grams_and_frames(seed):
             frame = Frame.build(alg, real, onb)
             want = koszul_tension(alg, frame.onb)
             assert np.abs(frame.tension - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def tension_curve_tau(fields, points, frame):
+    """tau along the explicit tension curve: the frame's directions plus T as one more."""
+    tension = frame.realization.matrix_of(frame.tension)
+    d1, d2 = jets._jets(fields, points, np.concatenate([frame.mats, tension[None]]))
+    return (sum(d2[:, :, a] for a in range(len(frame.mats))) - d1[:, :, -1]).T
+
+
+def drift_test_fields(real, rng):
+    """Every matrix entry, a complex pairing of them and a polynomial image of two."""
+    n = real.ambient
+    entries = [matrix_entry(i, j) for i in range(n) for j in range(n)]
+    pair = lm.pairing(rng.normal(size=len(entries)) + 1j * rng.normal(size=len(entries)),
+                      entries)
+    return tuple(entries) + (pair, holomorphic_post(random_polynomial(2, rng), (pair, entries[1])))
+
+
+def assert_tau_matches_the_tension_curve(frame, fields, points, exact):
+    got = jets._frame_operators(fields, points, frame)[1]
+    want = tension_curve_tau(fields, points, frame)
+    if exact:
+        assert np.array_equal(got, want)
+        assert np.abs(got).tobytes() == np.abs(want).tobytes()
+    else:
+        assert (np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))).all()
+
+
+@pytest.mark.parametrize("name", sorted(REALIZED))
+def test_the_traced_drift_is_the_tension_curve_derivative(name):
+    alg, real = REALIZED[name][0](*REALIZED[name][1])
+    frame = Frame.build(alg, real)
+    rng = np.random.default_rng(11)
+    fields = drift_test_fields(real, rng)
+    points = sample_points(real, 20, seed=4, scale=1.0)
+    nilpotent = name[0] in "NHK"        # trace form exactly 0: the same bits
+    assert not nilpotent or not frame.traces.any()
+    assert_tau_matches_the_tension_curve(frame, fields, points, exact=nilpotent)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_traced_drift_is_the_tension_curve_derivative_under_random_frames(seed):
+    rng = np.random.default_rng(seed)
+    for build, args in (REALIZED["S4"], REALIZED["G3(1.0,0.5)"], REALIZED["G_alpha(2.0)"],
+                        REALIZED["K5"], REALIZED["H2"]):
+        alg, real = build(*args)
+        a = rng.normal(size=(alg.dim, alg.dim))
+        alg = lm.LieAlgebra(alg.structure_constants, a @ a.T / alg.dim + np.eye(alg.dim))
+        real = MatrixRealization(alg, real.rep)
+        frame = Frame.build(alg, real, random_orthogonal(alg.dim, rng) @ lm.orthonormal_basis(alg))
+        points = sample_points(real, 10, seed=seed, scale=1.0)
+        assert_tau_matches_the_tension_curve(frame, drift_test_fields(real, rng), points,
+                                             exact=False)
+
+
+def test_the_operators_evaluate_the_frame_directions_only(built, frames, monkeypatch):
+    _, real = built["S3"]
+    frame = frames["S3"]
+    counts = []
+    original = jets._jets
+
+    def counted(fields, points, mats):
+        counts.append(len(mats))
+        return original(fields, points, mats)
+
+    monkeypatch.setattr(jets, "_jets", counted)
+    pts = sample_points(real, 5, seed=2, scale=0.8)
+    verify_family([log_diag(0), matrix_entry(0, 2)], pts, frame)
+    laplacian(log_diag(1), pts[0], frame)
+    assert counts == [len(frame.mats)] * 2 == [built["S3"][0].dim] * 2
+
+
+def test_a_frame_holds_one_read_only_matrix_stack(built, frames):
+    for name in ("N4", "S3", "G3"):
+        alg, real = built[name]
+        mats = frames[name].mats
+        assert type(mats) is np.ndarray
+        assert mats.shape == (alg.dim, real.ambient, real.ambient)
+        assert not mats.flags.writeable
+        with pytest.raises(ValueError):
+            mats[0, 0, 0] = 1.0
 
 
 def test_frame_needs_an_orthonormal_frame_of_the_whole_algebra(built):
@@ -419,6 +502,19 @@ def test_verify_family_equals_max_of_single_point_calls(built, frames, rng):
     assert rep.n_points == 30
 
 
+def test_verify_family_on_s3_is_the_max_of_single_point_calls_bit_for_bit(built, frames, rng):
+    alg, real = built["S3"]
+    fc = lm.first_construction(alg, real, "S")
+    fam = [*fc.family, log_diag(0), log_diag(2),
+           lm.pairing(rng.normal(size=2) + 1j, [log_diag(1), matrix_entry(0, 2)])]
+    pts = sample_points(real, 30, seed=17, scale=1.0)
+    rep = verify_family(fam, pts, frames["S3"])
+    singles = [verify_family(fam, [p], frames["S3"]) for p in pts]
+    want = np.max([[c.residual for c in s.checks] for s in singles], axis=0)
+    assert np.array([c.residual for c in rep.checks]).tobytes() == want.tobytes()
+    assert rep.checks[1].residual == 2.0       # tau(log x_00) = -tr ad D_0: the drift is not 0
+
+
 def test_log_diag_batch_with_one_bad_point_raises(built, frames):
     alg, real = built["S3"]
     pts = sample_points(real, 8, seed=3, scale=0.5)
@@ -512,7 +608,7 @@ def frame_curve(name, built, frames, n_points=20, seed=3, scale=1.0):
     alg, real = built[name]
     frame = frames[name]
     pts = np.stack(sample_points(real, n_points, seed=seed, scale=scale))
-    return CurveJet.along(pts, np.stack(frame.mats + (frame.tension_mat,)))
+    return CurveJet.along(pts, np.concatenate([frame.mats, real.matrix_of(frame.tension)[None]]))
 
 
 def jet2_reference(image, curve):

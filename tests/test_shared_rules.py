@@ -198,6 +198,12 @@ def test_the_norm_of_a_nan_vector_is_nan(built):
     algebra, _ = built["G3"]
     assert math.isnan(algebra.norm([math.nan, 0.0, 0.0]))
     assert algebra.norm([0.0, 0.0, 0.0]) == 0.0
+    plane = lm.LieAlgebra(np.zeros((2, 2, 2)), np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)     # inf * 0 is NaN, never a warning
+        for v in ([math.inf, 0.0], [math.inf, math.inf], [math.nan, 0.0], [-math.inf, 1.0]):
+            assert math.isnan(plane.norm(v)), v
+            assert math.isnan(plane.inner(v, v)), v
 
 
 # ---------------------------------------------------------------------------
