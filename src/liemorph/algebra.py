@@ -35,7 +35,7 @@ def _scale(c: np.ndarray) -> float:
 
     A non-finite entry is left out, so a tolerance scaled by it stays finite.
     """
-    size = float(np.abs(c).max())
+    size = float(np.abs(c).max(initial=0.0))
     if not math.isfinite(size):         # only non-finite data pays for the mask
         size = float(np.abs(c).max(initial=0.0, where=np.isfinite(c)))
     return max(1.0, size)
@@ -46,18 +46,91 @@ def _dependent(rows: np.ndarray) -> bool:
     return np.linalg.matrix_rank(rows, tol=RANK_TOL * _scale(rows)) < len(rows)
 
 
+class _Entries:
+    """An array and its nonzero entries (a NaN counts), listed once, on first use.
+
+    ``index`` holds one index array per axis and ``values`` the entries.  They
+    come in the array's C order, or, for a ``transpose``, in the C order of the
+    array it transposes.  Either way, entries that agree off one axis come in
+    increasing order along it, and that is all a join's sums depend on.
+    """
+
+    def __init__(self, dense: np.ndarray):
+        self.dense = dense
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.dense.shape
+
+    @cached_property
+    def index(self) -> tuple[np.ndarray, ...]:
+        # != 0: a NaN counts
+        return np.unravel_index(np.flatnonzero(self.dense != 0), self.dense.shape)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.dense[self.index]
+
+    def transpose(self, *axes: int) -> "_Entries":
+        """The entries of ``dense.transpose(axes)``: the same listing, its index arrays permuted."""
+        out = _Entries(self.dense.transpose(axes))
+        out.index = tuple(self.index[a] for a in axes)
+        out.values = self.values
+        return out
+
+
+def _entries(a) -> _Entries:
+    """An ``_Entries`` as it is; an array wrapped, to be listed on first use."""
+    return a if isinstance(a, _Entries) else _Entries(np.asarray(a))
+
+
+def _partners(x: _Entries, xm: int, y: _Entries, ym: int):
+    """The join of x's and y's entries on x's axis ``xm`` against y's axis ``ym``, counted.
+
+    Returns (reps, starts, order): x entry a has ``reps[a]`` partners, the y
+    entries with its index, and the first is at ``starts[a]`` in y's entries
+    taken in ``order``, sorted by that index.
+    """
+    ycount = np.bincount(y.index[ym], minlength=y.shape[ym])
+    xm = x.index[xm]
+    return ycount[xm], (np.cumsum(ycount) - ycount)[xm], np.argsort(y.index[ym], kind="stable")
+
+
+def _pair_up(reps: np.ndarray, starts: np.ndarray, order: np.ndarray):
+    """(xa, ya): the positions of every joined pair in x's and y's entries, given ``_partners``."""
+    first = np.cumsum(reps) - reps              # first pair of each x entry
+    xa = np.repeat(np.arange(len(reps)), reps)
+    return xa, order[np.arange(len(xa)) + (starts - first)[xa]]
+
+
+def _sum_by_key(keys: np.ndarray, values: np.ndarray):
+    """(the distinct keys, ascending; the sum of the values at each), each sum in the given order.
+
+    The stable sort keeps equal keys in their order, so ``bincount`` adds each
+    key's values as they came.  ``np.unique`` would do the grouping too, but its
+    first call imports ``numpy.ma``, about 1.7 MB of resident memory.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new], np.bincount(np.cumsum(new) - 1, weights=values[order])
+
+
 def _coo_max_abs(terms, budget: float = math.inf) -> float | None:
     """max |sum of the terms| over every output index, by a join of nonzero entries.
 
-    Each term is ``(spec, x, y, outputs)``.  ``spec`` names the axes of x and
-    y as einsum does ("ijm,kml"), and the one letter they share is summed
-    over.  Each product of a nonzero x entry with a nonzero y entry is added
-    at every index string of ``outputs`` (a leading "-" subtracts it), so one
-    join can feed several permutations of its indices.  Sums are keyed by
-    the output entries the products reach (``np.unique`` + ``bincount``);
-    every other entry is 0.  The products are counted from the nonzero
-    patterns first, term by term, and once the count times the outputs
-    exceeds ``budget`` the join is not formed: the result is None.
+    Each term is ``(spec, x, y, outputs)``, x and y arrays or their
+    ``_Entries``.  ``spec`` names the axes of x and y as einsum does
+    ("ijm,kml"), and the one letter they share is summed over.  Each product
+    of a nonzero x entry with a nonzero y entry is added at every index string
+    of ``outputs`` (a leading "-" subtracts it), so one join can feed several
+    permutations of its indices.  Sums are keyed by the output entries the
+    products reach (``_sum_by_key``); every other entry is 0.  The
+    products are counted from the nonzero patterns first, term by term, and
+    once the count times the outputs exceeds ``budget`` the join is not
+    formed: the result is None.
 
     A dense product turns an inf or NaN entry into NaN through inf * 0; the
     join forms no such product, so any non-finite entry makes the result
@@ -65,58 +138,57 @@ def _coo_max_abs(terms, budget: float = math.inf) -> float | None:
     """
     pending, size = [], 0
     for spec, x, y, outputs in terms:
+        x, y = _entries(x), _entries(y)
         xs, ys = spec.split(",")
         (m,) = set(xs) & set(ys)
-        y = np.moveaxis(y, ys.index(m), 0)          # y's nonzeros come sorted by m
-        ys = m + ys.replace(m, "")
-        xi = np.unravel_index(np.flatnonzero(x != 0), x.shape)    # != 0: NaN counts
-        yi = np.unravel_index(np.flatnonzero(y != 0), y.shape)
-        if not (np.isfinite(x[xi]).all() and np.isfinite(y[yi]).all()):
+        if not (np.isfinite(x.values).all() and np.isfinite(y.values).all()):
             return math.nan
-        ycount = np.bincount(yi[0], minlength=y.shape[0])
-        reps = ycount[xi[xs.index(m)]]              # y partners of each x entry
+        reps, starts, order = _partners(x, xs.index(m), y, ys.index(m))
         size += int(reps.sum()) * len(outputs)
         if size > budget:
             return None
-        pending.append((xs, ys, m, x, y, xi, yi, ycount, reps, outputs))
+        pending.append((xs, ys, m, x, y, (reps, starts, order), outputs))
     if not size:
         return 0.0
     keys, vals = [], []
-    for xs, ys, m, x, y, xi, yi, ycount, reps, outputs in pending:
-        # pair k of x entry a is the k-th y entry with the same m
-        first = np.cumsum(reps) - reps              # first pair of each x entry
-        ystart = np.cumsum(ycount) - ycount         # first y entry of each m
-        xa = np.repeat(np.arange(len(reps)), reps)
-        ya = np.arange(len(xa)) + (ystart[xi[xs.index(m)]] - first)[xa]
-        axes = {**{a: (xi[p][xa], x.shape[p]) for p, a in enumerate(xs) if a != m},
-                **{a: (yi[p][ya], y.shape[p]) for p, a in enumerate(ys) if a != m}}
-        prod = x[xi][xa] * y[yi][ya]
+    for xs, ys, m, x, y, partners, outputs in pending:
+        xa, ya = _pair_up(*partners)
+        axes = {**{a: (x.index[p][xa], x.shape[p]) for p, a in enumerate(xs) if a != m},
+                **{a: (y.index[p][ya], y.shape[p]) for p, a in enumerate(ys) if a != m}}
+        prod = x.values[xa] * y.values[ya]
         for out in outputs:
             letters = out.lstrip("-")
             keys.append(np.ravel_multi_index(tuple(axes[a][0] for a in letters),
                                              tuple(axes[a][1] for a in letters)))
             vals.append(-prod if out.startswith("-") else prod)
-    # return_index selects numpy's stable sort, whose first use in a fresh
-    # process maps less new code than the default sort's (ru_maxrss: 0.25
-    # against about 0.4 MB)
-    _, _, where = np.unique(np.concatenate(keys), return_index=True, return_inverse=True)
-    return float(np.abs(np.bincount(where, weights=np.concatenate(vals))).max())
+    return float(np.abs(_sum_by_key(np.concatenate(keys), np.concatenate(vals))[1]).max())
 
 
-def _representation_residual(c: np.ndarray, rep: np.ndarray) -> float:
+def _distinct_rows(rows: np.ndarray, d: int) -> np.ndarray:
+    """The distinct values of ``rows``, row numbers of a (d^2, d) stack, ascending."""
+    hit = np.zeros(d * d, dtype=bool)
+    hit[rows] = True
+    return np.flatnonzero(hit)
+
+
+def _representation_residual(c, rep) -> float:
     """max |[M_i, M_j] - sum_k c[i,j,k] M_k| over the (d, n, n) stack ``rep``.
 
-    One rule picks the path.  The join of nonzero entries (M_i M_j added at
-    (i, j) and subtracted at (j, i), then c[i,j,k] M_k subtracted; exact on
-    integer data) runs when the dense products would do at least
-    ``_JOIN_MIN_WORK`` multiply-adds, d^2 n^2 (d + n), below which they take
-    less than the join's fixed cost of about 0.1 ms, and when it forms no
-    more entries than one d n^2 slab.  Otherwise dense products run over
-    blocks of first indices i, each block at most max(2^16, d n^2) entries.
+    ``c`` and ``rep`` are arrays or their ``_Entries``; the join reads their
+    listings, the dense products their arrays.  One rule picks the path.  The
+    join of nonzero entries (M_i M_j added at (i, j) and subtracted at (j, i),
+    then c[i,j,k] M_k subtracted; exact on integer data) runs when the dense
+    products would do at least ``_JOIN_MIN_WORK`` multiply-adds, d^2 n^2
+    (d + n), below which they take less than the join's fixed cost of about
+    0.1 ms, and when it forms no more entries than one d n^2 slab.  Otherwise
+    dense products run over blocks of first indices i, each block at most
+    max(2^16, d n^2) entries.  A stack that fits one block takes one product
+    P = M_i M_j at [i, j], and M_j M_i is P with its pair axes swapped.
 
     A non-finite entry makes the residual NaN on both paths: the dense
     products turn it into NaN through inf * 0, the join returns NaN outright.
     """
+    c, rep = _entries(c), _entries(rep)
     d, n = rep.shape[:2]
     slab = d * n * n
     if d * slab * (d + n) >= _JOIN_MIN_WORK:
@@ -124,20 +196,27 @@ def _representation_residual(c: np.ndarray, rep: np.ndarray) -> float:
                               ("ijk,kac", c, rep, ("-ijac",))], slab)
         if resid is not None:
             return resid
+    c, rep = c.dense, rep.dense
     step = max(2 ** 16, slab) // max(1, slab)
     with np.errstate(invalid="ignore", over="ignore"):      # inf * 0 and overflow fail as NaN, inf
+        if step >= d:
+            prod = rep[:, None] @ rep
+            return float(np.abs(prod - prod.swapaxes(0, 1)
+                                - np.tensordot(c, rep, axes=(2, 0))).max())
         return max_residual(
             float(np.abs(rep[i:i + step, None] @ rep - rep @ rep[i:i + step, None]
                          - np.tensordot(c[i:i + step], rep, axes=(2, 0))).max())
             for i in range(0, d, step))
 
 
-def _jacobi_residual(c: np.ndarray) -> float:
+def _jacobi_residual(c) -> float:
     """Max |coefficient| of [X_i,[X_j,X_k]] + [X_j,[X_k,X_i]] + [X_k,[X_i,X_j]].
 
     For antisymmetric c this is the representation residual of the adjoint
     stack ad X_i = c[i].T: Jacobi holds iff ad[X_i, X_j] = [ad X_i, ad X_j].
+    ``c`` is an array or its ``_Entries``, whose one listing both stacks read.
     """
+    c = _entries(c)
     return _representation_residual(c, c.transpose(0, 2, 1))
 
 
@@ -180,10 +259,13 @@ class LieAlgebra:
     def _validation(self) -> tuple[Check, ...]:
         c, g = self.structure_constants, self.gram
         scale = self._c_scale
+        entries = self._entries
+        i, j, k = entries.index
         with np.errstate(invalid="ignore"):     # inf - inf: a non-finite entry fails as NaN
-            anti = float(np.abs(c + c.transpose(1, 0, 2)).max())
+            # each nonzero against its (j, i, k) partner; a pair of zeros adds nothing
+            anti = float(np.abs(entries.values + c[j, i, k]).max(initial=0.0))
             gsym = float(np.abs(g - g.T).max())
-        jacobi = _jacobi_residual(c)
+        jacobi = _jacobi_residual(entries)
         posdef = math.nan       # no eigenvalues of non-finite data; max(0.0, nan) would pass
         if np.isfinite(g).all():
             eig = np.linalg.eigvalsh(0.5 * (g + g.T))
@@ -196,15 +278,26 @@ class LieAlgebra:
         )
 
     @cached_property
+    def _entries(self) -> _Entries:
+        """The nonzero entries of c, listed once per instance: the scale, the
+        antisymmetry and Jacobi checks, [g, g] and the center read them."""
+        return _Entries(self.structure_constants)
+
+    @cached_property
     def _c_scale(self) -> float:
         """``_scale`` of the structure constants, computed once per instance."""
-        return _scale(self.structure_constants)
+        return _scale(self._entries.values)
 
     @cached_property
     def _derived(self) -> "Subspace":
-        """[g, g]: the row space of c reshaped to (d^2, d), under the series' noise floor."""
-        c = self.structure_constants
-        return _span_above(c.reshape(-1, self.dim), self.dim, RANK_TOL * self._c_scale)
+        """[g, g]: the row space of c reshaped to (d^2, d), under the series' noise floor.
+
+        Only the rows (i, j) with a nonzero entry are taken, in their order.
+        """
+        c, d = self.structure_constants, self.dim
+        i, j, _ = self._entries.index
+        rows = c.reshape(-1, d)[_distinct_rows(i * d + j, d)]
+        return _span_above(rows, d, RANK_TOL * self._c_scale)
 
     def bracket(self, x, y) -> np.ndarray:
         """[x, y] for coordinate vectors x, y."""
@@ -246,7 +339,7 @@ class Subspace:
         b = np.asarray(self.basis, dtype=float).reshape(-1, self.ambient_dim)
         if not np.isfinite(b).all():
             raise StructureError("subspace basis has non-finite entries")
-        if b.shape[0] > 0 and _dependent(b):
+        if b.shape[0] > 0 and not _orthonormal_rows(b) and _dependent(b):
             raise StructureError("subspace basis vectors are linearly dependent")
         object.__setattr__(self, "basis", _readonly(b))
 
@@ -269,6 +362,12 @@ class Subspace:
         return (self.dim == other.dim
                 and self.contains_all(other, tol)
                 and other.contains_all(self, tol))
+
+
+def _orthonormal_rows(rows: np.ndarray) -> bool:
+    """Whether |rows rows^T - I| <= 1e-10: such rows are independent at any rank floor."""
+    with np.errstate(over="ignore", invalid="ignore"):      # huge rows fail as inf or NaN
+        return bool(np.abs(rows @ rows.T - np.eye(len(rows))).max() <= 1e-10)
 
 
 def full_space(algebra: LieAlgebra) -> Subspace:
@@ -437,11 +536,14 @@ def is_abelian(algebra: LieAlgebra) -> bool:
 def center(algebra: LieAlgebra) -> Subspace:
     """Null space of the stacked maps x -> [x, e_j].
 
-    ``_rank_decision`` drops the stack's zero rows and QR-reduces the rest to
-    d x d before the SVD, with the series' noise floor; non-finite constants
-    raise StructureError.
+    The stack's rows (j, k) are c[:, j, k]; only those with a nonzero entry
+    are taken, in their order.  ``_rank_decision`` QR-reduces them to d x d
+    before the SVD, with the series' noise floor; non-finite constants raise
+    StructureError.
     """
     c, d = algebra.structure_constants, algebra.dim
-    stacked = c.transpose(1, 2, 0).reshape(d * d, d)  # rows (j,k)
+    _, j, k = algebra._entries.index
+    rows = _distinct_rows(j * d + k, d)
+    stacked = c[:, rows // d, rows % d].T
     rank, _, vh = _rank_decision(stacked, RANK_TOL * algebra._c_scale)
     return Subspace(d, _fix_signs(vh[rank:]))

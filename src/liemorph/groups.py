@@ -9,7 +9,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import LieAlgebra, _dependent, _readonly, _representation_residual
+from .algebra import (LieAlgebra, _dependent, _Entries, _pair_up, _partners, _readonly,
+                      _representation_residual, _sum_by_key)
 from .errors import StructureError
 
 HOMOMORPHISM_TOL = 1e-10
@@ -182,7 +183,7 @@ class MatrixRealization:
 
     @cached_property
     def _homomorphism_residual(self) -> float:
-        return _representation_residual(self.algebra.structure_constants, self.rep)
+        return _representation_residual(self.algebra._entries, self.rep)
 
 
 def sample_points(realization: MatrixRealization, count: int, seed: int,
@@ -230,22 +231,39 @@ def _unit(n, i, j):
 def _algebra_from_matrices(mats) -> tuple[LieAlgebra, MatrixRealization]:
     """Read structure constants off the matrices themselves.
 
-    Each commutator [M_i, M_j], i < j, is projected onto the span of the basis;
-    whether it lies in that span is decided by the realization's residual alone.
+    The commutators come from a join of the matrices' nonzero entries on the
+    shared index: each product M_i[a, m] M_j[m, b], i != j, is added to entry
+    (a, b) of the pair (min(i, j), max(i, j)), with sign + for i < j and - for
+    i > j.  Each commutator [M_i, M_j], i < j, is projected onto the span of
+    the basis through the rows of one pseudo-inverse, so neither the products
+    nor the commutators are formed densely.  Whether a commutator lies in the
+    span is decided by the realization's residual alone.
     """
     mats = np.array(mats, dtype=float)     # (d, n, n)
     if not np.isfinite(mats).all():
         raise StructureError("realization matrices have non-finite entries")
     d, n = mats.shape[:2]
-    i, j = np.triu_indices(d, 1)
+    x = _Entries(mats)
+    mat, row, col = x.index
+    xa, ya = _pair_up(*_partners(x, 2, x, 1))    # M_i[a, m] against M_j[m, b]
+    cross = mat[xa] != mat[ya]
+    xa, ya = xa[cross], ya[cross]
+    i, j, a, b = mat[xa], mat[ya], row[xa], col[ya]
     with np.errstate(over="ignore", invalid="ignore"):   # the realization's residual fails them
-        # every M_i M_j (at [i, :, j]) in one product; rebinding frees them before validation
-        comm = (mats.reshape(-1, n) @ mats.transpose(1, 0, 2).reshape(n, -1)).reshape(d, n, d, n)
-        comm = (comm[i, :, j] - comm[j, :, i]).reshape(len(i), n * n)
-        coeff = comm @ np.linalg.pinv(mats.reshape(d, -1))
+        prod = x.values[xa] * x.values[ya]
+        keys, comm = _sum_by_key(((np.minimum(i, j) * d + np.maximum(i, j)) * n + a) * n + b,
+                                 np.where(i < j, prod, -prod))
+        reached = comm != 0
+        pair, entry = np.divmod(keys[reached], n * n)   # pair = i d + j, entry = a n + b
+        proj = np.linalg.pinv(mats.reshape(d, -1))[entry] * comm[reached][:, None]
+        # the flat index of (i, j, k) in c is pair d + k
+        where, coeff = _sum_by_key((pair[:, None] * d + np.arange(d)).ravel(), proj.ravel())
+    ij, k = np.divmod(where, d)
+    i, j = np.divmod(ij, d)
     c = np.zeros((d, d, d))
-    c[i, j] = coeff
-    c[j, i] = -coeff
+    c[np.arange(d)[:, None] > np.arange(d)] = -0.0     # c[j, i] = -c[i, j], so its zeros are -0.0
+    c[i, j, k] = coeff
+    c[j, i, k] = -coeff
     algebra = LieAlgebra(c, np.eye(d))
     return algebra, MatrixRealization(algebra, mats)
 

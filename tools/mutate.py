@@ -6,9 +6,13 @@ Each mutant is one text replacement (file, old, new) in the source.  Every
 ``old`` must occur exactly once in its file, or the tool exits with status 2
 before running anything.  For each mutant the checkout, without ``.git``, is
 copied to a temporary directory, the replacement is applied there, and Tier-1
-runs with ``-x -q``.  One line per mutant reports ``killed`` with the first
-failing test, or ``survived``.  The exit status is 0 whatever survives; the
-list and its results are recorded in CHANGES.md.  Standard library only.
+runs with ``-x -q --continue-on-collection-errors``.  One line per mutant
+reports ``killed`` with the first failing test, or ``survived``.  A mutant that
+breaks a test module's import-time setup is a collection error, which ``-x``
+stops at without running a test; such a mutant runs Tier-1 again without
+``-x``, so that its line names a test too.  The exit status is 0 whatever
+survives; the list and its results are recorded in CHANGES.md.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -45,9 +49,16 @@ MUTANTS = (
     ("the Ricci candidates u+- built from q_2 instead of q_3", "src/liemorph/foliations.py",
      "w1 * q[:, 0] + w3 * q[:, 2], w1 * q[:, 0] - w3 * q[:, 2]",
      "w1 * q[:, 0] + w3 * q[:, 1], w1 * q[:, 0] - w3 * q[:, 1]"),
+    ("the join builder adding M_j M_i, i > j, with its sign flipped", "src/liemorph/groups.py",
+     "np.where(i < j, prod, -prod)", "np.where(i < j, prod, prod)"),
+    ("the antisymmetry partner of c[i, j, k] taken as c[i, k, j]", "src/liemorph/algebra.py",
+     "entries.values + c[j, i, k]", "entries.values + c[i, k, j]"),
+    ("rows within 1e-2 of orthonormal skipping the rank decision", "src/liemorph/algebra.py",
+     "np.eye(len(rows))).max() <= 1e-10", "np.eye(len(rows))).max() <= 1e-2"),
 )
 
 FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+FIRST_TEST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+::\S+)", re.MULTILINE)
 
 
 def check_mutants() -> list[str]:
@@ -69,12 +80,14 @@ def run_mutant(path: str, old: str, new: str) -> str:
         target = copy / path
         target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH="src")
-        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
-                               "no:cacheprovider"], cwd=copy, env=env, capture_output=True,
-                              text=True)
+        tier1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                 "--continue-on-collection-errors"]
+        done = subprocess.run([*tier1, "-x"], cwd=copy, env=env, capture_output=True, text=True)
+        if done.returncode != 0 and not FIRST_TEST_FAILURE.search(done.stdout):
+            done = subprocess.run(tier1, cwd=copy, env=env, capture_output=True, text=True)
     if done.returncode == 0:
         return "survived"
-    failure = FIRST_FAILURE.search(done.stdout)
+    failure = FIRST_TEST_FAILURE.search(done.stdout) or FIRST_FAILURE.search(done.stdout)
     return f"killed: {failure.group(1) if failure else f'pytest exit status {done.returncode}'}"
 
 
