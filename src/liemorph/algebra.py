@@ -118,70 +118,57 @@ def _sum_by_key(keys: np.ndarray, values: np.ndarray):
     return keys[new], np.bincount(np.cumsum(new) - 1, weights=values[order])
 
 
-def _coo_max_abs(terms, budget: float = math.inf) -> float | None:
-    """max |sum of the terms| over every output index, by a join of nonzero entries.
+def _products(x: _Entries):
+    """(i, j, a, b, p): each product p = M_i[a, m] M_j[m, b], i != j, of the stack x.
 
-    Each term is ``(spec, x, y, outputs)``, x and y arrays or their
-    ``_Entries``.  ``spec`` names the axes of x and y as einsum does
-    ("ijm,kml"), and the one letter they share is summed over.  Each product
-    of a nonzero x entry with a nonzero y entry is added at every index string
-    of ``outputs`` (a leading "-" subtracts it), so one join can feed several
-    permutations of its indices.  Sums are keyed by the output entries the
-    products reach (``_sum_by_key``); every other entry is 0.  The
-    products are counted from the nonzero patterns first, term by term, and
-    once the count times the outputs exceeds ``budget`` the join is not
-    formed: the result is None.
-
-    A dense product turns an inf or NaN entry into NaN through inf * 0; the
-    join forms no such product, so any non-finite entry makes the result
-    NaN outright.
+    A join of x's nonzero entries with themselves on the shared index m.
     """
-    pending, size = [], 0
-    for spec, x, y, outputs in terms:
-        x, y = _entries(x), _entries(y)
-        xs, ys = spec.split(",")
-        (m,) = set(xs) & set(ys)
-        if not (np.isfinite(x.values).all() and np.isfinite(y.values).all()):
-            return math.nan
-        reps, starts, order = _partners(x, xs.index(m), y, ys.index(m))
-        size += int(reps.sum()) * len(outputs)
-        if size > budget:
-            return None
-        pending.append((xs, ys, m, x, y, (reps, starts, order), outputs))
-    if not size:
-        return 0.0
-    keys, vals = [], []
-    for xs, ys, m, x, y, partners, outputs in pending:
-        xa, ya = _pair_up(*partners)
-        axes = {**{a: (x.index[p][xa], x.shape[p]) for p, a in enumerate(xs) if a != m},
-                **{a: (y.index[p][ya], y.shape[p]) for p, a in enumerate(ys) if a != m}}
-        prod = x.values[xa] * y.values[ya]
-        for out in outputs:
-            letters = out.lstrip("-")
-            keys.append(np.ravel_multi_index(tuple(axes[a][0] for a in letters),
-                                             tuple(axes[a][1] for a in letters)))
-            vals.append(-prod if out.startswith("-") else prod)
-    return float(np.abs(_sum_by_key(np.concatenate(keys), np.concatenate(vals))[1]).max())
+    mat, row, col = x.index
+    xa, ya = _pair_up(*_partners(x, 2, x, 1))    # M_i[a, m] against M_j[m, b]
+    cross = mat[xa] != mat[ya]
+    xa, ya = xa[cross], ya[cross]
+    return mat[xa], mat[ya], row[xa], col[ya], x.values[xa] * x.values[ya]
 
 
-def _distinct_rows(rows: np.ndarray, d: int) -> np.ndarray:
-    """The distinct values of ``rows``, row numbers of a (d^2, d) stack, ascending."""
-    hit = np.zeros(d * d, dtype=bool)
-    hit[rows] = True
-    return np.flatnonzero(hit)
+def _join_residual(c: _Entries, rep: _Entries, budget: float) -> float | None:
+    """max |[M_i, M_j] - sum_k c[i,j,k] M_k| by a join of nonzero entries.
+
+    Each product of ``_products`` is added at (i, j) and subtracted at
+    (j, i), and each c[i,j,k] M_k subtracted at (i, j), in one
+    ``_sum_by_key``; every entry no product reaches is 0.  The entries are
+    counted from the nonzero patterns first, two per pair of rep entries
+    (i = j included) and one per pair of a c entry with a rep entry; past
+    ``budget`` none is formed and the result is None.  The join forms no
+    inf * 0, so a non-finite entry makes the result NaN outright; an
+    overflow ends as inf or NaN.
+    """
+    if not (np.isfinite(rep.values).all() and np.isfinite(c.values).all()):
+        return math.nan
+    partners = _partners(c, 2, rep, 0)              # c[i, j, k] against M_k[a, b]
+    if 2 * int(_partners(rep, 2, rep, 1)[0].sum()) + int(partners[0].sum()) > budget:
+        return None
+    d, n = rep.shape[:2]
+    ca, ra = _pair_up(*partners)
+    ci, cj, _ = c.index
+    _, a, b = rep.index
+    with np.errstate(over="ignore", invalid="ignore"):
+        i, j, pa, pb, prod = _products(rep)
+        keys = np.concatenate([((i * d + j) * n + pa) * n + pb, ((j * d + i) * n + pa) * n + pb,
+                               ((ci[ca] * d + cj[ca]) * n + a[ra]) * n + b[ra]])
+        terms = np.concatenate([prod, -prod, -(c.values[ca] * rep.values[ra])])
+        return float(np.abs(_sum_by_key(keys, terms)[1]).max(initial=0.0))
 
 
 def _representation_residual(c, rep) -> float:
     """max |[M_i, M_j] - sum_k c[i,j,k] M_k| over the (d, n, n) stack ``rep``.
 
     ``c`` and ``rep`` are arrays or their ``_Entries``; the join reads their
-    listings, the dense products their arrays.  One rule picks the path.  The
-    join of nonzero entries (M_i M_j added at (i, j) and subtracted at (j, i),
-    then c[i,j,k] M_k subtracted; exact on integer data) runs when the dense
-    products would do at least ``_JOIN_MIN_WORK`` multiply-adds, d^2 n^2
-    (d + n), below which they take less than the join's fixed cost of about
-    0.1 ms, and when it forms no more entries than one d n^2 slab.  Otherwise
-    dense products run over blocks of first indices i, each block at most
+    listings, the dense products their arrays.  One rule picks the path.
+    ``_join_residual`` (exact on integer data) runs when the dense products
+    would do at least ``_JOIN_MIN_WORK`` multiply-adds, d^2 n^2 (d + n),
+    below which they take less than the join's fixed cost of about 0.1 ms,
+    and when it forms no more entries than one d n^2 slab.  Otherwise dense
+    products run over blocks of first indices i, each block at most
     max(2^16, d n^2) entries.  A stack that fits one block takes one product
     P = M_i M_j at [i, j], and M_j M_i is P with its pair axes swapped.
 
@@ -192,8 +179,7 @@ def _representation_residual(c, rep) -> float:
     d, n = rep.shape[:2]
     slab = d * n * n
     if d * slab * (d + n) >= _JOIN_MIN_WORK:
-        resid = _coo_max_abs([("iab,jbc", rep, rep, ("ijac", "-jiac")),
-                              ("ijk,kac", c, rep, ("-ijac",))], slab)
+        resid = _join_residual(c, rep, slab)
         if resid is not None:
             return resid
     c, rep = c.dense, rep.dense
@@ -279,8 +265,8 @@ class LieAlgebra:
 
     @cached_property
     def _entries(self) -> _Entries:
-        """The nonzero entries of c, listed once per instance: the scale, the
-        antisymmetry and Jacobi checks, [g, g] and the center read them."""
+        """The nonzero entries of c, listed once per instance: the scale and the
+        antisymmetry and Jacobi checks read them."""
         return _Entries(self.structure_constants)
 
     @cached_property
@@ -292,12 +278,10 @@ class LieAlgebra:
     def _derived(self) -> "Subspace":
         """[g, g]: the row space of c reshaped to (d^2, d), under the series' noise floor.
 
-        Only the rows (i, j) with a nonzero entry are taken, in their order.
+        ``_rank_decision`` takes only the rows with a nonzero entry, in their order.
         """
-        c, d = self.structure_constants, self.dim
-        i, j, _ = self._entries.index
-        rows = c.reshape(-1, d)[_distinct_rows(i * d + j, d)]
-        return _span_above(rows, d, RANK_TOL * self._c_scale)
+        return _span_above(self.structure_constants.reshape(-1, self.dim), self.dim,
+                           RANK_TOL * self._c_scale)
 
     def bracket(self, x, y) -> np.ndarray:
         """[x, y] for coordinate vectors x, y."""
@@ -536,14 +520,12 @@ def is_abelian(algebra: LieAlgebra) -> bool:
 def center(algebra: LieAlgebra) -> Subspace:
     """Null space of the stacked maps x -> [x, e_j].
 
-    The stack's rows (j, k) are c[:, j, k]; only those with a nonzero entry
-    are taken, in their order.  ``_rank_decision`` QR-reduces them to d x d
+    The stack's rows (j, k) are c[:, j, k].  ``_rank_decision`` takes only
+    those with a nonzero entry, in their order, and QR-reduces them to d x d
     before the SVD, with the series' noise floor; non-finite constants raise
     StructureError.
     """
-    c, d = algebra.structure_constants, algebra.dim
-    _, j, k = algebra._entries.index
-    rows = _distinct_rows(j * d + k, d)
-    stacked = c[:, rows // d, rows % d].T
-    rank, _, vh = _rank_decision(stacked, RANK_TOL * algebra._c_scale)
+    d = algebra.dim
+    rank, _, vh = _rank_decision(algebra.structure_constants.reshape(d, -1).T,
+                                 RANK_TOL * algebra._c_scale)
     return Subspace(d, _fix_signs(vh[rank:]))

@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (LieAlgebra, _dependent, _Entries, _pair_up, _partners, _readonly,
+from .algebra import (LieAlgebra, _dependent, _Entries, _products, _readonly,
                       _representation_residual, _sum_by_key)
 from .errors import StructureError
 
@@ -231,8 +231,8 @@ def _unit(n, i, j):
 def _algebra_from_matrices(mats) -> tuple[LieAlgebra, MatrixRealization]:
     """Read structure constants off the matrices themselves.
 
-    The commutators come from a join of the matrices' nonzero entries on the
-    shared index: each product M_i[a, m] M_j[m, b], i != j, is added to entry
+    The commutators come from ``_products``, the join of the matrices'
+    nonzero entries: each product M_i[a, m] M_j[m, b], i != j, is added to entry
     (a, b) of the pair (min(i, j), max(i, j)), with sign + for i < j and - for
     i > j.  Each commutator [M_i, M_j], i < j, is projected onto the span of
     the basis through the rows of one pseudo-inverse, so neither the products
@@ -243,14 +243,8 @@ def _algebra_from_matrices(mats) -> tuple[LieAlgebra, MatrixRealization]:
     if not np.isfinite(mats).all():
         raise StructureError("realization matrices have non-finite entries")
     d, n = mats.shape[:2]
-    x = _Entries(mats)
-    mat, row, col = x.index
-    xa, ya = _pair_up(*_partners(x, 2, x, 1))    # M_i[a, m] against M_j[m, b]
-    cross = mat[xa] != mat[ya]
-    xa, ya = xa[cross], ya[cross]
-    i, j, a, b = mat[xa], mat[ya], row[xa], col[ya]
     with np.errstate(over="ignore", invalid="ignore"):   # the realization's residual fails them
-        prod = x.values[xa] * x.values[ya]
+        i, j, a, b, prod = _products(_Entries(mats))
         keys, comm = _sum_by_key(((np.minimum(i, j) * d + np.maximum(i, j)) * n + a) * n + b,
                                  np.where(i < j, prod, -prod))
         reached = comm != 0

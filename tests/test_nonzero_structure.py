@@ -72,7 +72,7 @@ def dense_center(alg):
 def dense_path(c, rep):
     """The representation residual by dense products: the join declines."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(algebra_module, "_coo_max_abs", lambda terms, budget: None)
+        m.setattr(algebra_module, "_join_residual", lambda c, rep, budget: None)
         return _representation_residual(c, rep)
 
 

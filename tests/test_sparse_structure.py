@@ -8,6 +8,7 @@ checked here against a direct einsum of the cyclic sum.  The rule that picks
 the path runs on both of its sides.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 import liemorph as lm
 import liemorph.algebra as algebra_module
-from liemorph.algebra import (LieAlgebra, _coo_max_abs, _jacobi_residual,
+from liemorph.algebra import (LieAlgebra, _jacobi_residual, _join_residual,
                               _representation_residual)
 from liemorph.checks import Check
 from liemorph.groups import HOMOMORPHISM_TOL, MatrixRealization
@@ -46,17 +47,17 @@ def adjoint(c):
 
 def join_path(c, rep):
     """The residual by the join, whatever its size."""
-    join = _coo_max_abs
+    join = _join_residual
     with pytest.MonkeyPatch.context() as m:
         m.setattr(algebra_module, "_JOIN_MIN_WORK", 0)
-        m.setattr(algebra_module, "_coo_max_abs", lambda terms, budget: join(terms))
+        m.setattr(algebra_module, "_join_residual", lambda c, rep, budget: join(c, rep, math.inf))
         return _representation_residual(c, rep)
 
 
 def dense_path(c, rep):
     """The residual by the dense products: the join declines."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(algebra_module, "_coo_max_abs", lambda terms, budget: None)
+        m.setattr(algebra_module, "_join_residual", lambda c, rep, budget: None)
         return _representation_residual(c, rep)
 
 
@@ -81,10 +82,10 @@ def perturbed_n10(rng):
 
 
 def joins(monkeypatch):
-    """Record what each ``_coo_max_abs`` call returns: None when the join declined."""
+    """Record what each ``_join_residual`` call returns: None when the join declined."""
     results = []
-    original = _coo_max_abs
-    monkeypatch.setattr(algebra_module, "_coo_max_abs",
+    original = _join_residual
+    monkeypatch.setattr(algebra_module, "_join_residual",
                         lambda *args: results.append(original(*args)) or results[-1])
     return results
 
@@ -230,14 +231,3 @@ def test_dense_validation_stays_below_one_d4_tensor(rng):
     assert not {k.name: k for k in report}["jacobi"].passed
     assert peak < d ** 4 * 8
 
-
-def test_join_sums_permuted_outputs_and_counts_before_forming():
-    # x = e_0 (x) e_1 and y = e_1 (x) e_2 join on the shared letter to one product
-    x = np.zeros((2, 2))
-    y = np.zeros((2, 3))
-    x[0, 1], y[1, 2] = 2.0, 3.0
-    assert _coo_max_abs([("am,mb", x, y, ("ab",))]) == 6.0
-    assert _coo_max_abs([("am,mb", x, y, ("ab", "-ab"))]) == 0.0
-    assert _coo_max_abs([("am,mb", x, y, ("ab", "ab"))]) == 12.0
-    assert _coo_max_abs([("am,mb", x, y, ("ab", "ab"))], budget=1) is None
-    assert _coo_max_abs([("am,mb", x, np.zeros((2, 3)), ("ab",))], budget=0) == 0.0
