@@ -286,19 +286,25 @@ class Polynomial:
 
         ``values`` is (Q, n), one column per variable; the result is complex,
         (Q, 1 + n + n(n+1)/2).  Each variable's powers are repeated products,
-        as in ``__call__``, formed once in one table; each monomial is the
-        product of its powers read from it.  Each point takes its own
-        (1, M) @ (M, columns) product, so its sums do not depend on how many
-        points come with it.
+        as in ``__call__``, of its contiguous (Q,) column, formed once in one
+        table; each monomial is 1 times its powers read from it, multiplied
+        variable by variable in order.  Every multiply runs on contiguous rows
+        of Q entries, and each point takes its own (1, M) @ (M, columns)
+        product, so a point's bits do not depend on how many points come with
+        it.
         """
         take, width, coeffs = self._chain
-        powers = np.empty(values.shape + (width,), dtype=complex)       # (Q, n, width)
-        powers[..., 0] = 1.0
-        powers[..., 1] = values
-        for e in range(2, width):
-            np.multiply(powers[..., e - 1], values, out=powers[..., e])
-        mono = powers.reshape(len(values), -1)[:, take].prod(axis=2)     # (Q, M)
-        return (mono[:, None, :] @ coeffs)[:, 0]
+        powers = np.empty((values.shape[1], width, len(values)), dtype=complex)     # (n, width, Q)
+        for column, row in zip(np.array(values.T, dtype=complex), powers):
+            row[0] = 1.0
+            row[1] = column
+            for e in range(2, width):
+                np.multiply(row[e - 1], column, out=row[e])
+        flat = powers.reshape(-1, len(values))
+        mono = np.ones((len(take), len(values)), dtype=complex)        # (M, Q)
+        for powers_k in take.T:
+            mono *= flat[powers_k]
+        return (np.ascontiguousarray(mono.T)[:, None, :] @ coeffs)[:, 0]
 
 
 @lru_cache(maxsize=32)
@@ -308,8 +314,8 @@ def _chain_table(exponents: tuple) -> tuple:
     Since d^a z^e = falling(e, a) z^(e - a), term t gives z^(e_t - a), times
     that factor, to every derivative column of order a that does not vanish
     on it; equal monomials share one row.  Returns ``take``, each of the M
-    distinct monomials as the (M, n) flat indices of its powers in a
-    (Q, n, width) table of each variable's powers 0 .. width - 1, and
+    distinct monomials as the (M, n) flat indices of its powers in an
+    (n, width) table of each variable's powers 0 .. width - 1, and
     ``width``; then, per non-vanishing (column, term) pair, its monomial row,
     column, term and factor; then the number of columns.
     """

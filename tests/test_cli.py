@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import liemorph as lm
 from liemorph.checks import DEFAULT_TOLERANCES
 from liemorph.cli import ConfigError, load_config, main
 
@@ -171,6 +172,20 @@ def test_nonfinite_inline_data_fails_its_checks_with_a_report(tmp_path, bad, fie
     checks = {c["name"]: c for c in read_report(out)["checks"]}
     assert not any(checks[name]["pass"] for name in failing)
     assert all(math.isfinite(float(c["tolerance"])) for c in checks.values())
+
+
+def test_an_overflowing_jacobi_join_fails_its_check_with_a_report(tmp_path):
+    # N_6 scaled by 1e200: d = 15, so Jacobi takes the join, and its products overflow
+    c = np.array(lm.build_N(6)[0].structure_constants) * 1e200
+    cfg, out = base_config(tmp_path, "check-algebra",
+                           inline={"structure_constants": c.tolist(),
+                                   "gram": np.eye(len(c)).tolist()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check-algebra", "--config", cfg]) == 1
+    checks = {c["name"]: c for c in read_report(out)["checks"]}
+    assert not checks["jacobi"]["pass"]
+    assert checks["jacobi"]["max_residual"] == "nan"
 
 
 def test_check_algebra_builtin_summary(tmp_path):

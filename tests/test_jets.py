@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liemorph as lm
 from liemorph import jets
@@ -495,11 +498,21 @@ def test_verify_family_equals_max_of_single_point_calls(built, frames, rng):
     singles = [verify_family(fam, [p], frames["H2"], tol=1e-7) for p in pts]
     names = [c.name for c in rep.checks]
     assert all([c.name for c in s.checks] == names for s in singles)
-    # equal up to the BLAS kernel choice for one row versus many
-    np.testing.assert_allclose([c.residual for c in rep.checks],
-                               np.max([[c.residual for c in s.checks] for s in singles], axis=0),
-                               rtol=1e-12, atol=1e-15)
+    want = np.max([[c.residual for c in s.checks] for s in singles], axis=0)
+    assert np.array([c.residual for c in rep.checks]).tobytes() == want.tobytes()
     assert rep.n_points == 30
+
+
+def test_an_s3_image_of_the_family_is_the_max_of_single_point_calls_bit_for_bit(built, frames):
+    # a polynomial's derivatives at a point do not depend on the points that come with it
+    alg, real = built["S3"]
+    fc = lm.first_construction(alg, real, "S")
+    image = holomorphic_post(random_polynomial(1, np.random.default_rng(20240817)), fc.family)
+    pts = sample_points(real, 30, seed=17, scale=1.0)
+    rep = verify_family([image], pts, frames["S3"])
+    singles = [verify_family([image], [p], frames["S3"]) for p in pts]
+    want = np.max([[c.residual for c in s.checks] for s in singles], axis=0)
+    assert np.array([c.residual for c in rep.checks]).tobytes() == want.tobytes()
 
 
 def test_verify_family_on_s3_is_the_max_of_single_point_calls_bit_for_bit(built, frames, rng):
@@ -513,6 +526,38 @@ def test_verify_family_on_s3_is_the_max_of_single_point_calls_bit_for_bit(built,
     want = np.max([[c.residual for c in s.checks] for s in singles], axis=0)
     assert np.array([c.residual for c in rep.checks]).tobytes() == want.tobytes()
     assert rep.checks[1].residual == 2.0       # tau(log x_00) = -tr ad D_0: the drift is not 0
+
+
+@functools.cache
+def every_field_kind(name):
+    """(frame, fields, points) on a REALIZED family.
+
+    The fields are matrix entries, a log, a constant, a pairing, an image of a
+    pairing and, where the family has a first construction, an image of it.
+    """
+    alg, real = REALIZED[name][0](*REALIZED[name][1])
+    rng = np.random.default_rng(5)
+    n = real.ambient
+    entries = [matrix_entry(0, n - 1), matrix_entry(0, 1), matrix_entry(n - 1, n - 1)]
+    pair = lm.pairing(rng.normal(size=3) + 1j * rng.normal(size=3), entries)
+    fields = [*entries, log_diag(n - 1), Constant(0.3 - 0.4j), pair,
+              holomorphic_post(random_polynomial(2, rng), (pair, entries[1]))]
+    if name[0] in "NHKS" and name not in ("N2", "S2"):      # N_2 and S_2 have no family
+        family = lm.first_construction(alg, real, name[0]).family
+        fields.append(holomorphic_post(random_polynomial(len(family), rng), family))
+    return Frame.build(alg, real), fields, sample_points(real, 12, seed=9, scale=1.0)
+
+
+@pytest.mark.parametrize("name", sorted(REALIZED))
+@settings(max_examples=5, deadline=None, database=None, derandomize=True)
+@given(cuts=st.sets(st.integers(1, 11), min_size=1, max_size=4))
+def test_verify_family_is_the_max_over_any_split_of_its_points_bit_for_bit(name, cuts):
+    frame, fields, pts = every_field_kind(name)
+    whole = verify_family(fields, pts, frame)
+    bounds = [0, *sorted(cuts), len(pts)]
+    parts = [verify_family(fields, pts[a:b], frame) for a, b in zip(bounds, bounds[1:])]
+    want = np.max([[c.residual for c in part.checks] for part in parts], axis=0)
+    assert np.array([c.residual for c in whole.checks]).tobytes() == want.tobytes()
 
 
 def test_log_diag_batch_with_one_bad_point_raises(built, frames):

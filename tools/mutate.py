@@ -51,6 +51,10 @@ MUTANTS = (
      "w1 * q[:, 0] + w3 * q[:, 1], w1 * q[:, 0] - w3 * q[:, 1]"),
     ("the join builder adding M_j M_i, i > j, with its sign flipped", "src/liemorph/groups.py",
      "np.where(i < j, prod, -prod)", "np.where(i < j, prod, prod)"),
+    ("the residual join adding M_i M_j at (j, i) instead of subtracting it",
+     "src/liemorph/algebra.py", "[prod, -prod,", "[prod, prod,"),
+    ("the residual join adding c[i, j, k] M_k instead of subtracting it",
+     "src/liemorph/algebra.py", "-(c.values[ca] * rep.values[ra])", "c.values[ca] * rep.values[ra]"),
     ("the antisymmetry partner of c[i, j, k] taken as c[i, k, j]", "src/liemorph/algebra.py",
      "entries.values + c[j, i, k]", "entries.values + c[i, k, j]"),
     ("rows within 1e-2 of orthonormal skipping the rank decision", "src/liemorph/algebra.py",
