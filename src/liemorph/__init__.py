@@ -24,7 +24,6 @@ from .geometry import (ConnectionTable, curvature, gl_connection_term,
 from .groups import (MatrixRealization, build_damek_ricci, build_G3,
                      build_Galpha, build_H, build_K, build_N, build_S,
                      exp_matrix, sample_points)
-from .jets import (CurveJet, Frame, Jet2, Polynomial, ScalarField, derivs,
-                   fd_check, holomorphic_post, kappa, laplacian, log_diag,
-                   linear_combination, matrix_entry, pairing, random_polynomial,
-                   verify_family)
+from .jets import (CurveJet, Frame, Jet2, Polynomial, ScalarField, fd_check,
+                   holomorphic_post, linear_combination, log_diag, matrix_entry,
+                   pairing, random_polynomial, verify_family)

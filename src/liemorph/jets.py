@@ -1,17 +1,16 @@
 """Second-order jets along curves s -> p exp(sX) and the operators they induce.
 
-One evaluator serves every operator: a ``CurveJet`` stacks P points and D
-direction matrices, and each field is evaluated once over all P x D curves,
-with ``Jet2`` arithmetic running elementwise on (P, D) arrays (second-order
-Taylor mode).  A ``HolomorphicImage`` F(phi) applies the second-order chain
-rule to its sub-field jets instead, with F and its derivatives evaluated on
-the (P, 1) values only, and ``CurveJet.jet`` evaluates each field once per
-curve, however many images share it.  A field's hash is formed once, and
-polynomials with the same exponents share one chain-rule table.
-``verify_family`` puts all sample points and every frame direction into one
-curve, and reads the laplacian's drift off their first derivatives (``Frame``);
-``kappa``, ``laplacian``, ``kappa_matrix``, ``laplacian_values`` and
-``derivs`` are views of the same evaluation at one point.
+One batched evaluator serves every operator: a ``CurveJet`` stacks P points and
+D direction matrices, and each field is evaluated once over all P x D curves
+as (P, D) arrays (second-order Taylor mode).  A ``HolomorphicImage`` F(phi)
+applies the second-order chain rule to its sub-field jets, with F and its
+derivatives evaluated on the (P, 1) values only, and ``CurveJet.jet``
+evaluates each field once per curve, however many images share it.  A field's
+hash is formed once, and polynomials with the same exponents share one
+chain-rule table.  The fields use only ``Jet2.log``; its ``+`` and ``*`` serve
+the tests' reference sums.  ``verify_family``, the evaluator's one public
+entry, puts all sample points and every frame direction into one curve, and
+reads the laplacian's drift off their first derivatives (``Frame``).
 
 The curve jet uses the exact order-2 expansion p (I + sX + s^2 X^2 / 2); the
 truncation introduces no error in the first or second derivative at s = 0, so
@@ -420,12 +419,6 @@ def holomorphic_post(poly: Polynomial | dict, fields) -> HolomorphicImage:
     return HolomorphicImage(poly, tuple(fields))
 
 
-def identity_polynomial(k: int, n_vars: int) -> Polynomial:
-    e = [0] * n_vars
-    e[k] = 1
-    return Polynomial.from_dict({tuple(e): 1.0})
-
-
 def random_polynomial(n_vars: int, rng: np.random.Generator, max_degree: int = 3) -> Polynomial:
     """All monomials of total degree <= max_degree, coefficients uniform in the unit disk.
 
@@ -453,8 +446,8 @@ class Frame:
 
     ``traces[a]`` is tr ad X_a.  By Koszul, <T, Z> = sum_a <[Z, X_a], X_a> = tr ad_Z for
     the tension T = sum_a nabla_{X_a} X_a (Milnor, Adv. Math. 21, 1976), so T = sum_a
-    traces[a] X_a; ``tension`` is T in algebra coordinates.  The laplacian of a field is
-    sum_a X_a^2(phi) minus its drift T(phi) = sum_a traces[a] X_a(phi).
+    traces[a] X_a.  The laplacian of a field is sum_a X_a^2(phi) minus its drift
+    T(phi) = sum_a traces[a] X_a(phi), read off the frame derivatives; T is never formed.
     """
 
     algebra: LieAlgebra
@@ -462,7 +455,6 @@ class Frame:
     onb: np.ndarray
     mats: np.ndarray
     traces: np.ndarray
-    tension: np.ndarray
 
     @classmethod
     def build(cls, algebra: LieAlgebra, realization: MatrixRealization, onb=None) -> "Frame":
@@ -470,8 +462,7 @@ class Frame:
         mats = np.tensordot(onb, realization.rep, axes=1)
         mats.flags.writeable = False
         trace_form = np.einsum("ijj->i", algebra.structure_constants)
-        return cls(algebra, realization, onb, mats, onb @ trace_form,
-                   np.linalg.solve(algebra.gram, trace_form))
+        return cls(algebra, realization, onb, mats, onb @ trace_form)
 
 
 def _jets(fields, points, mats) -> tuple:
@@ -498,19 +489,6 @@ def _frame_operators(fields, points, frame: Frame) -> tuple:
     return grad @ grad.transpose(0, 2, 1), tau.T
 
 
-def _one_point(point) -> np.ndarray:
-    return np.asarray(point, dtype=float)[None]
-
-
-def derivs(field: ScalarField, point: np.ndarray, direction,
-           realization: MatrixRealization) -> tuple:
-    """(X(phi)(p), X^2(phi)(p)) along the algebra vector ``direction``."""
-    mat = realization.matrix_of(direction)
-    d1, d2 = _jets((field,), _one_point(point), mat[None])
-    first, second = complex(d1[0, 0, 0]), complex(d2[0, 0, 0])
-    return (first, second) if field.is_complex else (first.real, second.real)
-
-
 def fd_check(field: ScalarField, point: np.ndarray, direction,
              realization: MatrixRealization, h: float = 1e-4) -> tuple:
     """Central finite differences of s -> phi(p exp(sX)); the independent oracle."""
@@ -522,26 +500,6 @@ def fd_check(field: ScalarField, point: np.ndarray, direction,
     f_zero = field.value(point)
     f_minus = field.value(point @ exp_matrix(mat, -h))
     return (f_plus - f_minus) / (2.0 * h), (f_plus - 2.0 * f_zero + f_minus) / (h * h)
-
-
-def kappa(phi: ScalarField, psi: ScalarField, point, frame: Frame):
-    """kappa(phi, psi) = sum over the frame of X(phi) X(psi), complex bilinear."""
-    out = complex(kappa_matrix((phi, psi), point, frame)[0, 1])
-    return out if (phi.is_complex or psi.is_complex) else out.real
-
-
-def laplacian(phi: ScalarField, point, frame: Frame):
-    """tau(phi) = sum_a X_a^2(phi) - (sum_a nabla_{X_a} X_a)(phi)."""
-    out = complex(laplacian_values((phi,), point, frame)[0])
-    return out if phi.is_complex else out.real
-
-
-def kappa_matrix(fields, point, frame: Frame) -> np.ndarray:
-    return _frame_operators(tuple(fields), _one_point(point), frame)[0][0]
-
-
-def laplacian_values(fields, point, frame: Frame) -> np.ndarray:
-    return _frame_operators(tuple(fields), _one_point(point), frame)[1][0]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import json
 import numpy as np
 
 import liemorph as lm
+from liemorph import jets
 from liemorph.cli import main as cli_main
 from liemorph.constructions import (damek_ricci_root_graded, first_construction,
                                     second_construction_check)
@@ -18,8 +19,7 @@ from liemorph.foliations import (DistributionSpec, classify,
 from liemorph.geometry import (curvature, gl_connection_term, koszul,
                                random_planes, sectional)
 from liemorph.groups import sample_points
-from liemorph.jets import (Frame, derivs, fd_check, holomorphic_post,
-                           kappa_matrix, laplacian_values, log_diag,
+from liemorph.jets import (Frame, fd_check, holomorphic_post, log_diag,
                            matrix_entry, random_polynomial, verify_family)
 
 
@@ -46,9 +46,10 @@ def test_criterion_1_closed_form_oracle():
         frame = Frame.build(alg, real)
         entries = [(i, j) for i in range(n) for j in range(i + 1, n)]
         fields = [matrix_entry(i, j) for i, j in entries]
-        for p in sample_points(real, 50, seed=1000 + n, scale=1.0):
-            km = kappa_matrix(fields, p, frame).real
-            worst_tau = max(worst_tau, float(np.abs(laplacian_values(fields, p, frame)).max()))
+        pts = sample_points(real, 50, seed=1000 + n, scale=1.0)
+        kap, tau = jets._frame_operators(fields, pts, frame)
+        worst_tau = max(worst_tau, float(np.abs(tau).max()))
+        for p, km in zip(pts, kap.real):
             for a, (i, j) in enumerate(entries):
                 for b, (k, l) in enumerate(entries):
                     worst_kappa = max(worst_kappa,
@@ -65,11 +66,10 @@ def test_criterion_2_superdiagonal_components():
         alg, real = lm.build_N(n)
         frame = Frame.build(alg, real)
         fc = first_construction(alg, real, "N")
-        eye = np.eye(n - 1)
-        for p in sample_points(real, 100, seed=2000 + n, scale=1.0):
-            km = kappa_matrix(fc.phi, p, frame).real
-            worst = max(worst, float(np.abs(km - eye).max()))
-            worst = max(worst, float(np.abs(laplacian_values(fc.phi, p, frame)).max()))
+        pts = sample_points(real, 100, seed=2000 + n, scale=1.0)
+        kap, tau = jets._frame_operators(fc.phi, pts, frame)
+        worst = max(worst, float(np.abs(kap.real - np.eye(n - 1)).max()),
+                    float(np.abs(tau).max()))
     report("criterion 2: N_n components are an orthonormal harmonic system",
            worst < 1e-9, f"worst {worst:.2e}")
 
@@ -196,13 +196,12 @@ def test_criterion_9_numerics_cross_validation():
     rng = np.random.default_rng(9000)
     cases = [lm.build_N(4), lm.build_S(3), lm.build_H(2), lm.build_K(4),
              lm.build_G3(1.0, 0.5)]
-    triples = 0
-    worst_fd = 0.0
-    while triples < 200:
-        alg, real = cases[triples % len(cases)]
-        (p,) = sample_points(real, 1, seed=9100 + triples, scale=0.8)
+    by_case = [[] for _ in cases]       # (field, point, direction) triples of each case
+    for triple in range(200):
+        alg, real = cases[triple % len(cases)]
+        (p,) = sample_points(real, 1, seed=9100 + triple, scale=0.8)
         n = real.ambient
-        choice = triples % 3
+        choice = triple % 3
         if choice == 0:
             f = matrix_entry(int(rng.integers(n)), int(rng.integers(n)))
         elif choice == 1:
@@ -210,12 +209,17 @@ def test_criterion_9_numerics_cross_validation():
         else:
             f = log_diag(int(rng.integers(n))) if np.all(np.diag(p) > 0) \
                 else matrix_entry(0, 1)
-        x = rng.uniform(-1.0, 1.0, alg.dim)
-        d = derivs(f, p, x, real)
-        fd = fd_check(f, p, x, real)
-        for a, b in zip(d, fd):
-            worst_fd = max(worst_fd, abs(a - b) / max(1.0, abs(a), abs(b)))
-        triples += 1
+        by_case[triple % len(cases)].append((f, p, rng.uniform(-1.0, 1.0, alg.dim)))
+    worst_fd = 0.0
+    for (alg, real), triples in zip(cases, by_case):
+        fields, points, directions = zip(*triples)
+        # every field along every point and direction; triple t reads [t, t, t]
+        d1, d2 = jets._jets(fields, np.stack(points),
+                            np.tensordot(np.stack(directions), real.rep, axes=1))
+        for t, (f, p, x) in enumerate(triples):
+            fd = fd_check(f, p, x, real)
+            for a, b in zip((d1[t, t, t], d2[t, t, t]), fd):
+                worst_fd = max(worst_fd, abs(a - b) / max(1.0, abs(a), abs(b)))
 
     worst_conn = 0.0
     builders = {"N3": lm.build_N(3), "N4": lm.build_N(4), "H1": lm.build_H(1),

@@ -14,10 +14,9 @@ from liemorph.errors import DomainError, StructureError
 from liemorph.geometry import koszul
 from liemorph.groups import MatrixRealization, sample_points
 from liemorph.jets import (Constant, CurveJet, FamilyReport, Frame, HolomorphicImage, Jet2,
-                           LinearCombo, Polynomial, ScalarField, derivs, fd_check,
-                           holomorphic_post, identity_polynomial, kappa, kappa_matrix,
-                           laplacian, laplacian_values, linear_combination, log_diag,
-                           matrix_entry, random_polynomial, verify_family)
+                           LinearCombo, Polynomial, ScalarField, fd_check, holomorphic_post,
+                           linear_combination, log_diag, matrix_entry, random_polynomial,
+                           verify_family)
 
 
 def rel_err(a, b):
@@ -62,18 +61,20 @@ def test_jet_log_domain():
 
 
 # ---------------------------------------------------------------------------
-# derivs and its oracles
+# the batched jets and their oracles
 # ---------------------------------------------------------------------------
+
+def direction_mats(real, directions):
+    """The realization's matrices of a stack of algebra vectors, (D, n, n)."""
+    return np.tensordot(np.asarray(directions, dtype=float), real.rep, axes=1)
+
 
 def test_derivs_n3_basic(built):
     alg, real = built["N3"]
-    e = np.eye(3)
-    d = derivs(matrix_entry(0, 1), e, np.array([1.0, 0, 0]), real)
-    assert d == (1.0, 0.0)
-    d = derivs(matrix_entry(0, 2), e, np.array([1.0, 0, 0]), real)
-    assert d == (0.0, 0.0)
-    d = derivs(matrix_entry(0, 2), e, np.zeros(3), real)
-    assert d == (0.0, 0.0)
+    mats = direction_mats(real, [[1.0, 0.0, 0.0], np.zeros(3)])
+    d1, d2 = jets._jets((matrix_entry(0, 1), matrix_entry(0, 2)), np.eye(3)[None], mats)
+    assert d1.tolist() == [[[1.0, 0.0]], [[0.0, 0.0]]]       # (fields, points, directions)
+    assert not d2.any()
 
 
 def quadratic_interp_oracle(field, point, mat):
@@ -95,35 +96,38 @@ def test_derivs_match_symbolic_quadratic(built, rng):
         n = real.ambient
         fields = [matrix_entry(i, j) for i in range(n) for j in range(n)]
         fields.append(linear_combination([0.7, -1.3], [fields[1], fields[n]]))
-        for p in pts:
-            for f in fields[:: max(1, len(fields) // 7)]:
-                x = rng.uniform(-1, 1, alg.dim)
-                mat = real.matrix_of(x)
-                got = derivs(f, p, x, real)
-                want = quadratic_interp_oracle(f, p, mat)
-                assert abs(got[0] - want[0]) < 1e-12
-                assert abs(got[1] - want[1]) < 1e-12
+        fields = fields[:: max(1, len(fields) // 7)]
+        mats = direction_mats(real, rng.uniform(-1, 1, (3, alg.dim)))
+        d1, d2 = jets._jets(fields, pts, mats)
+        for k, f in enumerate(fields):
+            for t, p in enumerate(pts):
+                for a, mat in enumerate(mats):
+                    want = quadratic_interp_oracle(f, p, mat)
+                    assert abs(d1[k, t, a] - want[0]) < 1e-12
+                    assert abs(d2[k, t, a] - want[1]) < 1e-12
+
+
+def assert_jets_match_fd_check(fields, points, directions, real):
+    """Each field's jet at point t along direction t against its finite differences."""
+    d1, d2 = jets._jets(fields, points, direction_mats(real, directions))
+    for k, f in enumerate(fields):
+        for t, (p, x) in enumerate(zip(points, directions)):
+            fd = fd_check(f, p, x, real)
+            assert rel_err(d1[k, t, t], fd[0]) < 1e-6
+            assert rel_err(d2[k, t, t], fd[1]) < 1e-6
 
 
 def test_fd_check_matches_derivs_entry_fields(built, rng):
     alg, real = built["N4"]
-    for p in sample_points(real, 20, seed=5, scale=1.0):
-        x = rng.uniform(-1, 1, alg.dim)
-        jet = derivs(matrix_entry(0, 2), p, x, real)
-        fd = fd_check(matrix_entry(0, 2), p, x, real)
-        assert rel_err(jet[0], fd[0]) < 1e-6
-        assert rel_err(jet[1], fd[1]) < 1e-6
+    assert_jets_match_fd_check([matrix_entry(0, 2)], sample_points(real, 20, seed=5, scale=1.0),
+                               rng.uniform(-1, 1, (20, alg.dim)), real)
 
 
 def test_fd_check_matches_derivs_log_diag(built, rng):
     alg, real = built["S3"]
-    for p in sample_points(real, 10, seed=6, scale=0.8):
-        x = rng.uniform(-1, 1, alg.dim)
-        for i in range(3):
-            jet = derivs(log_diag(i), p, x, real)
-            fd = fd_check(log_diag(i), p, x, real)
-            assert rel_err(jet[0], fd[0]) < 1e-6
-            assert rel_err(jet[1], fd[1]) < 1e-6
+    assert_jets_match_fd_check([log_diag(i) for i in range(3)],
+                               sample_points(real, 10, seed=6, scale=0.8),
+                               rng.uniform(-1, 1, (10, alg.dim)), real)
 
 
 def test_a_curve_forms_each_entry_jet_once(built, monkeypatch):
@@ -156,9 +160,8 @@ def test_fd_check_constant_field(built):
 
 def test_log_diag_domain_error(built):
     alg, real = built["S2"]
-    p = -np.eye(2)
     with pytest.raises(DomainError):
-        derivs(log_diag(0), p, np.zeros(alg.dim), real)
+        jets._jets((log_diag(0),), -np.eye(2)[None], direction_mats(real, [np.zeros(alg.dim)]))
 
 
 # ---------------------------------------------------------------------------
@@ -178,32 +181,34 @@ def test_kappa_closed_form_oracle(n):
     frame = Frame.build(alg, real)
     entries = [(i, j) for i in range(n) for j in range(i + 1, n)]
     fields = [matrix_entry(i, j) for i, j in entries]
-    for p in sample_points(real, 20, seed=n, scale=1.0):
-        km = kappa_matrix(fields, p, frame).real
+    pts = sample_points(real, 20, seed=n, scale=1.0)
+    for p, km in zip(pts, jets._frame_operators(fields, pts, frame)[0].real):
         for a, (i, j) in enumerate(entries):
             for b, (k, l) in enumerate(entries):
                 assert abs(km[a, b] - closed_form_kappa(p, i, j, k, l)) < 1e-9
 
 
 def test_kappa_at_identity_n3(frames):
-    frame = frames["N3"]
-    assert abs(kappa(matrix_entry(0, 1), matrix_entry(0, 1), np.eye(3), frame) - 1.0) < 1e-14
+    kap, _ = jets._frame_operators((matrix_entry(0, 1),), np.eye(3)[None], frames["N3"])
+    assert abs(kap[0, 0, 0] - 1.0) < 1e-14
 
 
 def test_kappa_with_constant_vanishes(built, frames):
     alg, real = built["N4"]
-    for p in sample_points(real, 5, seed=3, scale=1.0):
-        assert kappa(matrix_entry(0, 1), Constant(3.0), p, frames["N4"]) == 0.0
+    pts = sample_points(real, 5, seed=3, scale=1.0)
+    kap, _ = jets._frame_operators((matrix_entry(0, 1), Constant(3.0)), pts, frames["N4"])
+    assert (kap[:, 0, 1] == 0.0).all() and (kap[:, 1, 0] == 0.0).all()
 
 
 def test_kappa_symmetry(built, frames, rng):
     alg, real = built["S3"]
     frame = frames["S3"]
-    fields = [log_diag(0), matrix_entry(0, 2), log_diag(2)]
-    for p in sample_points(real, 10, seed=12, scale=0.7):
-        for f in fields:
-            for g in fields:
-                assert abs(kappa(f, g, p, frame) - kappa(g, f, p, frame)) < 1e-12
+    fields = (log_diag(0), matrix_entry(0, 2), log_diag(2))
+    pts = sample_points(real, 10, seed=12, scale=0.7)
+    kap = jets._frame_operators(fields, pts, frame)[0]
+    reversed_kap = jets._frame_operators(fields[::-1], pts, frame)[0][:, ::-1, ::-1]
+    assert np.abs(kap - kap.transpose(0, 2, 1)).max() < 1e-12
+    assert np.abs(kap - reversed_kap).max() < 1e-12
 
 
 def random_orthogonal(dim, rng):
@@ -219,13 +224,11 @@ def test_kappa_and_tau_basis_independence(built, rng):
         fields = [matrix_entry(0, real.ambient - 1), matrix_entry(0, 1)]
         if name == "S3":
             fields.append(log_diag(1))
-        for p in sample_points(real, 5, seed=77, scale=0.9):
-            k1 = kappa_matrix(fields, p, frame1)
-            k2 = kappa_matrix(fields, p, frame2)
-            assert np.abs(k1 - k2).max() < 1e-10
-            t1 = laplacian_values(fields, p, frame1)
-            t2 = laplacian_values(fields, p, frame2)
-            assert np.abs(t1 - t2).max() < 1e-10
+        pts = sample_points(real, 5, seed=77, scale=0.9)
+        k1, t1 = jets._frame_operators(fields, pts, frame1)
+        k2, t2 = jets._frame_operators(fields, pts, frame2)
+        assert np.abs(k1 - k2).max() < 1e-10
+        assert np.abs(t1 - t2).max() < 1e-10
 
 
 REALIZED = {
@@ -244,13 +247,18 @@ def koszul_tension(algebra, onb):
     return np.einsum("aac->c", koszul(algebra, onb).gamma) @ onb
 
 
+def trace_form_tension(algebra):
+    """The tension T = sum_a nabla_{X_a} X_a as the gram-dual of the trace form (see ``Frame``)."""
+    return np.linalg.solve(algebra.gram, np.einsum("ijj->i", algebra.structure_constants))
+
+
 @pytest.mark.parametrize("name", sorted(REALIZED))
 def test_trace_form_tension_is_the_koszul_trace_bit_for_bit(name):
     build, args = REALIZED[name]
     alg, real = build(*args)
     frame = Frame.build(alg, real)
     want = koszul_tension(alg, frame.onb)
-    assert frame.tension.tobytes() == want.tobytes()
+    assert trace_form_tension(alg).tobytes() == want.tobytes()
     trace_form = np.einsum("ijj->i", alg.structure_constants)
     assert frame.traces.tobytes() == (frame.onb @ trace_form).tobytes()
     assert [m.tobytes() for m in frame.mats] == [real.matrix_of(v).tobytes() for v in frame.onb]
@@ -269,12 +277,13 @@ def test_trace_form_tension_matches_koszul_under_random_grams_and_frames(seed):
         for onb in (None, rotation @ lm.orthonormal_basis(alg)):
             frame = Frame.build(alg, real, onb)
             want = koszul_tension(alg, frame.onb)
-            assert np.abs(frame.tension - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+            got = trace_form_tension(alg)
+            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
 def tension_curve_tau(fields, points, frame):
     """tau along the explicit tension curve: the frame's directions plus T as one more."""
-    tension = frame.realization.matrix_of(frame.tension)
+    tension = frame.realization.matrix_of(trace_form_tension(frame.algebra))
     d1, d2 = jets._jets(fields, points, np.concatenate([frame.mats, tension[None]]))
     return (sum(d2[:, :, a] for a in range(len(frame.mats))) - d1[:, :, -1]).T
 
@@ -338,7 +347,7 @@ def test_the_operators_evaluate_the_frame_directions_only(built, frames, monkeyp
     monkeypatch.setattr(jets, "_jets", counted)
     pts = sample_points(real, 5, seed=2, scale=0.8)
     verify_family([log_diag(0), matrix_entry(0, 2)], pts, frame)
-    laplacian(log_diag(1), pts[0], frame)
+    jets._frame_operators((log_diag(1),), pts[:1], frame)
     assert counts == [len(frame.mats)] * 2 == [built["S3"][0].dim] * 2
 
 
@@ -365,8 +374,8 @@ def test_tau_vanishes_on_unipotent_entries(n):
     alg, real = lm.build_N(n)
     frame = Frame.build(alg, real)
     fields = [matrix_entry(i, j) for i in range(n) for j in range(i + 1, n)]
-    for p in sample_points(real, 100, seed=42, scale=1.0):
-        assert np.abs(laplacian_values(fields, p, frame)).max() < 1e-9
+    pts = sample_points(real, 100, seed=42, scale=1.0)
+    assert np.abs(jets._frame_operators(fields, pts, frame)[1]).max() < 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -377,19 +386,19 @@ def test_tau_of_log_diagonals_matches_trace_ad(n):
     alg, real = lm.build_S(n)
     frame = Frame.build(alg, real)
     pts = sample_points(real, 20, seed=8, scale=0.8)
+    tau = jets._frame_operators([log_diag(k) for k in range(n)], pts, frame)[1]
+    tension = trace_form_tension(alg)
     for k in range(n):
         expected = float(2 * (k + 1) - (n + 1))
-        for p in pts:
-            assert abs(laplacian(log_diag(k), p, frame) - expected) < 1e-9
+        assert np.abs(tau[:, k] - expected).max() < 1e-9
         p = pts[0]
         fd_total = sum(fd_check(log_diag(k), p, row, real)[1] for row in frame.onb)
-        fd_drift = fd_check(log_diag(k), p, frame.tension, real)[0]
+        fd_drift = fd_check(log_diag(k), p, tension, real)[0]
         assert rel_err(fd_total - fd_drift, expected) < 1e-6
 
 
 def test_tau_constant_field(built, frames):
-    alg, real = built["N3"]
-    assert laplacian(Constant(2.5), np.eye(3), frames["N3"]) == 0.0
+    assert not jets._frame_operators((Constant(2.5),), np.eye(3)[None], frames["N3"])[1].any()
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +456,7 @@ def test_family_report_is_its_checks():
 def test_holomorphic_identity_is_noop(built, frames):
     alg, real = built["N3"]
     fam = n3_family(frames["N3"])
-    composed = holomorphic_post(identity_polynomial(0, 1), fam)
+    composed = holomorphic_post(Polynomial.from_dict({(1,): 1.0}), fam)
     for p in sample_points(real, 5, seed=2, scale=1.0):
         assert abs(composed.value(p) - fam[0].value(p)) < 1e-14
 
@@ -456,10 +465,9 @@ def test_holomorphic_constant_is_flat(built, frames):
     alg, real = built["N3"]
     composed = holomorphic_post(Polynomial.from_dict({(0,): 2.0 + 1.0j}),
                                 n3_family(frames["N3"]))
-    frame = frames["N3"]
-    for p in sample_points(real, 3, seed=2, scale=1.0):
-        assert abs(kappa(composed, composed, p, frame)) == 0.0
-        assert abs(laplacian(composed, p, frame)) == 0.0
+    kap, tau = jets._frame_operators((composed,), sample_points(real, 3, seed=2, scale=1.0),
+                                     frames["N3"])
+    assert not kap.any() and not tau.any()
 
 
 def test_product_post_composition_h2(built, frames):
@@ -653,7 +661,8 @@ def frame_curve(name, built, frames, n_points=20, seed=3, scale=1.0):
     alg, real = built[name]
     frame = frames[name]
     pts = np.stack(sample_points(real, n_points, seed=seed, scale=scale))
-    return CurveJet.along(pts, np.concatenate([frame.mats, real.matrix_of(frame.tension)[None]]))
+    tension = real.matrix_of(trace_form_tension(alg))
+    return CurveJet.along(pts, np.concatenate([frame.mats, tension[None]]))
 
 
 def jet2_reference(image, curve):

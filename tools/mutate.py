@@ -31,7 +31,7 @@ MUTANTS = (
     ("the laplacian's drift with its sign flipped", "src/liemorph/jets.py",
      "terms = d2 - d1 * frame.traces", "terms = d2 + d1 * frame.traces"),
     ("the frame's traces taken as the raw trace form", "src/liemorph/jets.py",
-     "onb @ trace_form,", "trace_form,"),
+     "onb @ trace_form)", "trace_form)"),
     ("the frame operators dropping the last frame direction", "src/liemorph/jets.py",
      "    d1, d2 = _jets(fields, points, frame.mats)\n"
      "    grad = d1.transpose(1, 0, 2)                          # (P, F, D)\n"
