@@ -118,13 +118,15 @@ def _sum_by_key(keys: np.ndarray, values: np.ndarray):
     return keys[new], np.bincount(np.cumsum(new) - 1, weights=values[order])
 
 
-def _products(x: _Entries):
+def _products(x: _Entries, partners: tuple):
     """(i, j, a, b, p): each product p = M_i[a, m] M_j[m, b], i != j, of the stack x.
 
-    A join of x's nonzero entries with themselves on the shared index m.
+    A join of x's nonzero entries with themselves on the shared index m;
+    ``partners`` is its count, ``_partners(x, 2, x, 1)``, which the caller
+    forms once.
     """
     mat, row, col = x.index
-    xa, ya = _pair_up(*_partners(x, 2, x, 1))    # M_i[a, m] against M_j[m, b]
+    xa, ya = _pair_up(*partners)                 # M_i[a, m] against M_j[m, b]
     cross = mat[xa] != mat[ya]
     xa, ya = xa[cross], ya[cross]
     return mat[xa], mat[ya], row[xa], col[ya], x.values[xa] * x.values[ya]
@@ -145,14 +147,15 @@ def _join_residual(c: _Entries, rep: _Entries, budget: float) -> float | None:
     if not (np.isfinite(rep.values).all() and np.isfinite(c.values).all()):
         return math.nan
     partners = _partners(c, 2, rep, 0)              # c[i, j, k] against M_k[a, b]
-    if 2 * int(_partners(rep, 2, rep, 1)[0].sum()) + int(partners[0].sum()) > budget:
+    own = _partners(rep, 2, rep, 1)                 # M_i[a, m] against M_j[m, b]
+    if 2 * int(own[0].sum()) + int(partners[0].sum()) > budget:
         return None
     d, n = rep.shape[:2]
     ca, ra = _pair_up(*partners)
     ci, cj, _ = c.index
     _, a, b = rep.index
     with np.errstate(over="ignore", invalid="ignore"):
-        i, j, pa, pb, prod = _products(rep)
+        i, j, pa, pb, prod = _products(rep, own)
         keys = np.concatenate([((i * d + j) * n + pa) * n + pb, ((j * d + i) * n + pa) * n + pb,
                                ((ci[ca] * d + cj[ca]) * n + a[ra]) * n + b[ra]])
         terms = np.concatenate([prod, -prod, -(c.values[ca] * rep.values[ra])])

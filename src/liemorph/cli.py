@@ -100,18 +100,29 @@ class _Required:
     rule: object
 
 
+def _numbers(value) -> bool:
+    """A JSON number, NaN and inf included, or a list whose entries are, at any depth."""
+    if isinstance(value, list):
+        return all(map(_numbers, value))
+    return isinstance(value, float) or _is_int(value)
+
+
 # Each config object's fields, by name: a (test, wanted) pair, the table of a
 # nested object, a one-table list for a list of objects, or None for a value
 # that the job checks where it reads it; any of these wrapped in _Required
-# when the field must be present.
-_INLINE = {"structure_constants": _Required(None), "gram": None}
+# when the field must be present.  Array data takes numbers only, so a boolean
+# is not read as 1.0 or 0.0, nor an index list as a mask or a wrapped index.
+_NUMBERS = (_numbers, "a number or nested lists of numbers")
+_INDICES = (lambda v: isinstance(v, list) and all(_is_int(i) and i >= 0 for i in v),
+            "a list of non-negative integers")
+_INLINE = {"structure_constants": _Required(_NUMBERS), "gram": _NUMBERS}
 _CONFIG_FIELDS = {
     "builtin": {"name": _Required((lambda v: isinstance(v, str), "a string")),
                 "params": (lambda v: isinstance(v, dict), "an object")},
     "inline": _INLINE,
-    "inline_root_graded": {**_INLINE, "a_indices": _Required(None),
-                           "roots": _Required([{"values": _Required(None),
-                                                "indices": _Required(None)}]),
+    "inline_root_graded": {**_INLINE, "a_indices": _Required(_INDICES),
+                           "roots": _Required([{"values": _Required(_NUMBERS),
+                                                "indices": _Required(_INDICES)}]),
                            "beta": _Required((_is_int, "an integer"))},
     "sampling": {"count": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
                  "scale": (lambda v: _is_finite(v) and v >= 0, "a finite non-negative number"),

@@ -9,8 +9,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (LieAlgebra, _dependent, _Entries, _products, _readonly,
-                      _representation_residual, _sum_by_key)
+from .algebra import (LieAlgebra, _dependent, _Entries, _partners, _products,
+                      _readonly, _representation_residual, _sum_by_key)
 from .errors import StructureError
 
 HOMOMORPHISM_TOL = 1e-10
@@ -243,8 +243,9 @@ def _algebra_from_matrices(mats) -> tuple[LieAlgebra, MatrixRealization]:
     if not np.isfinite(mats).all():
         raise StructureError("realization matrices have non-finite entries")
     d, n = mats.shape[:2]
+    entries = _Entries(mats)
     with np.errstate(over="ignore", invalid="ignore"):   # the realization's residual fails them
-        i, j, a, b, prod = _products(_Entries(mats))
+        i, j, a, b, prod = _products(entries, _partners(entries, 2, entries, 1))
         keys, comm = _sum_by_key(((np.minimum(i, j) * d + np.maximum(i, j)) * n + a) * n + b,
                                  np.where(i < j, prod, -prod))
         reached = comm != 0

@@ -573,6 +573,15 @@ def test_config_validation_errors(tmp_path):
 
 N4 = {"name": "N", "params": {"n": 4}}
 PLANE = [[[0.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]     # [e_1, e_0] = e_0
+ROOT_GRADED = {"structure_constants": PLANE, "a_indices": [1],
+               "roots": [{"values": [1.0], "indices": [0]}], "beta": 0}
+
+
+def root_graded(**changes):
+    """The plane as a root-graded source, with ``changes`` to it or to its one root."""
+    root = {k: changes.pop(k) for k in ("values", "indices") if k in changes}
+    return {"builtin": None, "inline_root_graded": {
+        **ROOT_GRADED, "roots": [{**ROOT_GRADED["roots"][0], **root}], **changes}}
 
 
 @pytest.mark.parametrize("kind, changes, argv, field", [
@@ -594,11 +603,38 @@ PLANE = [[[0.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]     # [e_1, e_0] =
         "structure_constants": PLANE, "a_indices": [1],
         "roots": [{"values": [1.0], "indices": [0], "valus": [1.0]}], "beta": 0}},
      [], "inline_root_graded.roots[0].valus"),
+    # each of these ran to a verdict: an index wrapped around or a boolean mask picked
+    # the rows, a boolean or a string was read as a number, a null as NaN
+    ("second-construction", root_graded(a_indices=[-1]), [], "inline_root_graded.a_indices"),
+    ("second-construction", root_graded(indices=[-2]), [],
+     "inline_root_graded.roots[0].indices"),
+    ("second-construction", root_graded(a_indices=[False, True]), [],
+     "inline_root_graded.a_indices"),
+    ("second-construction", root_graded(indices=[True, False]), [],
+     "inline_root_graded.roots[0].indices"),
+    ("second-construction", root_graded(indices=[0.0]), [],
+     "inline_root_graded.roots[0].indices"),
+    ("second-construction", root_graded(a_indices=1), [], "inline_root_graded.a_indices"),
+    ("second-construction", root_graded(values=[True]), [],
+     "inline_root_graded.roots[0].values"),
+    ("second-construction", root_graded(gram=[[True, False], [False, True]]), [],
+     "inline_root_graded.gram"),
+    ("check-algebra", {"builtin": None, "inline": {
+        "structure_constants": [[[False, False], [-1.0, False]], [[True, 0.0], [0.0, 0.0]]]}},
+     [], "inline.structure_constants"),
+    ("check-algebra", {"builtin": None, "inline": {"structure_constants": PLANE,
+                                                   "gram": [[1.0, None], [0.0, 1.0]]}},
+     [], "inline.gram"),
+    ("check-algebra", {"builtin": None, "inline": {"structure_constants": PLANE,
+                                                   "gram": [["1.0", 0.0], [0.0, 1.0]]}},
+     [], "inline.gram"),
 ], ids=["misspelled_tolerances", "misspelled_sampling_field", "misspelled_gram",
         "builtin_extra_field", "tolerances_list", "tolerances_string", "out_list",
         "negative_config_seed", "negative_seed_flag", "empty_out_flag",
         "negative_seed_check_algebra",
-        "unknown_root_field"])
+        "unknown_root_field", "negative_a_index", "negative_root_index", "boolean_a_indices",
+        "boolean_root_indices", "float_root_index", "scalar_a_indices", "boolean_root_value",
+        "boolean_gram", "boolean_structure_constants", "null_in_gram", "string_in_gram"])
 def test_a_field_that_fails_its_table_is_a_config_error(tmp_path, capsys, kind, changes,
                                                         argv, field):
     payload = {"kind": kind, "builtin": N4, "sampling": {"seed": 1},
@@ -608,10 +644,6 @@ def test_a_field_that_fails_its_table_is_a_config_error(tmp_path, capsys, kind, 
     assert main([kind, "--config", cfg, *argv]) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
     assert not (tmp_path / "unwritten.json").exists()
-
-
-ROOT_GRADED = {"structure_constants": PLANE, "a_indices": [1],
-               "roots": [{"values": [1.0], "indices": [0]}], "beta": 0}
 
 
 @pytest.mark.parametrize("kind, source, field", [

@@ -116,6 +116,20 @@ def test_jacobi_paths_agree_on_perturbed_n10(rng):
     assert _jacobi_residual(c) == join      # still sparse enough for the join
 
 
+def test_the_residual_join_counts_each_pair_of_listings_once(monkeypatch):
+    # c against the stack, and the stack against itself, which the budget and the
+    # products share: one stable argsort each
+    c = lm.build_N(10)[0].structure_constants
+    counted = []
+    original = algebra_module._partners
+    monkeypatch.setattr(algebra_module, "_partners",
+                        lambda x, xm, y, ym: counted.append((xm, ym)) or original(x, xm, y, ym))
+    results = joins(monkeypatch)
+    _jacobi_residual(c)
+    assert len(results) == 1 and results[0] is not None        # the join ran
+    assert sorted(counted) == [(2, 0), (2, 1)]
+
+
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_builtin_residuals_are_bit_identical_on_both_paths(name):
     build, args = BUILTINS[name]

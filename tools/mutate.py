@@ -43,6 +43,12 @@ MUTANTS = (
      "    terms = d2 - d1 * frame.traces[:-1]                   # X_a^2(phi) - traces[a] X_a(phi)\n"
      "    # direction by direction, so tau keeps the rounding of a one-point sum\n"
      "    tau = sum(terms[:, :, a] for a in range(len(frame.mats) - 1))"),
+    ("sampled points multiplying each factor in on the left", "src/liemorph/groups.py",
+     "points = points @ factor", "points = factor @ points"),
+    ("a nilpotent matrix with an underflowing power entry kept on the nilpotent path",
+     "src/liemorph/groups.py", ">= _SQRT_TINY)", ">= 0.0)"),
+    ("the Ricci gap band dropped, so a gap just above its rounding bound decides",
+     "src/liemorph/foliations.py", "(gaps < _GAP_BAND * b)", "(gaps < b)"),
     ("the Einstein branch scoring a vector of [g, g] instead of its complement",
      "src/liemorph/foliations.py",
      "v = _fix_signs(_unit_rows(np.cross(a, b)[None]))", "v = _fix_signs(_unit_rows(a[None]))"),
